@@ -6,12 +6,12 @@ warehouse, so nothing is computed twice.  Intensional sub-demands are
 evaluated in-process and their results published to the warehouse; only
 procedural (``call``) demands queue for workers.
 
-Publication goes through the ordinary deposit/claim/fulfill protocol with a
-generator-private worker id.  When another generator got the claim first we
-still compute locally (determinism makes the values agree) and skip the
-fulfill; a claim that pops a stray pending demand from the same program is
-computed and fulfilled on the spot, anything else is left for its owner's
-lease to lapse.
+A cold intensional demand costs two store requests: a deposit that doubles
+as the warehouse lookup, then, once the value is computed, a fulfill.  The
+store neither queues nor leases intensional demands, so no claim comes in
+between.  Two generators that compute the same demand concurrently both
+fulfil it; determinism makes the values agree, and the store accepts the
+second fulfil as an idempotent completion.
 
 ``reference_eval`` is an independent oracle: a direct recursive interpreter
 with no caches and no store, executing procedure calls inline through the
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import sys
-import uuid
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,11 +38,13 @@ from .model import (
     pending_demand,
     value_kind,
 )
-from .store import DepositStatus, NotClaimed, Timeout
+from .store import DepositStatus, Timeout
 from .worker import ERROR_PREFIX, ProcedureFault, ProcedureRegistry, StoreUnreachable
 from .lang import UndefinedIdentifier
 
-_WRAP_MASK = (1 << 64) - 1
+# the store checks no lease for intensional fulfils, so every generator can
+# use the same id
+GENERATOR_ID = "dgt"
 
 
 class EvalError(EductionError):
@@ -75,9 +76,6 @@ class EvalConfig:
     max_depth: int = 10000
     proc_timeout_ms: int = 30000
     warehouse_enabled: bool = True
-    # leases taken while publishing intensional results must outlive the
-    # whole nested evaluation beneath them
-    claim_lease_ms: int = 60000
 
 
 def _wrap64(n: int) -> int:
@@ -152,7 +150,6 @@ class Evaluator:
         self.geer = geer
         self.store = store
         self.cfg = config or EvalConfig()
-        self.worker_id = f"dgt-{uuid.uuid4().hex[:8]}"
         self._local: dict[bytes, Value] = {}
         self._chain: list[bytes] = []
         self._chain_names: list[str] = []
@@ -201,13 +198,11 @@ class Evaluator:
             raise DepthExceeded(f"demand depth exceeded {self.cfg.max_depth}")
 
         use_warehouse = self.cfg.warehouse_enabled and self.store is not None
-        claimed = False
         if use_warehouse:
             out = self.store.deposit(pending_demand(sig))
             if out.status is DepositStatus.ALREADY_COMPUTED:
                 self._local[key] = out.value
                 return out.value
-            claimed = self._claim_own(sig)
 
         self._chain.append(key)
         self._chain_names.append(f"{name}@{ctx}")
@@ -221,33 +216,9 @@ class Evaluator:
             self._chain_set.discard(key)
 
         self._local[key] = value
-        if claimed:
-            try:
-                self.store.fulfill(sig, value, self.worker_id)
-            except NotClaimed:
-                pass  # lease lapsed mid-evaluation; the local value stands
+        if use_warehouse:
+            self.store.fulfill(sig, value, GENERATOR_ID)
         return value
-
-    def _claim_own(self, sig: DemandSignature) -> bool:
-        """Claim our own just-deposited demand, absorbing stray pendings."""
-        for _ in range(64):
-            claimed = self.store.claim(self.worker_id, (DemandKind.INTENSIONAL,), self.cfg.claim_lease_ms)
-            if claimed is None:
-                return False
-            if claimed.signature == sig:
-                return True
-            self._fulfill_straggler(claimed.signature)
-        return False
-
-    def _fulfill_straggler(self, sig: DemandSignature):
-        # a pending left by another generator; compute it if this program can
-        if sig.program_id != self.geer.program_id or sig.name not in self.geer.dictionary:
-            return
-        try:
-            value = self._demand(sig.name, sig.context)
-            self.store.fulfill(sig, value, self.worker_id)
-        except EductionError:
-            pass
 
     def _expr(self, node, ctx: Context) -> Value:
         if isinstance(node, lang.Literal):

@@ -217,17 +217,17 @@ class DgtTier(_TierBase):
     kind = "DGT"
 
     def _start(self) -> dict:
-        self.evaluator = None
         self._client = None
         address = self.config.get("store")
         program = self.config.get("program")
         if address:
             self._client = connect_store(address)
-            if program:
-                from .evaluator import Evaluator
-
-                geer = wire.decode_geer(self._client.get_resource(program))
-                self.evaluator = Evaluator(geer, self._client)
+            if program:  # a missing or corrupt program fails the allocation
+                try:
+                    wire.decode_geer(self._client.get_resource(program))
+                except BaseException:
+                    self._client.close()  # stop() is never called on a failed start
+                    raise
         return {"program": program}
 
     def _stop(self) -> None:
@@ -285,9 +285,10 @@ class LocalNodeAgent:
             return self._tiers.get(tier_id)
 
     def close(self):
+        # reverse start order: a worker stops before the store it claims from
         with self._lock:
             tiers, self._tiers = list(self._tiers.values()), {}
-        for t in tiers:
+        for t in reversed(tiers):
             t.stop()
 
 
@@ -437,13 +438,6 @@ class Manager:
         return rec.agent
 
     # -- tier lifecycle -------------------------------------------------------
-
-    def create_tier(self, kind: str) -> _TierBase:
-        """Bare factory access: a handle not bound to any node."""
-        with self._cmd:
-            tier_id = f"t{self._next_tier}"
-            self._next_tier += 1
-        return self._factory.create_tier(kind, tier_id, {})
 
     def allocate(self, node_id: int, kind: str, config: dict) -> TierRecord:
         with self._cmd:

@@ -1,11 +1,13 @@
-"""Demand store: the warehouse plus a leased pending queue.
+"""Demand store: the warehouse plus a leased queue of worker demands.
 
 Every computed value lands here and is served from here instead of being
 recomputed.  Per entry the state machine is PENDING -> IN_PROCESS ->
-COMPUTED; COMPUTED is terminal and immutable.  Workers claim pending
-demands under a lease; when a lease expires the sweep sends the entry back
-to PENDING, which gives at-least-once delivery.  A second fulfill must
-match the stored value byte-for-byte (idempotent completion) or it is
+COMPUTED; COMPUTED is terminal and immutable.  Only work a worker executes
+(procedural demands) is queued: workers claim it under a lease, and when a
+lease expires the sweep sends the entry back to PENDING, which gives
+at-least-once delivery.  Intensional demands are never queued or leased;
+whichever generator computes one fulfils it directly.  A second fulfill
+must match the stored value byte-for-byte (idempotent completion) or it is
 rejected as conflicting.
 
 All operations take one lock, so the store is linearizable; ``await_result``
@@ -21,7 +23,7 @@ import heapq
 import os
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Tuple
 
 from .errors import EductionError
@@ -77,8 +79,6 @@ class DepositOutcome:
 class StoreEntry:
     demand: Demand
     deposited_at: float
-    computed_at: Optional[float] = None
-    hit_count: int = 0
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,6 @@ class DemandStore:
             entry = self._entries.get(key)
             if entry is not None:
                 if entry.demand.state is DemandState.COMPUTED:
-                    entry.hit_count += 1
                     self._hits += 1
                     return DepositOutcome(DepositStatus.ALREADY_COMPUTED, entry.demand.result)
                 self._misses += 1
@@ -161,7 +160,7 @@ class DemandStore:
             entry = StoreEntry(demand=fresh, deposited_at=self.now())
             self._entries[key] = entry
             self._counts[DemandState.PENDING] += 1
-            heapq.heappush(self._queues[d.signature.kind], (entry.deposited_at, key))
+            self._enqueue(entry, key)
             self._append_log(MsgType.DEPOSIT, wire.encode_demand(fresh))
             return DepositOutcome(DepositStatus.ENQUEUED)
 
@@ -205,15 +204,15 @@ class DemandStore:
                 if wire.values_equal(entry.demand.result, value):
                     return  # idempotent completion
                 raise ConflictingResult(f"{sig}: stored result differs")
-            lease = self._leases.get(key)
-            if lease is None or lease.worker_id != worker_id:
-                raise NotClaimed(f"{sig} is not claimed by {worker_id!r}")
+            if sig.kind is not DemandKind.INTENSIONAL:  # queued work needs its lease
+                lease = self._leases.get(key)
+                if lease is None or lease.worker_id != worker_id:
+                    raise NotClaimed(f"{sig} is not claimed by {worker_id!r}")
+                del self._leases[key]
             prev_state = entry.demand.state
             entry.demand = replace(
                 entry.demand, state=DemandState.COMPUTED, result=value, lease_expiry=None
             )
-            entry.computed_at = self.now()
-            del self._leases[key]
             self._counts[prev_state] -= 1
             self._counts[DemandState.COMPUTED] += 1
             self._append_log(MsgType.FULFILL, wire.encode_signature(sig) + wire.encode_value(value))
@@ -227,7 +226,6 @@ class DemandStore:
                 self._misses += 1
                 raise NotFound(str(sig))
             if entry.demand.state is DemandState.COMPUTED:
-                entry.hit_count += 1
                 self._hits += 1
                 return DemandState.COMPUTED, entry.demand.result
             self._misses += 1
@@ -242,7 +240,6 @@ class DemandStore:
                 if entry is None:
                     raise NotFound(str(sig))
                 if entry.demand.state is DemandState.COMPUTED:
-                    entry.hit_count += 1
                     self._hits += 1
                     return entry.demand.result
                 remaining = deadline - self.now()
@@ -267,11 +264,15 @@ class DemandStore:
                 )
                 self._counts[DemandState.IN_PROCESS] -= 1
                 self._counts[DemandState.PENDING] += 1
-                heapq.heappush(
-                    self._queues[entry.demand.signature.kind], (entry.deposited_at, lease.signature_key)
-                )
+                self._enqueue(entry, lease.signature_key)
                 self._redeliveries += 1
             return len(expired)
+
+    def _enqueue(self, entry: StoreEntry, key: bytes):
+        """Queue a pending entry for claiming, unless it is intensional."""
+        kind = entry.demand.signature.kind
+        if kind is not DemandKind.INTENSIONAL:
+            heapq.heappush(self._queues[kind], (entry.deposited_at, key))
 
     # -- resources ---------------------------------------------------------
 
@@ -334,7 +335,7 @@ class DemandStore:
                 entry = StoreEntry(demand=Demand(d.signature), deposited_at=self.now())
                 self._entries[key] = entry
                 self._counts[DemandState.PENDING] += 1
-                heapq.heappush(self._queues[d.signature.kind], (entry.deposited_at, key))
+                self._enqueue(entry, key)
         elif msg_type is MsgType.FULFILL:
             r = wire.Reader(payload)
             sig = wire.read_signature(r)
@@ -352,7 +353,6 @@ class DemandStore:
                 entry.demand = replace(
                     entry.demand, state=DemandState.COMPUTED, result=value, lease_expiry=None
                 )
-                entry.computed_at = self.now()
         elif msg_type is MsgType.RESOURCE_PUT:
             r = wire.Reader(payload)
             program_id = wire.read_value(r)

@@ -242,9 +242,6 @@ def encode_signature(sig: DemandSignature) -> bytes:
     return b"".join(out)
 
 
-signature_key = encode_signature
-
-
 def read_signature(r: Reader) -> DemandSignature:
     program_id = _read_str(r)
     name = _read_str(r)

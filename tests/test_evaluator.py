@@ -1,5 +1,7 @@
 """Eductive engine vs. the recursive reference interpreter."""
 import random
+import threading
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +20,7 @@ from eduction.evaluator import (
 from eduction.lang import compile_source
 from eduction.model import EMPTY_CONTEXT, make_context
 from eduction.store import DemandStore
+from eduction.transport import connect_store, serve_store
 from eduction.worker import ProcedureRegistry, Worker, WorkerConfig, build_demo_registry
 
 FACT = compile_source(
@@ -209,6 +212,70 @@ class TestWarehouse:
         assert ev.eval_demand("fact", ctx(d=4)) == 24
         # d=4 reuses d<=3: exactly one extra computation
         assert ev.computation_counter() == 5
+
+
+class TestConcurrentGenerators:
+    QUERIES = range(0, 197, 7)
+
+    @staticmethod
+    def run_threads(address, geers):
+        errors = []
+
+        def generate(geer):
+            client = connect_store(address)
+            try:
+                ev = Evaluator(geer, client)
+                for n in TestConcurrentGenerators.QUERIES:
+                    ev.eval_demand("fib", ctx(d=n))
+            except Exception as e:
+                errors.append(e)
+            finally:
+                client.close()
+
+        threads = [threading.Thread(target=generate, args=(g,), daemon=True) for g in geers]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+    def test_generators_over_tcp_leave_nothing_in_flight(self):
+        # each thread evaluates its own copy of fib against one TCP store;
+        # no generator may strand another program's demand
+        store = DemandStore()
+        srv = serve_store(store)
+        address = f"127.0.0.1:{srv.port}"
+        copies = [replace(FIB, program_id=f"fib{i}") for i in range(4)]
+        try:
+            self.run_threads(address, copies)
+            s = store.stats()
+            assert (s.in_process, s.pending, s.computed) == (0, 0, 4 * 197)
+            client = connect_store(address)
+            try:
+                for geer in copies:
+                    ev = Evaluator(geer, client)
+                    for n in self.QUERIES:
+                        ev.eval_demand("fib", ctx(d=n))
+                    assert ev.computation_counter() == 0
+            finally:
+                client.close()
+        finally:
+            srv.stop()
+            store.close()
+
+    def test_generators_sharing_a_program_agree(self):
+        # both threads compute and fulfil the same demands; the store keeps
+        # one result per demand and accepts the duplicates as identical
+        store = DemandStore()
+        srv = serve_store(store)
+        try:
+            self.run_threads(f"127.0.0.1:{srv.port}", [FIB, FIB])
+            s = store.stats()
+            assert (s.in_process, s.pending, s.computed) == (0, 0, 197)
+        finally:
+            srv.stop()
+            store.close()
 
 
 class TestProcedural:

@@ -1,5 +1,6 @@
 """General manager tier: registration, liveness, allocation, movement."""
 import json
+import time
 
 import pytest
 
@@ -24,6 +25,7 @@ from eduction.manager import (
     serve_node_agent,
 )
 from eduction.model import DemandKind, DemandSignature, EMPTY_CONTEXT, pending_demand
+from eduction.store import NotFound
 from eduction.transport import connect_store
 from eduction.wire import MsgType
 
@@ -333,8 +335,6 @@ class TestHeartbeater:
         nid = cl.register_node("n:1")
         hb = Heartbeater(cl, nid, interval_ms=5)
         hb.start()
-        import time
-
         time.sleep(0.25)
         assert mgr.node_status(nid) is NodeStatus.ALIVE
         hb.stop()
@@ -351,3 +351,41 @@ class TestFactory:
         assert type(t).__name__ == "DstTier"
         with pytest.raises(UnknownTierKind):
             f.create_tier("XYZ", "t2", {})
+
+
+class TestLocalNodeAgent:
+    def test_close_stops_worker_before_store(self):
+        agent = LocalNodeAgent()
+        address = agent.start_tier("dst-1", "DST", {})["address"]
+        agent.start_tier("dwt-1", "DWT", {"store": address})
+        worker = agent.tier("dwt-1").worker
+        started = time.monotonic()
+        agent.close()
+        # the worker loop exited on its own instead of retrying against a
+        # stopped store for 1.5 s and dying (the server's stop alone may
+        # take up to its 0.5 s poll interval)
+        assert time.monotonic() - started < 1.0
+        assert worker.summary is not None and not worker.alive
+
+
+class TestGeneratorTier:
+    def test_preload_checks_program(self):
+        from eduction import wire
+        from eduction.lang import MalformedGeer, compile_source
+        from eduction.pipeline import TrainingSet, encode_training_set
+
+        agent = LocalNodeAgent()
+        address = agent.start_tier("dst-1", "DST", {})["address"]
+        cl = connect_store(address)
+        cl.put_resource("answer", wire.encode_geer(compile_source("6 * 7", "answer")))
+        cl.put_resource("model", encode_training_set(TrainingSet()))  # a resource, not a program
+        cl.close()
+        try:
+            details = agent.start_tier("dgt-1", "DGT", {"store": address, "program": "answer"})
+            assert details == {"program": "answer"}
+            with pytest.raises(NotFound):
+                agent.start_tier("dgt-2", "DGT", {"store": address, "program": "missing"})
+            with pytest.raises(MalformedGeer):
+                agent.start_tier("dgt-3", "DGT", {"store": address, "program": "model"})
+        finally:
+            agent.close()

@@ -31,6 +31,14 @@ def psig(proc="add2", args=(1, 2)):
     return DemandSignature("prog", proc, EMPTY_CONTEXT, DemandKind.PROCEDURAL, tuple(args))
 
 
+def qsig(d):
+    # procedural twin of isig(d=...): queued work that workers claim under a lease
+    return psig("add2", (d, 0))
+
+
+QUEUED = [DemandKind.PROCEDURAL]
+
+
 class FakeClock:
     def __init__(self):
         self.t = 0.0
@@ -56,11 +64,11 @@ def st(clock):
 
 class TestLifecycle:
     def test_deposit_claim_fulfill(self, st):
-        sig = isig(d=1)
+        sig = qsig(1)
         out = st.deposit(pending_demand(sig))
         assert out.status is DepositStatus.ENQUEUED and out.value is None
 
-        d = st.claim("w1", [DemandKind.INTENSIONAL], lease_ms=5000)
+        d = st.claim("w1", QUEUED, lease_ms=5000)
         assert d is not None and d.signature == sig
         assert st.fetch(sig)[0] is DemandState.IN_PROCESS
 
@@ -69,18 +77,18 @@ class TestLifecycle:
         assert state is DemandState.COMPUTED and value == 42
 
     def test_duplicate_pending(self, st):
-        sig = isig(d=2)
+        sig = qsig(2)
         st.deposit(pending_demand(sig))
         out = st.deposit(pending_demand(sig))
         assert out.status is DepositStatus.DUPLICATE_PENDING
         # still only one claimable instance
-        assert st.claim("w", [DemandKind.INTENSIONAL], 1000) is not None
-        assert st.claim("w", [DemandKind.INTENSIONAL], 1000) is None
+        assert st.claim("w", QUEUED, 1000) is not None
+        assert st.claim("w", QUEUED, 1000) is None
 
     def test_already_computed_returns_value(self, st):
-        sig = isig(d=3)
+        sig = qsig(3)
         st.deposit(pending_demand(sig))
-        st.claim("w", [DemandKind.INTENSIONAL], 1000)
+        st.claim("w", QUEUED, 1000)
         st.fulfill(sig, 7, "w")
         out = st.deposit(pending_demand(sig))
         assert out.status is DepositStatus.ALREADY_COMPUTED and out.value == 7
@@ -101,7 +109,7 @@ class TestLifecycle:
         assert st.fetch(sig) == (DemandState.PENDING, None)
 
     def test_fulfill_without_claim(self, st):
-        sig = isig(d=4)
+        sig = qsig(4)
         st.deposit(pending_demand(sig))
         with pytest.raises(NotClaimed):
             st.fulfill(sig, 1, "w")
@@ -111,25 +119,25 @@ class TestLifecycle:
             st.fulfill(isig(d=5), 1, "w")
 
     def test_idempotent_fulfill_same_value(self, st):
-        sig = isig(d=6)
+        sig = qsig(6)
         st.deposit(pending_demand(sig))
-        st.claim("w", [DemandKind.INTENSIONAL], 1000)
+        st.claim("w", QUEUED, 1000)
         st.fulfill(sig, 9, "w")
         st.fulfill(sig, 9, "other")  # no error: same bytes
         assert st.fetch(sig) == (DemandState.COMPUTED, 9)
 
     def test_conflicting_result(self, st):
-        sig = isig(d=7)
+        sig = qsig(7)
         st.deposit(pending_demand(sig))
-        st.claim("w", [DemandKind.INTENSIONAL], 1000)
+        st.claim("w", QUEUED, 1000)
         st.fulfill(sig, 9, "w")
         with pytest.raises(ConflictingResult):
             st.fulfill(sig, 10, "w")
 
     def test_non_finite_rejected(self, st):
-        sig = isig(d=8)
+        sig = qsig(8)
         st.deposit(pending_demand(sig))
-        st.claim("w", [DemandKind.INTENSIONAL], 1000)
+        st.claim("w", QUEUED, 1000)
         with pytest.raises(NonFiniteValue):
             st.fulfill(sig, float("nan"), "w")
         with pytest.raises(NonFiniteValue):
@@ -137,61 +145,83 @@ class TestLifecycle:
 
     def test_zero_sign_distinguished(self, st):
         # -0.0 and 0.0 encode differently, so the conflict guard sees them apart
-        sig = isig(d=9)
+        sig = qsig(9)
         st.deposit(pending_demand(sig))
-        st.claim("w", [DemandKind.INTENSIONAL], 1000)
+        st.claim("w", QUEUED, 1000)
         st.fulfill(sig, 0.0, "w")
         with pytest.raises(ConflictingResult):
             st.fulfill(sig, -0.0, "w")
 
 
+class TestIntensional:
+    # generators fulfil intensional demands directly: never queued, never leased
+    def test_fulfil_needs_no_claim(self, st):
+        sig = isig(d=1)
+        assert st.deposit(pending_demand(sig)).status is DepositStatus.ENQUEUED
+        assert st.claim("w", [DemandKind.INTENSIONAL], 1000) is None
+        st.fulfill(sig, 42, "dgt")
+        assert st.fetch(sig) == (DemandState.COMPUTED, 42)
+        s = st.stats()
+        assert s.computed == 1 and s.pending == 0 and s.in_process == 0
+
+    def test_repeat_fulfil_agrees_or_conflicts(self, st):
+        sig = isig(d=2)
+        st.deposit(pending_demand(sig))
+        assert st.deposit(pending_demand(sig)).status is DepositStatus.DUPLICATE_PENDING
+        st.fulfill(sig, 7, "dgt")
+        st.fulfill(sig, 7, "dgt")  # the slower generator's identical result
+        with pytest.raises(ConflictingResult):
+            st.fulfill(sig, 8, "dgt")
+        assert st.fetch(sig) == (DemandState.COMPUTED, 7)
+
+
 class TestQueueOrder:
     def test_fifo_by_deposit_time(self, st, clock):
-        sigs = [isig(d=i) for i in (5, 1, 3)]
+        sigs = [qsig(i) for i in (5, 1, 3)]
         for s in sigs:
             st.deposit(pending_demand(s))
             clock.advance(1)
-        claimed = [st.claim("w", [DemandKind.INTENSIONAL], 1000).signature for _ in sigs]
+        claimed = [st.claim("w", QUEUED, 1000).signature for _ in sigs]
         assert claimed == sigs
 
     def test_key_breaks_timestamp_ties(self, st):
         # same deposit instant: key bytes decide
-        sigs = [isig(d=i) for i in (4, 2, 9)]
+        sigs = [qsig(i) for i in (4, 2, 9)]
         for s in sigs:
             st.deposit(pending_demand(s))
-        claimed = [st.claim("w", [DemandKind.INTENSIONAL], 1000).signature for _ in sigs]
+        claimed = [st.claim("w", QUEUED, 1000).signature for _ in sigs]
         assert [c.key() for c in claimed] == sorted(s.key() for s in sigs)
 
 
 class TestLeases:
     def test_expiry_redelivers(self, st, clock):
-        sig = isig(d=1)
+        sig = qsig(1)
         st.deposit(pending_demand(sig))
-        d1 = st.claim("w1", [DemandKind.INTENSIONAL], lease_ms=1000)
+        d1 = st.claim("w1", QUEUED, lease_ms=1000)
         assert d1.attempts == 0
-        assert st.claim("w2", [DemandKind.INTENSIONAL], 1000) is None
+        assert st.claim("w2", QUEUED, 1000) is None
 
         clock.advance(1001)
         assert st.sweep_expired_leases() == 1
         assert st.fetch(sig)[0] is DemandState.PENDING
 
-        d2 = st.claim("w2", [DemandKind.INTENSIONAL], 1000)
+        d2 = st.claim("w2", QUEUED, 1000)
         assert d2 is not None and d2.attempts == 1
         assert st.stats().redeliveries == 1
 
     def test_unexpired_lease_not_swept(self, st, clock):
-        st.deposit(pending_demand(isig(d=2)))
-        st.claim("w1", [DemandKind.INTENSIONAL], lease_ms=1000)
+        st.deposit(pending_demand(qsig(2)))
+        st.claim("w1", QUEUED, lease_ms=1000)
         clock.advance(999)
         assert st.sweep_expired_leases() == 0
 
     def test_late_fulfill_after_redelivery_same_value(self, st, clock):
-        sig = isig(d=3)
+        sig = qsig(3)
         st.deposit(pending_demand(sig))
-        st.claim("w1", [DemandKind.INTENSIONAL], lease_ms=100)
+        st.claim("w1", QUEUED, lease_ms=100)
         clock.advance(101)
         st.sweep_expired_leases()
-        st.claim("w2", [DemandKind.INTENSIONAL], lease_ms=5000)
+        st.claim("w2", QUEUED, lease_ms=5000)
         st.fulfill(sig, 5, "w2")
         # the original claimer comes back with the same answer: accepted quietly
         st.fulfill(sig, 5, "w1")
@@ -200,11 +230,11 @@ class TestLeases:
     def test_await_result(self):
         # real clock: await blocks on wall time
         st = DemandStore()
-        sig = isig(d=4)
+        sig = qsig(4)
         st.deposit(pending_demand(sig))
 
         def later():
-            st.claim("w", [DemandKind.INTENSIONAL], 1000)
+            st.claim("w", QUEUED, 1000)
             st.fulfill(sig, 11, "w")
 
         t = threading.Timer(0.05, later)
@@ -272,10 +302,10 @@ class TestResources:
 
 class TestStats:
     def test_counters(self, st):
-        sig = isig(d=1)
+        sig = qsig(1)
         st.deposit(pending_demand(sig))  # warehouse miss: enqueued
         st.fetch(sig)  # miss: still pending
-        st.claim("w", [DemandKind.INTENSIONAL], 1000)
+        st.claim("w", QUEUED, 1000)
         st.fulfill(sig, 1, "w")
         st.fetch(sig)  # hit
         s = st.stats()
@@ -293,10 +323,10 @@ class TestPersistence:
         blob = TestResources.blob()
         log = str(tmp_path / "store.log")
         s1 = DemandStore(log_path=log, clock=clock)
-        done, open_ = isig(d=1), isig(d=2)
+        done, open_ = qsig(1), qsig(2)
         s1.deposit(pending_demand(done))
         s1.deposit(pending_demand(open_))
-        s1.claim("w", [DemandKind.INTENSIONAL], 1000)
+        s1.claim("w", QUEUED, 1000)
         s1.fulfill(done, 123, "w")
         s1.put_resource("p", blob)
         s1.close()
@@ -305,18 +335,18 @@ class TestPersistence:
         assert s2.fetch(done) == (DemandState.COMPUTED, 123)
         # an in-flight claim does not survive: the demand shows up claimable again
         assert s2.fetch(open_)[0] is DemandState.PENDING
-        assert s2.claim("w2", [DemandKind.INTENSIONAL], 1000).signature == open_
+        assert s2.claim("w2", QUEUED, 1000).signature == open_
         assert s2.get_resource("p") == blob
         s2.close()
 
     def test_truncated_tail_ignored(self, tmp_path, clock):
         log = str(tmp_path / "store.log")
         s1 = DemandStore(log_path=log, clock=clock)
-        a, b = isig(d=1), isig(d=2)
+        a, b = qsig(1), qsig(2)
         for sig in (a, b):
             s1.deposit(pending_demand(sig))
-            s1.claim("w", [DemandKind.INTENSIONAL], 1000)
-            s1.fulfill(sig, int(sig.context.get("d")), "w")
+            s1.claim("w", QUEUED, 1000)
+            s1.fulfill(sig, sig.args[0], "w")
         s1.close()
 
         size = os.path.getsize(log)
@@ -329,10 +359,24 @@ class TestPersistence:
         assert s2.fetch(b)[0] is not DemandState.COMPUTED
         s2.close()
 
+    def test_replay_queues_no_intensional_demand(self, tmp_path, clock):
+        log = str(tmp_path / "store.log")
+        s1 = DemandStore(log_path=log, clock=clock)
+        sig = isig(d=1)
+        s1.deposit(pending_demand(sig))
+        s1.close()
+
+        s2 = DemandStore(log_path=log, clock=clock)
+        assert s2.fetch(sig) == (DemandState.PENDING, None)
+        assert s2.claim("w", list(DemandKind), 1000) is None
+        s2.fulfill(sig, 3, "dgt")
+        assert s2.fetch(sig) == (DemandState.COMPUTED, 3)
+        s2.close()
+
     def test_corrupt_byte_stops_replay(self, tmp_path, clock):
         log = str(tmp_path / "store.log")
         s1 = DemandStore(log_path=log, clock=clock)
-        a, b = isig(d=1), isig(d=2)
+        a, b = qsig(1), qsig(2)
         s1.deposit(pending_demand(a))
         off_before_b = os.path.getsize(log)
         s1.deposit(pending_demand(b))
@@ -343,6 +387,6 @@ class TestPersistence:
             f.write(b"\xff\xff\xff\xff")
 
         s2 = DemandStore(log_path=log, clock=clock)
-        assert s2.claim("w", [DemandKind.INTENSIONAL], 1000).signature == a
-        assert s2.claim("w", [DemandKind.INTENSIONAL], 1000) is None
+        assert s2.claim("w", QUEUED, 1000).signature == a
+        assert s2.claim("w", QUEUED, 1000) is None
         s2.close()

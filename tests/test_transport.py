@@ -33,6 +33,14 @@ def isig(d=1):
     return DemandSignature("p", "x", make_context([("d", d)]), DemandKind.INTENSIONAL)
 
 
+def qsig(d=1):
+    # procedural twin of isig: queued work that workers claim under a lease
+    return DemandSignature("p", "add2", EMPTY_CONTEXT, DemandKind.PROCEDURAL, (d, 0))
+
+
+QUEUED = [DemandKind.PROCEDURAL]
+
+
 @pytest.fixture
 def store():
     s = DemandStore()
@@ -102,11 +110,11 @@ class TestCarrierEquivalence:
     OPS = ("deposit", "fetch_miss", "claim", "fulfill", "fetch_hit", "stats")
 
     def run_ops(self, client):
-        sig = isig(7)
+        sig = qsig(7)
         out = []
         out.append(client.deposit(pending_demand(sig)).status.name)
         out.append(client.fetch(sig)[0].name)
-        d = client.claim("w", [DemandKind.INTENSIONAL], 60000)
+        d = client.claim("w", QUEUED, 60000)
         out.append(d.signature.key().hex())
         client.fulfill(sig, 99, "w")
         st, val = client.fetch(sig)
@@ -138,17 +146,17 @@ class TestCarrierEquivalence:
 
 class TestTcp:
     def test_full_lifecycle_over_tcp(self, store, tcp_client):
-        sig = isig(3)
+        sig = qsig(3)
         assert tcp_client.deposit(pending_demand(sig)).status is DepositStatus.ENQUEUED
-        d = tcp_client.claim("w", [DemandKind.INTENSIONAL], 5000)
+        d = tcp_client.claim("w", QUEUED, 5000)
         assert d.signature == sig
         tcp_client.fulfill(sig, 10, "w")
         assert tcp_client.await_result(sig, 1000) == 10
 
     def test_error_reraised_client_side(self, store, tcp_client):
-        sig = isig(4)
+        sig = qsig(4)
         tcp_client.deposit(pending_demand(sig))
-        tcp_client.claim("w", [DemandKind.INTENSIONAL], 5000)
+        tcp_client.claim("w", QUEUED, 5000)
         tcp_client.fulfill(sig, 1, "w")
         with pytest.raises(ConflictingResult):
             tcp_client.fulfill(sig, 2, "w")
@@ -165,7 +173,7 @@ class TestTcp:
     def test_concurrent_clients(self, store):
         srv = serve_store(store)
         addr = f"127.0.0.1:{srv.port}"
-        sigs = [isig(i) for i in range(8)]
+        sigs = [qsig(i) for i in range(8)]
         for s in sigs:
             store.deposit(pending_demand(s))
         seen = []
@@ -175,10 +183,10 @@ class TestTcp:
             cl = connect_store(addr)
             try:
                 while True:
-                    d = cl.claim(wid, [DemandKind.INTENSIONAL], 60000)
+                    d = cl.claim(wid, QUEUED, 60000)
                     if d is None:
                         return
-                    cl.fulfill(d.signature, d.signature.context.get("d"), wid)
+                    cl.fulfill(d.signature, d.signature.args[0], wid)
                     with lock:
                         seen.append(d.signature.key())
             finally:
