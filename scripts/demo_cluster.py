@@ -37,7 +37,7 @@ def main() -> int:
     n2 = mgr.register_node("demo-b:0", agent=LocalNodeAgent())
     dst = mgr.allocate(n1, "DST", {})
     addr = dst.details["address"]
-    dwt = mgr.allocate(n1, "DWT", {"store": addr, "registry": "pipeline", "poll_ms": 10})
+    dwt = mgr.allocate(n1, "DWT", {"store": addr, "registry": "pipeline"})
     print(f"cluster up: DST on node {n1} at {addr}, DWT on node {n1}")
 
     client = connect_store(addr)

@@ -46,6 +46,7 @@ from .transport import (
     encode_system_reply,
     register_inproc,
     serve_store,
+    split_host_port,
     system_request,
     unregister_inproc,
 )
@@ -198,11 +199,7 @@ class DwtTier(_TierBase):
             raise BadTierConfig(f"unknown registry preset {preset!r}")
         self._client = connect_store(address)
         registry = REGISTRY_PRESETS[preset](self._client)
-        cfg = WorkerConfig(
-            worker_id=self.tier_id,
-            poll_interval_ms=self.config.get("poll_ms", 50),
-            lease_ms=self.config.get("lease_ms", 5000),
-        )
+        cfg = WorkerConfig(worker_id=self.tier_id, lease_ms=self.config.get("lease_ms", 5000))
         self.worker = Worker(cfg, self._client, registry).start()
         return {"worker_id": self.tier_id, "procedures": registry.names()}
 
@@ -322,10 +319,7 @@ class TcpNodeAgent:
     """Manager-side proxy driving a remote node's agent server."""
 
     def __init__(self, address: str):
-        host, _, port = address.rpartition(":")
-        if not host or not port.isdigit():
-            raise BadTierConfig(f"node address must be host:port, got {address!r}")
-        self._agent = TcpAgent(host, int(port))
+        self._agent = TcpAgent(*split_host_port(address, BadTierConfig, "node"))
 
     def start_tier(self, tier_id: str, kind: str, config: dict) -> dict:
         body = {"tier_id": tier_id, "kind": kind, "config": config}
@@ -636,12 +630,8 @@ def connect_manager(address: str, mgr: Optional[Manager] = None) -> ManagerClien
     """``inproc`` (give the manager) or ``[tcp://]host:port``."""
     if mgr is not None:
         return ManagerClient(InProcAgent(lambda t, p: dispatch_manager_request(mgr, t, p)))
-    if address.startswith("tcp://"):
-        address = address[len("tcp://") :]
-    host, _, port = address.rpartition(":")
-    if not host or not port.isdigit():
-        raise BadTierConfig(f"manager address must be host:port, got {address!r}")
-    return ManagerClient(TcpAgent(host, int(port)))
+    address = address.removeprefix("tcp://")
+    return ManagerClient(TcpAgent(*split_host_port(address, BadTierConfig, "manager")))
 
 
 class Heartbeater:

@@ -10,8 +10,11 @@ whichever generator computes one fulfils it directly.  A second fulfill
 must match the stored value byte-for-byte (idempotent completion) or it is
 rejected as conflicting.
 
-All operations take one lock, so the store is linearizable; ``await_result``
-blocks on a condition that ``fulfill`` notifies.  When a log path is given,
+All operations take one lock, so the store is linearizable.  Two conditions
+share it: ``await_result`` blocks on one that ``fulfill`` notifies, and a
+``claim`` with nothing to take blocks, up to its ``wait_ms``, on one that
+a deposit and the lease sweep notify, so a worker picks up queued work as
+soon as it is queued and never polls.  When a log path is given,
 deposits, fulfills and resource puts are appended as wire frames and
 replayed on startup, so a restart recovers the warehouse and re-queues
 whatever was in flight.
@@ -116,7 +119,8 @@ class DemandStore:
     def __init__(self, log_path: Optional[str] = None, clock: Callable[[], float] = _monotonic_ms):
         self._clock = clock
         self._lock = threading.RLock()
-        self._cond = threading.Condition(self._lock)
+        self._cond = threading.Condition(self._lock)  # fulfilled: wakes await_result
+        self._queued = threading.Condition(self._lock)  # enqueued: wakes claim
         self._entries: dict[bytes, StoreEntry] = {}
         self._leases: dict[bytes, Lease] = {}
         self._queues: dict[DemandKind, list] = {k: [] for k in DemandKind}
@@ -130,7 +134,8 @@ class DemandStore:
         self._sweeper: Optional[threading.Thread] = None
         self._sweeper_stop: Optional[threading.Event] = None
         if log_path is not None:
-            self._open_log(log_path)
+            with self._lock:  # replay enqueues, and notifying needs the lock
+                self._open_log(log_path)
 
     # -- time ------------------------------------------------------------
 
@@ -164,33 +169,43 @@ class DemandStore:
             self._append_log(MsgType.DEPOSIT, wire.encode_demand(fresh))
             return DepositOutcome(DepositStatus.ENQUEUED)
 
-    def claim(self, worker_id: str, kinds: Iterable[DemandKind], lease_ms: float) -> Optional[Demand]:
+    def claim(
+        self, worker_id: str, kinds: Iterable[DemandKind], lease_ms: float, wait_ms: float = 0
+    ) -> Optional[Demand]:
+        """Lease the oldest pending demand of ``kinds``, waiting up to ``wait_ms`` for one."""
         if lease_ms <= 0:
             raise MalformedDemand("lease_ms must be positive")
+        kinds = tuple(kinds)
+        deadline = time.monotonic() + wait_ms / 1000.0
         with self._cond:
-            now = self.now()
-            best = None  # (deposited_at, key, kind)
-            for kind in kinds:
-                q = self._queues[kind]
-                while q:
-                    deposited_at, key = q[0]
-                    entry = self._entries.get(key)
-                    if entry is not None and entry.demand.state is DemandState.PENDING:
-                        if best is None or (deposited_at, key) < best[:2]:
-                            best = (deposited_at, key, kind)
-                        break
-                    heapq.heappop(q)  # stale heap entry
-            if best is None:
-                return None
-            _, key, kind = best
+            while (best := self._oldest_pending(kinds)) is None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return None
+                self._queued.wait(remaining)
+            key, kind = best
             heapq.heappop(self._queues[kind])
             entry = self._entries[key]
-            expiry = now + lease_ms
+            expiry = self.now() + lease_ms
             entry.demand = replace(entry.demand, state=DemandState.IN_PROCESS, lease_expiry=expiry)
             self._counts[DemandState.PENDING] -= 1
             self._counts[DemandState.IN_PROCESS] += 1
             self._leases[key] = Lease(key, worker_id, expiry)
             return entry.demand
+
+    def _oldest_pending(self, kinds: Tuple[DemandKind, ...]) -> Optional[Tuple[bytes, DemandKind]]:
+        best = None  # (deposited_at, key, kind)
+        for kind in kinds:
+            q = self._queues[kind]
+            while q:
+                deposited_at, key = q[0]
+                entry = self._entries.get(key)
+                if entry is not None and entry.demand.state is DemandState.PENDING:
+                    if best is None or (deposited_at, key) < best[:2]:
+                        best = (deposited_at, key, kind)
+                    break
+                heapq.heappop(q)  # stale heap entry
+        return None if best is None else best[1:]
 
     def fulfill(self, sig: DemandSignature, value: Value, worker_id: str) -> None:
         if not is_finite_value(value):
@@ -273,6 +288,8 @@ class DemandStore:
         kind = entry.demand.signature.kind
         if kind is not DemandKind.INTENSIONAL:
             heapq.heappush(self._queues[kind], (entry.deposited_at, key))
+            # every waiting claim rechecks: one whose kinds do not match must not swallow it
+            self._queued.notify_all()
 
     # -- resources ---------------------------------------------------------
 

@@ -8,8 +8,10 @@ byte-identical reply payloads for the same request sequence.
 Request payloads (replies in parentheses):
 
     DEPOSIT       demand                          (OK: status byte, + value when already computed)
-    CLAIM         Str worker, kinds bitmask, Int lease_ms
+    CLAIM         Str worker, kinds bitmask, Int lease_ms[, Int wait_ms]
                                                   (CLAIM_REPLY: 0x00, or 0x01 + demand)
+                  with nothing queued the reply waits up to wait_ms
+                  (0 when absent, at most 30000) for a deposit or redelivery
     FULFILL       signature, value, Str worker    (OK: empty)
     FETCH         signature                       (FETCH_REPLY: state byte, presence byte [+ value])
     AWAIT         signature, Int timeout_ms       (OK: value)
@@ -43,6 +45,8 @@ from .wire import MsgType, ProtocolError
 
 RETRY_BASE_MS = 100
 RETRY_TRIES = 5
+SOCKET_TIMEOUT_S = 30.0
+MAX_CLAIM_WAIT_MS = int(SOCKET_TIMEOUT_S * 1000)  # bounds how long one claim holds a server thread
 
 DEFAULT_DST_PORT = 4747
 DEFAULT_GMT_PORT = 4748
@@ -96,10 +100,13 @@ def dispatch_store_request(store: DemandStore, msg_type: MsgType, payload: bytes
             worker = wire.read_value(r)
             mask = r.u8()
             lease_ms = wire.read_value(r)
+            wait_ms = 0 if r.done() else wire.read_value(r)
             r.expect_done()
             if not isinstance(worker, str) or isinstance(lease_ms, bool) or not isinstance(lease_ms, int):
                 raise wire.MalformedEncoding("claim takes a Str worker and an Int lease")
-            d = store.claim(worker, _decode_kinds(mask), lease_ms)
+            if type(wait_ms) is not int or not 0 <= wait_ms <= MAX_CLAIM_WAIT_MS:  # bool too
+                raise wire.MalformedEncoding(f"claim wait must be an Int from 0 to {MAX_CLAIM_WAIT_MS} ms")
+            d = store.claim(worker, _decode_kinds(mask), lease_ms, wait_ms)
             if d is None:
                 return MsgType.CLAIM_REPLY, b"\x00"
             return MsgType.CLAIM_REPLY, b"\x01" + wire.encode_demand(Demand(d.signature, d.state, d.result))
@@ -215,7 +222,7 @@ class TcpAgent:
                 try:
                     if self._sock is None:
                         self._sock = self._connect()
-                    self._sock.settimeout(timeout_s if timeout_s is not None else 30.0)
+                    self._sock.settimeout(timeout_s if timeout_s is not None else SOCKET_TIMEOUT_S)
                     self._sock.sendall(frame)
                     return read_frame(self._sock)
                 except ProtocolError:
@@ -268,22 +275,40 @@ class _Server(socketserver.ThreadingTCPServer):
 
 
 class TcpServer:
-    """Threaded frame server; one handler callable serves every connection."""
+    """Threaded frame server; one handler callable serves every connection.
+
+    A blocking accept loop stands in for ``serve_forever``, which notices a
+    shutdown only at its next 0.5 s poll: ``stop`` shuts the listening
+    socket down, and that fails the pending ``accept`` at once.
+    """
 
     def __init__(self, handler: Callable[[MsgType, bytes], Tuple[MsgType, bytes]], host: str = "127.0.0.1", port: int = 0):
         self._server = _Server((host, port), _FrameHandler)
         self._server.frame_handler = handler
         self.host, self.port = self._server.server_address
         self._thread: Optional[threading.Thread] = None
+        self._stopping = False
 
     def start(self) -> "TcpServer":
-        self._thread = threading.Thread(target=self._server.serve_forever, name=f"frame-server-{self.port}", daemon=True)
+        self._thread = threading.Thread(target=self._accept_loop, name=f"frame-server-{self.port}", daemon=True)
         self._thread.start()
         return self
 
+    def _accept_loop(self):
+        while not self._stopping:
+            try:
+                request, client_address = self._server.get_request()
+            except OSError:
+                continue  # shut down by stop(), or a client that gave up mid-accept
+            self._server.process_request(request, client_address)
+
     def stop(self):
         if self._thread is not None:
-            self._server.shutdown()
+            self._stopping = True
+            try:
+                self._server.socket.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             self._server.server_close()
             self._thread.join()
             self._thread = None
@@ -342,9 +367,16 @@ class StoreClient:
         r.expect_done()
         return DepositOutcome(status, value)
 
-    def claim(self, worker_id: str, kinds: Iterable[DemandKind], lease_ms: float) -> Optional[Demand]:
-        payload = wire.encode_value(worker_id) + _encode_kinds(kinds) + wire.encode_value(int(lease_ms))
-        reply = self._request(MsgType.CLAIM, payload, MsgType.CLAIM_REPLY)
+    def claim(
+        self, worker_id: str, kinds: Iterable[DemandKind], lease_ms: float, wait_ms: float = 0
+    ) -> Optional[Demand]:
+        payload = (
+            wire.encode_value(worker_id)
+            + _encode_kinds(kinds)
+            + wire.encode_value(int(lease_ms))
+            + wire.encode_value(int(wait_ms))
+        )
+        reply = self._request(MsgType.CLAIM, payload, MsgType.CLAIM_REPLY, SOCKET_TIMEOUT_S + wait_ms / 1000.0)
         r = wire.Reader(reply)
         if not r.u8():
             r.expect_done()
@@ -396,12 +428,16 @@ def connect_store(address: str) -> StoreClient:
     if address.startswith("inproc://"):
         store = resolve_inproc(address[len("inproc://") :])
         return StoreClient(InProcAgent(lambda t, p: dispatch_store_request(store, t, p)))
-    if address.startswith("tcp://"):
-        address = address[len("tcp://") :]
+    address = address.removeprefix("tcp://")
+    return StoreClient(TcpAgent(*split_host_port(address, TransportUnreachable, "store")))
+
+
+def split_host_port(address: str, error: type, role: str) -> Tuple[str, int]:
+    """``host:port`` to ``(host, port)``; raises ``error`` for anything else."""
     host, _, port = address.rpartition(":")
     if not host or not port.isdigit():
-        raise TransportUnreachable(f"bad store address {address!r}")
-    return StoreClient(TcpAgent(host, int(port)))
+        raise error(f"{role} address must be host:port, got {address!r}")
+    return host, int(port)
 
 
 def system_request(agent, op: int, body: dict, timeout_s: Optional[float] = None) -> dict:

@@ -1,5 +1,10 @@
 """Demand worker: claims procedural demands and fulfills their results.
 
+A worker never polls: each claim waits in the store, up to
+``CLAIM_WAIT_MS``, until a demand is deposited or redelivered, so queued
+work is picked up at once.  The bound only limits how long ``Worker.stop``
+waits for a claim that finds nothing.
+
 A worker owns a registry of named procedures.  A procedure that raises is
 not allowed to wedge the queue: the failure is fulfilled as a Str value
 tagged with ``!ERR:`` so waiting generators fail fast instead of timing
@@ -19,7 +24,7 @@ from .store import ConflictingResult, NotClaimed
 
 ERROR_PREFIX = "!ERR:"
 
-DEFAULT_POLL_MS = 50
+CLAIM_WAIT_MS = 200
 
 
 class DuplicateProcedure(EductionError):
@@ -81,7 +86,6 @@ def execute_one(registry: ProcedureRegistry, demand: Demand) -> Value:
 @dataclass
 class WorkerConfig:
     worker_id: str
-    poll_interval_ms: float = DEFAULT_POLL_MS
     lease_ms: float = 5000
     kinds: frozenset = frozenset({DemandKind.PROCEDURAL})
 
@@ -101,9 +105,8 @@ def run_worker(cfg: WorkerConfig, store, registry: ProcedureRegistry, stop: thre
     """
     summary = RunSummary()
     while not stop.is_set():
-        demand = store.claim(cfg.worker_id, cfg.kinds, cfg.lease_ms)
+        demand = store.claim(cfg.worker_id, cfg.kinds, cfg.lease_ms, wait_ms=CLAIM_WAIT_MS)
         if demand is None:
-            stop.wait(cfg.poll_interval_ms / 1000.0)
             continue
         summary.claims += 1
         try:

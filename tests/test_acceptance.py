@@ -392,7 +392,7 @@ def _run_both_modes():
     store = DemandStore()
     workers = [
         Worker(
-            WorkerConfig(worker_id=f"w{i}", poll_interval_ms=2),
+            WorkerConfig(worker_id=f"w{i}"),
             store,
             P.build_pipeline_registry(store),
         ).start()
@@ -438,7 +438,7 @@ def test_criterion_7_move_tier_and_death_detection():
     dwt = mgr.allocate(
         n1,
         "DWT",
-        {"store": dst.details["address"], "registry": "pipeline", "poll_ms": 20},
+        {"store": dst.details["address"], "registry": "pipeline"},
     )
     client = connect_store(dst.details["address"])
     try:

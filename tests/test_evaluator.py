@@ -282,7 +282,7 @@ class TestProcedural:
     def make(self, src, registry):
         geer = compile_source(f"x where x = {src}; end", "p")
         store = DemandStore()
-        w = Worker(WorkerConfig(worker_id="w0", poll_interval_ms=5), store, registry)
+        w = Worker(WorkerConfig(worker_id="w0"), store, registry)
         w.start()
         ev = Evaluator(geer, store, EvalConfig(proc_timeout_ms=10000))
         return ev, w
@@ -299,7 +299,7 @@ class TestProcedural:
             "z where z = call mul2(x, x + 1); x = 6; end", "p"
         )
         store = DemandStore()
-        w = Worker(WorkerConfig(worker_id="w0", poll_interval_ms=5), store, build_demo_registry())
+        w = Worker(WorkerConfig(worker_id="w0"), store, build_demo_registry())
         w.start()
         try:
             ev = Evaluator(geer, store, EvalConfig(proc_timeout_ms=10000))

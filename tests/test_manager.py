@@ -362,8 +362,8 @@ class TestLocalNodeAgent:
         started = time.monotonic()
         agent.close()
         # the worker loop exited on its own instead of retrying against a
-        # stopped store for 1.5 s and dying (the server's stop alone may
-        # take up to its 0.5 s poll interval)
+        # stopped store for 1.5 s and dying (stopping the worker may wait
+        # out one blocked claim, up to CLAIM_WAIT_MS)
         assert time.monotonic() - started < 1.0
         assert worker.summary is not None and not worker.alive
 

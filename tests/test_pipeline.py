@@ -267,7 +267,7 @@ class TestEndToEnd:
         store = DemandStore()
         workers = [
             Worker(
-                WorkerConfig(worker_id=f"w{i}", poll_interval_ms=2),
+                WorkerConfig(worker_id=f"w{i}"),
                 store,
                 P.build_pipeline_registry(store),
             ).start()
@@ -294,7 +294,7 @@ class TestEndToEnd:
         train, _ = P.default_corpus(subjects=2, n=128)
         store = DemandStore()
         w = Worker(
-            WorkerConfig(worker_id="w", poll_interval_ms=2),
+            WorkerConfig(worker_id="w"),
             store,
             P.build_pipeline_registry(store),
         ).start()

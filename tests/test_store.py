@@ -1,6 +1,8 @@
 """Demand store: queue discipline, leases, persistence."""
 import os
+import sys
 import threading
+import time
 
 import pytest
 
@@ -261,6 +263,98 @@ class TestLeases:
                 st.await_result(isig(d=6), timeout_ms=20)
         finally:
             st.close()
+
+
+def claim_in_thread(st, kinds=QUEUED, wait_ms=2000):
+    """Start a blocking claim; the returned dict gets its demand and finish time."""
+    out = {}
+
+    def run():
+        out["demand"] = st.claim("w", kinds, 5000, wait_ms=wait_ms)
+        out["at"] = time.monotonic()
+
+    t = threading.Thread(target=run)
+    t.start()
+    time.sleep(0.1)  # let it block
+    return t, out
+
+
+class TestBlockingClaim:
+    def test_deposit_wakes_blocked_claim(self, st):
+        t, out = claim_in_thread(st)
+        deposited = time.monotonic()
+        st.deposit(pending_demand(qsig(1)))
+        t.join(3)
+        assert not t.is_alive()
+        assert out["demand"].signature == qsig(1)
+        assert out["at"] - deposited < 0.5
+
+    def test_sweep_wakes_blocked_claim(self, st, clock):
+        st.deposit(pending_demand(qsig(2)))
+        st.claim("w1", QUEUED, lease_ms=1000)
+        t, out = claim_in_thread(st)
+        clock.advance(1001)
+        swept = time.monotonic()
+        assert st.sweep_expired_leases() == 1
+        t.join(3)
+        assert not t.is_alive()
+        assert out["demand"].signature == qsig(2) and out["demand"].attempts == 1
+        assert out["at"] - swept < 0.5
+
+    def test_empty_claim_returns_none_after_wait(self, st):
+        started = time.monotonic()
+        assert st.claim("w", QUEUED, 5000, wait_ms=150) is None
+        assert 0.14 <= time.monotonic() - started < 1.0
+
+    def test_claimer_of_other_kinds_does_not_swallow_wakeup(self, st):
+        # the RESOURCE claimer waits first, so a single notify would wake only it
+        other, other_out = claim_in_thread(st, [DemandKind.RESOURCE], wait_ms=600)
+        t, out = claim_in_thread(st)
+        deposited = time.monotonic()
+        st.deposit(pending_demand(qsig(3)))
+        t.join(3)
+        other.join(3)
+        assert not t.is_alive() and not other.is_alive()
+        assert out["demand"].signature == qsig(3)
+        assert out["at"] - deposited < 0.5
+        assert other_out["demand"] is None
+
+
+    def test_blocked_claimers_take_each_deposit_once(self):
+        st = DemandStore()
+        claimed = []
+        stop = threading.Event()
+
+        def claimer(wid):
+            while not stop.is_set():
+                d = st.claim(wid, QUEUED, 60000, wait_ms=50)
+                if d is not None:
+                    claimed.append(d.signature)
+                    st.fulfill(d.signature, 0, wid)
+
+        def depositor(base):
+            for i in range(100):
+                st.deposit(pending_demand(qsig(base + i)))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            claimers = [threading.Thread(target=claimer, args=(f"w{i}",)) for i in range(8)]
+            depositors = [threading.Thread(target=depositor, args=(b,)) for b in (0, 1000)]
+            for t in claimers + depositors:
+                t.start()
+            deadline = time.monotonic() + 10
+            while st.stats().computed < 200 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            stop.set()
+            for t in claimers + depositors:
+                t.join(5)
+        finally:
+            sys.setswitchinterval(switch)
+            st.close()
+        assert not any(t.is_alive() for t in claimers + depositors)
+        assert len(claimed) == len(set(claimed)) == 200
+        assert st.stats().in_process == st.stats().pending == 0
 
 
 class TestResources:

@@ -1,6 +1,7 @@
 """Carriers, dispatch, retry behavior."""
 import socket
 import threading
+import time
 
 import pytest
 
@@ -200,6 +201,75 @@ class TestTcp:
         assert sorted(seen) == sorted(s.key() for s in sigs)
         assert len(set(seen)) == len(sigs)
         srv.stop()
+
+
+@pytest.fixture(params=["inproc", "tcp"])
+def agent(request, store):
+    if request.param == "inproc":
+        yield InProcAgent(lambda t, p: dispatch_store_request(store, t, p))
+        return
+    srv = serve_store(store)
+    a = TcpAgent("127.0.0.1", srv.port)
+    yield a
+    a.close()
+    srv.stop()
+
+
+def claim_payload(*wait_ms):
+    payload = wire.encode_value("w") + bytes([1 << DemandKind.PROCEDURAL]) + wire.encode_value(60000)
+    return payload + b"".join(wire.encode_value(w) for w in wait_ms)
+
+
+class TestBlockingClaim:
+    def test_deposit_wakes_blocked_claim(self, store, agent):
+        out = {}
+
+        def run():
+            out["demand"] = StoreClient(agent).claim("w", QUEUED, 5000, wait_ms=2000)
+            out["at"] = time.monotonic()
+
+        t = threading.Thread(target=run)
+        t.start()
+        time.sleep(0.1)
+        deposited = time.monotonic()
+        store.deposit(pending_demand(qsig(1)))
+        t.join(3)
+        assert not t.is_alive()
+        assert out["demand"].signature == qsig(1)
+        assert out["at"] - deposited < 0.5
+
+    def test_empty_claim_returns_none_after_wait(self, agent):
+        started = time.monotonic()
+        assert StoreClient(agent).claim("w", QUEUED, 5000, wait_ms=150) is None
+        assert 0.14 <= time.monotonic() - started < 1.0
+
+    def test_three_field_claim_still_claims(self, store, agent):
+        store.deposit(pending_demand(qsig(2)))
+        mt, body = agent.request(MsgType.CLAIM, claim_payload())
+        assert mt is MsgType.CLAIM_REPLY and body[:1] == b"\x01"
+
+    @pytest.mark.parametrize("wait_ms", [True, -1, transport.MAX_CLAIM_WAIT_MS + 1, 1.5])
+    def test_bad_wait_is_err(self, store, agent, wait_ms):
+        store.deposit(pending_demand(qsig(3)))
+        mt, body = agent.request(MsgType.CLAIM, claim_payload(wait_ms))
+        assert mt is MsgType.ERR
+        assert wire.read_value(wire.Reader(body)) == "MalformedEncoding"
+        assert store.stats().pending == 1
+
+
+class TestServerStop:
+    def test_idle_server_stops_at_once(self, store):
+        srv = serve_store(store)
+        time.sleep(0.2)
+        started = time.monotonic()
+        srv.stop()
+        assert time.monotonic() - started < 0.1
+
+    def test_stopped_server_refuses_connections(self, store):
+        srv = serve_store(store)
+        srv.stop()
+        with pytest.raises(TransportUnreachable):
+            TcpAgent("127.0.0.1", srv.port, retry_base_ms=1, tries=2).request(MsgType.STATS, b"")
 
 
 class TestRetry:

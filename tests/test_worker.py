@@ -1,11 +1,13 @@
 """Procedure registry and the claim/execute/fulfill loop."""
 import threading
+import time
 
 import pytest
 
 from eduction.model import EMPTY_CONTEXT, DemandKind, DemandSignature, DemandState, pending_demand
 from eduction.store import DemandStore
 from eduction.worker import (
+    CLAIM_WAIT_MS,
     ArityMismatch,
     DuplicateProcedure,
     ProcedureRegistry,
@@ -68,7 +70,7 @@ class TestWorkerLoop:
         watcher = threading.Thread(target=until_done)
         watcher.start()
         summary = run_worker(
-            WorkerConfig(worker_id="w", poll_interval_ms=1),
+            WorkerConfig(worker_id="w"),
             store,
             build_demo_registry(),
             stop,
@@ -87,7 +89,7 @@ class TestWorkerLoop:
         sig = psig("boom")
         store.deposit(pending_demand(sig))
         stop = threading.Event()
-        w = Worker(WorkerConfig(worker_id="w", poll_interval_ms=1), store, reg)
+        w = Worker(WorkerConfig(worker_id="w"), store, reg)
         w.start()
         try:
             val = store.await_result(sig, 5000)
@@ -101,7 +103,7 @@ class TestWorkerLoop:
         store = DemandStore()
         sig = psig("ghost", 1)
         store.deposit(pending_demand(sig))
-        w = Worker(WorkerConfig(worker_id="w", poll_interval_ms=1), store, build_demo_registry())
+        w = Worker(WorkerConfig(worker_id="w"), store, build_demo_registry())
         w.start()
         try:
             val = store.await_result(sig, 5000)
@@ -116,7 +118,7 @@ class TestWorkerLoop:
         reg.register("inf", 0, lambda: float("inf"))
         sig = psig("inf")
         store.deposit(pending_demand(sig))
-        w = Worker(WorkerConfig(worker_id="w", poll_interval_ms=1), store, reg)
+        w = Worker(WorkerConfig(worker_id="w"), store, reg)
         w.start()
         try:
             val = store.await_result(sig, 5000)
@@ -131,7 +133,7 @@ class TestWorkerLoop:
         reg.register("bad", 0, lambda: object())
         sig = psig("bad")
         store.deposit(pending_demand(sig))
-        w = Worker(WorkerConfig(worker_id="w", poll_interval_ms=1), store, reg)
+        w = Worker(WorkerConfig(worker_id="w"), store, reg)
         w.start()
         try:
             val = store.await_result(sig, 5000)
@@ -146,10 +148,8 @@ class TestWorkerLoop:
         store = DemandStore()
         isig = DemandSignature("p", "x", make_context([("d", 1)]), DemandKind.INTENSIONAL)
         store.deposit(pending_demand(isig))
-        w = Worker(WorkerConfig(worker_id="w", poll_interval_ms=1), store, build_demo_registry())
+        w = Worker(WorkerConfig(worker_id="w"), store, build_demo_registry())
         w.start()
-        import time
-
         time.sleep(0.05)
         w.stop()
         assert store.fetch(isig)[0] is DemandState.PENDING
@@ -161,7 +161,7 @@ class TestWorkerLoop:
         for s in sigs:
             store.deposit(pending_demand(s))
         ws = [
-            Worker(WorkerConfig(worker_id=f"w{i}", poll_interval_ms=1), store, build_demo_registry())
+            Worker(WorkerConfig(worker_id=f"w{i}"), store, build_demo_registry())
             for i in range(2)
         ]
         for w in ws:
@@ -174,3 +174,28 @@ class TestWorkerLoop:
         assert sum(s.claims for s in summaries) == 50
         assert sum(s.fulfills for s in summaries) == 50
         store.close()
+
+
+class CountingStore(DemandStore):
+    claims = 0
+
+    def claim(self, *args, **kwargs):
+        self.claims += 1
+        return super().claim(*args, **kwargs)
+
+
+class TestBlockingClaim:
+    def test_idle_worker_does_not_poll(self):
+        store = CountingStore()
+        w = Worker(WorkerConfig(worker_id="w"), store, build_demo_registry()).start()
+        time.sleep(1.0)
+        w.stop()
+        assert store.claims <= 1000 / CLAIM_WAIT_MS + 2
+
+    def test_stop_returns_within_one_claim_wait(self):
+        w = Worker(WorkerConfig(worker_id="w"), DemandStore(), build_demo_registry()).start()
+        time.sleep(0.05)
+        started = time.monotonic()
+        w.stop()
+        assert time.monotonic() - started < CLAIM_WAIT_MS / 1000 + 0.2
+        assert not w.alive
