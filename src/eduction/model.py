@@ -165,12 +165,17 @@ class DemandSignature:
             raise MalformedDemand(f"{self.kind.name} signatures carry no arguments")
 
     def key(self) -> bytes:
-        """Canonical byte encoding (cached): signatures are equal iff keys are."""
+        """Canonical byte encoding: signatures are equal iff keys are.
+
+        Encoded on first use and cached.  A signature decoded by
+        ``wire.read_signature`` already holds the bytes it was read from,
+        so it is never encoded again.
+        """
         cached = self.__dict__.get("_key")
         if cached is None:
             from . import wire
 
-            cached = wire.encode_signature(self)
+            cached = wire._encode_signature(self)
             object.__setattr__(self, "_key", cached)
         return cached
 

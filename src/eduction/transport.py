@@ -268,6 +268,9 @@ class _FrameHandler(socketserver.BaseRequestHandler):
             except OSError:
                 return
 
+    def finish(self):
+        self.server.connections.discard(self.request)
+
 
 class _Server(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
@@ -279,12 +282,15 @@ class TcpServer:
 
     A blocking accept loop stands in for ``serve_forever``, which notices a
     shutdown only at its next 0.5 s poll: ``stop`` shuts the listening
-    socket down, and that fails the pending ``accept`` at once.
+    socket down, and that fails the pending ``accept`` at once.  ``stop``
+    then shuts every open connection down too, so a client that connected
+    before the stop is not served after it.
     """
 
     def __init__(self, handler: Callable[[MsgType, bytes], Tuple[MsgType, bytes]], host: str = "127.0.0.1", port: int = 0):
         self._server = _Server((host, port), _FrameHandler)
         self._server.frame_handler = handler
+        self._server.connections = set()  # open ones; each handler removes its own
         self.host, self.port = self._server.server_address
         self._thread: Optional[threading.Thread] = None
         self._stopping = False
@@ -300,6 +306,7 @@ class TcpServer:
                 request, client_address = self._server.get_request()
             except OSError:
                 continue  # shut down by stop(), or a client that gave up mid-accept
+            self._server.connections.add(request)
             self._server.process_request(request, client_address)
 
     def stop(self):
@@ -310,8 +317,13 @@ class TcpServer:
             except OSError:
                 pass
             self._server.server_close()
-            self._thread.join()
+            self._thread.join()  # nothing is accepted after this
             self._thread = None
+            for conn in list(self._server.connections):
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)  # its handler's recv sees EOF
+                except OSError:
+                    pass  # closed meanwhile
 
 
 def serve_store(store: DemandStore, host: str = "127.0.0.1", port: int = 0) -> TcpServer:

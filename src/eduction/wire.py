@@ -2,10 +2,17 @@
 
 All integers are big-endian.  Every decoder is strict: it consumes its
 input exactly (``TrailingBytes`` otherwise), rejects out-of-order context
-dimensions (``NonCanonicalOrder``), and refuses unknown tag bytes.  That
-strictness is what makes encodings canonical: equal structures always
-produce byte-identical encodings, and the encoding of a signature is its
-warehouse key.
+dimensions (``NonCanonicalOrder``), and refuses unknown tag bytes, bool
+bytes other than 0x00/0x01 and invalid UTF-8.  That strictness is what
+makes encodings canonical: equal structures always produce byte-identical
+encodings, and the encoding of a signature is its warehouse key.
+
+A signature is encoded once, by the process that builds it
+(``DemandSignature.key``); ``encode_signature`` and every frame that
+carries a signature reuse those bytes.  A decoded signature keeps the bytes
+it was read from as its key, so a server never re-encodes what it received.
+That is sound only because decoding is canonical: the decoders accept no
+input that the encoder would not have produced byte for byte.
 
 Value encoding: one tag byte, then the payload.
 
@@ -140,8 +147,8 @@ def encode_value(v: Value) -> bytes:
             raise MalformedValue("string too long")
         return b"\x03" + len(raw).to_bytes(4, "big") + raw
     try:
-        body = b"".join(struct.pack(">d", float(x)) for x in v)
-    except (TypeError, ValueError) as e:
+        body = struct.pack(f">{len(v)}d", *map(float, v))
+    except (TypeError, ValueError, OverflowError) as e:
         raise MalformedValue(f"bad float array element: {e}") from None
     return b"\x04" + len(v).to_bytes(4, "big") + body
 
@@ -231,6 +238,12 @@ def decode_context(data: bytes) -> Context:
 
 
 def encode_signature(sig: DemandSignature) -> bytes:
+    """The signature's key: its canonical encoding, made at most once."""
+    return sig.key()
+
+
+def _encode_signature(sig: DemandSignature) -> bytes:
+    """Field-by-field encoding; only ``DemandSignature.key`` calls it."""
     out = [
         encode_value(sig.program_id),
         encode_value(sig.name),
@@ -243,6 +256,7 @@ def encode_signature(sig: DemandSignature) -> bytes:
 
 
 def read_signature(r: Reader) -> DemandSignature:
+    start = r.pos
     program_id = _read_str(r)
     name = _read_str(r)
     kind_byte = r.u8()
@@ -254,9 +268,12 @@ def read_signature(r: Reader) -> DemandSignature:
     argc = r.u32()
     args = tuple(read_value(r) for _ in range(argc))
     try:
-        return DemandSignature(program_id, name, ctx, kind, args)
+        sig = DemandSignature(program_id, name, ctx, kind, args)
     except MalformedDemand as e:
         raise MalformedEncoding(str(e)) from None
+    # the bytes just read are canonical, so they are the key: no re-encoding
+    object.__setattr__(sig, "_key", bytes(r.data[start : r.pos]))
+    return sig
 
 
 def decode_signature(data: bytes) -> DemandSignature:

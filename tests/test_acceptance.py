@@ -546,11 +546,15 @@ def test_criterion_8_wire_robustness():
                 bad_roundtrips += 1
         elif pick == 1:
             s = _random_signature(rng)
-            if wire.decode_signature(wire.encode_signature(s)) != s:
+            data = wire.encode_signature(s)
+            out = wire.decode_signature(data)
+            # a decoded key is its input bytes: re-encode the decoded fields too
+            if out != s or wire._encode_signature(out) != data:
                 bad_roundtrips += 1
         else:
             d = pending_demand(_random_signature(rng))
-            if wire.decode_demand(wire.encode_demand(d)) != d:
+            out = wire.decode_demand(wire.encode_demand(d))
+            if out != d or wire._encode_signature(out.signature) != d.signature.key():
                 bad_roundtrips += 1
 
     sig = DemandSignature("p", "x", make_context([("d", 1)]), DemandKind.INTENSIONAL)

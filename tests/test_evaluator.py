@@ -317,6 +317,17 @@ class TestProcedural:
         finally:
             w.stop()
 
+    def test_unencodable_float_array_is_fault(self):
+        reg = ProcedureRegistry()
+        reg.register("huge", 0, lambda: (10**400,))
+        ev, w = self.make("call huge()", reg)
+        try:
+            with pytest.raises(ProcedureFault):
+                ev.eval_demand("x", EMPTY_CONTEXT)
+            assert w.alive
+        finally:
+            w.stop()
+
     def test_proc_timeout_without_worker(self):
         geer = compile_source("x where x = call add2(1, 2); end", "p")
         ev = Evaluator(geer, DemandStore(), EvalConfig(proc_timeout_ms=50))

@@ -26,7 +26,7 @@ from eduction.manager import (
 )
 from eduction.model import DemandKind, DemandSignature, EMPTY_CONTEXT, pending_demand
 from eduction.store import NotFound
-from eduction.transport import connect_store
+from eduction.transport import StoreClient, TcpAgent, TransportUnreachable, connect_store
 from eduction.wire import MsgType
 
 
@@ -366,6 +366,28 @@ class TestLocalNodeAgent:
         # out one blocked claim, up to CLAIM_WAIT_MS)
         assert time.monotonic() - started < 1.0
         assert worker.summary is not None and not worker.alive
+
+
+    def test_stopped_dst_serves_no_old_connection(self, tmp_path):
+        def sig(n):
+            return DemandSignature("p", "add2", EMPTY_CONTEXT, DemandKind.PROCEDURAL, (n, 0))
+
+        log = tmp_path / "store.log"
+        agent = LocalNodeAgent()
+        address = agent.start_tier("dst-1", "DST", {"log_path": str(log)})["address"]
+        host, _, port = address.removeprefix("tcp://").rpartition(":")
+        client = StoreClient(TcpAgent(host, int(port), retry_base_ms=1, tries=2))
+        try:
+            client.deposit(pending_demand(sig(1)))
+            size = log.stat().st_size
+            assert agent.stop_tier("dst-1")
+            # before the fix this deposit was acknowledged ENQUEUED and never logged
+            with pytest.raises(TransportUnreachable):
+                client.deposit(pending_demand(sig(2)))
+            assert log.stat().st_size == size
+        finally:
+            client.close()
+            agent.close()
 
 
 class TestGeneratorTier:

@@ -203,6 +203,57 @@ class TestTcp:
         srv.stop()
 
 
+class TestOneEncodingPerSignature:
+    """Each signature is encoded once, where it is built; every hop reuses the bytes."""
+
+    @pytest.fixture
+    def fresh_encodes(self, monkeypatch):
+        calls = []
+        encode = wire._encode_signature
+
+        def counting(sig):
+            calls.append(sig)
+            return encode(sig)
+
+        monkeypatch.setattr(wire, "_encode_signature", counting)
+        return calls
+
+    @pytest.fixture
+    def logged(self, tmp_path):
+        log = str(tmp_path / "store.log")
+        store = DemandStore(log_path=log)
+        srv = serve_store(store)
+        generator = connect_store(f"127.0.0.1:{srv.port}")
+        worker = connect_store(f"127.0.0.1:{srv.port}")
+        yield store, generator, worker, log
+        generator.close()
+        worker.close()
+        srv.stop()
+        store.close()
+
+    def test_intensional_demand(self, logged, fresh_encodes):
+        store, generator, _, _ = logged
+        sig = isig(5)
+        assert generator.deposit(pending_demand(sig)).status is DepositStatus.ENQUEUED
+        generator.fulfill(sig, 120, "g")
+        assert store.stats().computed == 1
+        assert len(fresh_encodes) == 1 and fresh_encodes[0] is sig
+
+    def test_procedural_demand(self, logged, fresh_encodes):
+        store, generator, worker, log = logged
+        sig = qsig(5)
+        assert generator.deposit(pending_demand(sig)).status is DepositStatus.ENQUEUED
+        claimed = worker.claim("w", QUEUED, 5000)
+        worker.fulfill(claimed.signature, 5, "w")
+        assert generator.await_result(sig, 1000) == 5
+        assert len(fresh_encodes) == 1 and fresh_encodes[0] is sig
+        # replaying the log keys every record by the bytes it holds
+        replayed = DemandStore(log_path=log)
+        assert replayed.fetch(claimed.signature) == (DemandState.COMPUTED, 5)
+        replayed.close()
+        assert len(fresh_encodes) == 1
+
+
 @pytest.fixture(params=["inproc", "tcp"])
 def agent(request, store):
     if request.param == "inproc":
@@ -270,6 +321,18 @@ class TestServerStop:
         srv.stop()
         with pytest.raises(TransportUnreachable):
             TcpAgent("127.0.0.1", srv.port, retry_base_ms=1, tries=2).request(MsgType.STATS, b"")
+
+
+    def test_stop_ends_open_connections(self, store):
+        srv = serve_store(store)
+        agent = TcpAgent("127.0.0.1", srv.port, retry_base_ms=1, tries=2)
+        client = StoreClient(agent)
+        client.deposit(pending_demand(qsig(1)))
+        srv.stop()
+        with pytest.raises(TransportUnreachable):
+            client.deposit(pending_demand(qsig(2)))
+        agent.close()
+        assert store.stats().deposits == 1
 
 
 class TestRetry:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eduction import lang, wire
+from eduction.errors import EductionError
 from eduction.model import (
     Demand,
     DemandKind,
@@ -79,6 +80,10 @@ class TestValueCodec:
         with pytest.raises(Exception):
             wire.encode_value(2**63)
 
+    def test_float_array_overflow_is_malformed(self):
+        with pytest.raises(MalformedValue):
+            wire.encode_value((10**400,))
+
     def test_signed_zero_distinct_bytes(self):
         assert wire.encode_value(0.0) != wire.encode_value(-0.0)
         assert not wire.values_equal(0.0, -0.0)
@@ -114,16 +119,21 @@ class TestContextCodec:
 class TestSignatureDemandCodec:
     @given(signatures())
     def test_signature_roundtrip(self, sig):
-        assert wire.decode_signature(wire.encode_signature(sig)) == sig
+        data = wire.encode_signature(sig)
+        out = wire.decode_signature(data)
+        assert out == sig
+        # a decoded key is the input itself, so check the decoded fields
+        assert wire._encode_signature(out) == data
 
     @given(signatures())
     def test_key_equals_encoding(self, sig):
-        assert sig.key() == wire.encode_signature(sig)
+        assert sig.key() == wire.encode_signature(sig) == wire._encode_signature(sig)
 
     @given(demands())
     def test_demand_roundtrip(self, d):
         out = wire.decode_demand(wire.encode_demand(d))
         assert out.signature == d.signature
+        assert wire._encode_signature(out.signature) == d.signature.key()
         assert out.state is d.state
         if d.result is None:
             assert out.result is None
@@ -138,6 +148,150 @@ class TestSignatureDemandCodec:
         raw[kind_at] = 7
         with pytest.raises(wire.MalformedEncoding):
             wire.decode_signature(bytes(raw))
+
+
+# Any 8 bytes as a float: NaN payloads, infinities, subnormals, -0.0.
+raw_floats = st.binary(min_size=8, max_size=8).map(lambda b: struct.unpack(">d", b)[0])
+big_arrays = st.binary(min_size=8 * 512, max_size=8 * 512).map(lambda b: struct.unpack(">512d", b))
+raw_values = st.one_of(values, raw_floats, st.lists(raw_floats, max_size=4).map(tuple), big_arrays)
+
+
+@st.composite
+def wide_signatures(draw):
+    """Signatures over every value shape, a 512-float FloatArray included."""
+    if draw(st.booleans()):
+        args = tuple(draw(st.lists(raw_values, max_size=3)))
+        return DemandSignature(draw(st.text(max_size=6)), draw(idents), kind=DemandKind.PROCEDURAL, args=args)
+    kind = draw(st.sampled_from([k for k in DemandKind if k is not DemandKind.PROCEDURAL]))
+    return DemandSignature(draw(st.text(max_size=6)), draw(idents), draw(contexts), kind)
+
+
+@st.composite
+def mutations(draw, data: bytes):
+    """``data`` with a few bytes overwritten, inserted or deleted."""
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["set", "set", "set", "insert", "delete"]))
+        at = draw(st.integers(0, len(out)))
+        if op == "delete" and at < len(out):
+            del out[at]
+        elif op == "insert":
+            out.insert(at, draw(st.integers(0, 255)))
+        elif at < len(out):
+            out[at] = draw(st.integers(0, 255))
+    return bytes(out)
+
+
+def assert_canonical_if_accepted(data: bytes) -> bool:
+    try:
+        sig = wire.decode_signature(data)
+    except EductionError:
+        return False
+    # the key of a decoded signature is ``data`` itself; that is sound only
+    # if the fresh encoder gives back exactly the accepted bytes, also for
+    # the same signature built anew (``make_context`` sorts the dimensions)
+    assert sig.key() == data
+    assert wire._encode_signature(sig) == data
+    rebuilt = DemandSignature(sig.program_id, sig.name, make_context(sig.context), sig.kind, sig.args)
+    assert wire._encode_signature(rebuilt) == data
+    return True
+
+
+class TestCanonicalDecode:
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_accepted_mutations_reencode_to_themselves(self, data):
+        encoded = wire.encode_signature(data.draw(wide_signatures()))
+        for _ in range(8):
+            assert_canonical_if_accepted(data.draw(mutations(encoded)))
+
+    @pytest.mark.parametrize(
+        "sig",
+        [
+            DemandSignature("p", "x", make_context([("d", 3), ("e", -1)])),
+            DemandSignature("pé", "f", kind=DemandKind.PROCEDURAL, args=(True, -7, 2.5, "ü!", (0.0, -1.5))),
+        ],
+        ids=["intensional", "procedural"],
+    )
+    def test_every_single_byte_change(self, sig):
+        encoded = sig.key()
+        accepted = 0
+        for at in range(len(encoded)):
+            for b in range(256):
+                if b != encoded[at]:
+                    accepted += assert_canonical_if_accepted(encoded[:at] + bytes([b]) + encoded[at + 1 :])
+        assert accepted > len(encoded)  # the sweep is not vacuous
+
+    def test_bit_flips_in_a_512_float_signature(self):
+        floats = struct.unpack(">512d", bytes(range(256)) * 16)  # NaNs, subnormals and all
+        encoded = DemandSignature("p", "fe", kind=DemandKind.PROCEDURAL, args=(floats, 7)).key()
+        accepted = 0
+        for at in range(len(encoded)):
+            for flip in (0x01, 0x80):
+                accepted += assert_canonical_if_accepted(encoded[:at] + bytes([encoded[at] ^ flip]) + encoded[at + 1 :])
+        assert accepted >= 2 * 8 * 512
+
+
+def reference_encode_value(v):
+    """Value encoder before FloatArrays were packed in one call."""
+    if isinstance(v, list):
+        v = tuple(v)
+    if isinstance(v, tuple):
+        body = b"".join(struct.pack(">d", float(x)) for x in v)
+        return b"\x04" + len(v).to_bytes(4, "big") + body
+    return wire.encode_value(v)
+
+
+def reference_encode_signature(sig):
+    out = [
+        reference_encode_value(sig.program_id),
+        reference_encode_value(sig.name),
+        bytes([int(sig.kind)]),
+        wire.encode_context(sig.context),
+        len(sig.args).to_bytes(4, "big"),
+    ]
+    out.extend(reference_encode_value(a) for a in sig.args)
+    return b"".join(out)
+
+
+def bits(pattern: int) -> float:
+    return struct.unpack(">d", pattern.to_bytes(8, "big"))[0]
+
+
+EDGE_ARRAYS = [
+    (),
+    (-0.0, 0.0),
+    (bits(0x7FF0000000000001), bits(0xFFF8000000000000), bits(0x7FF8DEADBEEF0001), math.nan),
+    (5e-324, -5e-324, bits(0x000FFFFFFFFFFFFF), 2.2250738585072014e-308),
+    (math.inf, -math.inf, 1.7976931348623157e308),
+    (1, -3, 0, 2**53 + 1, 2**63 - 1),
+    (True, False, 1.5, True),
+    [0.25, 7],
+]
+
+
+class TestFloatArrayBytes:
+    @pytest.mark.parametrize("array", EDGE_ARRAYS, ids=range(len(EDGE_ARRAYS)))
+    def test_edge_arrays_match_reference(self, array):
+        assert wire.encode_value(array) == reference_encode_value(array)
+        sig = DemandSignature("p", "f", kind=DemandKind.PROCEDURAL, args=(tuple(array), 1))
+        assert wire.encode_signature(sig) == reference_encode_signature(sig)
+        d = Demand(sig, DemandState.COMPUTED, array)
+        assert wire.encode_demand(d) == reference_encode_signature(sig) + b"\x02\x01" + reference_encode_value(array)
+
+    @given(st.lists(st.one_of(raw_floats, int64s, st.booleans()), max_size=600))
+    def test_any_array_matches_reference(self, xs):
+        assert wire.encode_value(tuple(xs)) == reference_encode_value(tuple(xs))
+
+    @given(wide_signatures())
+    def test_signatures_match_reference(self, sig):
+        assert wire.encode_signature(sig) == reference_encode_signature(sig)
+        assert wire.encode_demand(Demand(sig)) == reference_encode_signature(sig) + b"\x00\x00"
+
+    @pytest.mark.parametrize("array", [(10**400,), ("x",), (None,), (1.0, object())])
+    def test_bad_elements_are_malformed(self, array):
+        with pytest.raises(MalformedValue):
+            wire.encode_value(array)
 
 
 class TestGeerCodec:

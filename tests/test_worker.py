@@ -142,6 +142,24 @@ class TestWorkerLoop:
             store.close()
         assert isinstance(val, str) and val.startswith("!ERR:")
 
+    def test_float_overflow_result_is_fault_not_crash(self):
+        # float(10**400) raises OverflowError; the worker must not die of it
+        store = DemandStore()
+        reg = ProcedureRegistry()
+        reg.register("huge", 0, lambda: (10**400,))
+        sig = psig("huge")
+        store.deposit(pending_demand(sig))
+        w = Worker(WorkerConfig(worker_id="w"), store, reg)
+        w.start()
+        try:
+            val = store.await_result(sig, 5000)
+            assert w.alive
+        finally:
+            w.stop()
+            store.close()
+        assert isinstance(val, str) and val.startswith("!ERR:MalformedValue")
+        assert store.stats().in_process == 0
+
     def test_worker_ignores_intensional_kind(self):
         from eduction.model import make_context
 
