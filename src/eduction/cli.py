@@ -138,7 +138,8 @@ def _cmd_eval(args) -> int:
 
 def _tier_config(kind: str, args, cfg: Config, store_address: Optional[str]) -> dict:
     if kind == "DST":
-        return {"host": args.host, "port": args.dst_port if args.dst_port is not None else cfg.dst_port}
+        port = args.dst_port if args.dst_port is not None else cfg.dst_port
+        return {"host": args.host, "port": port, "log_path": cfg.log_path}
     if not store_address:
         raise _UsageError(f"{kind.lower()} needs a store: start a dst tier or pass --store")
     if kind == "DWT":

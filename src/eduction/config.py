@@ -7,7 +7,10 @@ Understood keys and defaults:
     lease.ms          5000
     heartbeat.ms      1000
     pipeline.windows  8
-    log.path          ./data
+    log.path          (none)
+
+``log.path`` names the file a DST tier appends its store log to and
+replays on restart; without it the store keeps no log.
 
 All keys are optional; unknown keys are rejected rather than ignored so a
 typo cannot silently fall back to a default.  Blank lines and ``#``
@@ -44,7 +47,7 @@ class Config:
     lease_ms: int = 5000
     heartbeat_ms: int = 1000
     pipeline_windows: int = 8
-    log_path: str = "./data"
+    log_path: Optional[str] = None
 
 
 _KEYS = {

@@ -8,8 +8,8 @@ procedural (``call``) demands queue for workers.
 
 A cold intensional demand costs two store requests: a deposit that doubles
 as the warehouse lookup, then, once the value is computed, a fulfill.  The
-store neither queues nor leases intensional demands, so no claim comes in
-between.  Two generators that compute the same demand concurrently both
+store records nothing for an intensional miss, so no claim comes in
+between, and an evaluation that raises leaves nothing behind.  Two generators that compute the same demand concurrently both
 fulfil it; determinism makes the values agree, and the store accepts the
 second fulfil as an idempotent completion.
 

@@ -1,12 +1,14 @@
 """Demand store: the warehouse plus a leased queue of worker demands.
 
-Every computed value lands here and is served from here instead of being
-recomputed.  Per entry the state machine is PENDING -> IN_PROCESS ->
-COMPUTED; COMPUTED is terminal and immutable.  Only work a worker executes
-(procedural demands) is queued: workers claim it under a lease, and when a
-lease expires the sweep sends the entry back to PENDING, which gives
-at-least-once delivery.  Intensional demands are never queued or leased;
-whichever generator computes one fulfils it directly.  A second fulfill
+Every computed value lands in the warehouse and is served from there
+instead of being recomputed.  A computed result is terminal and immutable,
+so the warehouse keeps only signature key -> value.  Only work a worker
+executes (procedural demands) is queued, and only until it is fulfilled:
+its entry goes PENDING -> IN_PROCESS -> computed, workers claim it under a
+lease, and when a lease expires the sweep sends the entry back to PENDING,
+which gives at-least-once delivery.  Intensional demands are never queued,
+leased or recorded: a deposit of one is a warehouse lookup, and whichever
+generator computes it on a miss fulfils it directly.  A second fulfill
 must match the stored value byte-for-byte (idempotent completion) or it is
 rejected as conflicting.
 
@@ -15,9 +17,9 @@ share it: ``await_result`` blocks on one that ``fulfill`` notifies, and a
 ``claim`` with nothing to take blocks, up to its ``wait_ms``, on one that
 a deposit and the lease sweep notify, so a worker picks up queued work as
 soon as it is queued and never polls.  When a log path is given,
-deposits, fulfills and resource puts are appended as wire frames and
-replayed on startup, so a restart recovers the warehouse and re-queues
-whatever was in flight.
+procedural deposits, fulfills and resource puts are appended as wire
+frames and replayed on startup, so a restart recovers the warehouse and
+re-queues whatever was in flight.
 """
 from __future__ import annotations
 
@@ -67,6 +69,13 @@ class Timeout(EductionError):
 
 
 class DepositStatus(enum.Enum):
+    """Answer to a deposit.
+
+    For a procedural demand ENQUEUED means the demand is now queued for a
+    worker.  For an intensional demand it means "not in the warehouse:
+    compute it and fulfil it"; the store records nothing.
+    """
+
     ENQUEUED = 0
     ALREADY_COMPUTED = 1
     DUPLICATE_PENDING = 2
@@ -121,7 +130,8 @@ class DemandStore:
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)  # fulfilled: wakes await_result
         self._queued = threading.Condition(self._lock)  # enqueued: wakes claim
-        self._entries: dict[bytes, StoreEntry] = {}
+        self._results: dict[bytes, Value] = {}  # the warehouse: key -> computed value
+        self._work: dict[bytes, StoreEntry] = {}  # queued procedural demands until fulfilled
         self._leases: dict[bytes, Lease] = {}
         self._queues: dict[DemandKind, list] = {k: [] for k in DemandKind}
         self._resources: dict[str, bytes] = {}
@@ -129,7 +139,7 @@ class DemandStore:
         self._hits = 0
         self._misses = 0
         self._redeliveries = 0
-        self._counts = {DemandState.PENDING: 0, DemandState.IN_PROCESS: 0, DemandState.COMPUTED: 0}
+        self._counts = {DemandState.PENDING: 0, DemandState.IN_PROCESS: 0}
         self._log = None
         self._sweeper: Optional[threading.Thread] = None
         self._sweeper_stop: Optional[threading.Event] = None
@@ -153,20 +163,22 @@ class DemandStore:
             raise MalformedDemand(str(e)) from None
         with self._cond:
             self._deposits += 1
-            entry = self._entries.get(key)
-            if entry is not None:
-                if entry.demand.state is DemandState.COMPUTED:
-                    self._hits += 1
-                    return DepositOutcome(DepositStatus.ALREADY_COMPUTED, entry.demand.result)
-                self._misses += 1
-                return DepositOutcome(DepositStatus.DUPLICATE_PENDING)
+            value = self._results.get(key)
+            if value is not None:
+                self._hits += 1
+                return DepositOutcome(DepositStatus.ALREADY_COMPUTED, value)
             self._misses += 1
+            if d.signature.kind is DemandKind.INTENSIONAL:
+                return DepositOutcome(DepositStatus.ENQUEUED)
+            if key in self._work:
+                return DepositOutcome(DepositStatus.DUPLICATE_PENDING)
             fresh = Demand(d.signature)
             entry = StoreEntry(demand=fresh, deposited_at=self.now())
-            self._entries[key] = entry
+            self._work[key] = entry
             self._counts[DemandState.PENDING] += 1
             self._enqueue(entry, key)
-            self._append_log(MsgType.DEPOSIT, wire.encode_demand(fresh))
+            if self._log is not None:
+                self._append_log(MsgType.DEPOSIT, wire.encode_demand(fresh))
             return DepositOutcome(DepositStatus.ENQUEUED)
 
     def claim(
@@ -185,7 +197,7 @@ class DemandStore:
                 self._queued.wait(remaining)
             key, kind = best
             heapq.heappop(self._queues[kind])
-            entry = self._entries[key]
+            entry = self._work[key]
             expiry = self.now() + lease_ms
             entry.demand = replace(entry.demand, state=DemandState.IN_PROCESS, lease_expiry=expiry)
             self._counts[DemandState.PENDING] -= 1
@@ -199,7 +211,7 @@ class DemandStore:
             q = self._queues[kind]
             while q:
                 deposited_at, key = q[0]
-                entry = self._entries.get(key)
+                entry = self._work.get(key)
                 if entry is not None and entry.demand.state is DemandState.PENDING:
                     if best is None or (deposited_at, key) < best[:2]:
                         best = (deposited_at, key, kind)
@@ -212,38 +224,38 @@ class DemandStore:
             raise NonFiniteValue(f"refusing to store a non-finite value for {sig}")
         key = sig.key()
         with self._cond:
-            entry = self._entries.get(key)
-            if entry is None:
-                raise NotClaimed(f"unknown signature {sig}")
-            if entry.demand.state is DemandState.COMPUTED:
-                if wire.values_equal(entry.demand.result, value):
+            stored = self._results.get(key)
+            if stored is not None:
+                if wire.values_equal(stored, value):
                     return  # idempotent completion
                 raise ConflictingResult(f"{sig}: stored result differs")
-            if sig.kind is not DemandKind.INTENSIONAL:  # queued work needs its lease
+            queued = sig.kind is not DemandKind.INTENSIONAL
+            if queued:  # queued work needs its lease
+                if key not in self._work:
+                    raise NotClaimed(f"unknown signature {sig}")
                 lease = self._leases.get(key)
                 if lease is None or lease.worker_id != worker_id:
                     raise NotClaimed(f"{sig} is not claimed by {worker_id!r}")
                 del self._leases[key]
-            prev_state = entry.demand.state
-            entry.demand = replace(
-                entry.demand, state=DemandState.COMPUTED, result=value, lease_expiry=None
-            )
-            self._counts[prev_state] -= 1
-            self._counts[DemandState.COMPUTED] += 1
-            self._append_log(MsgType.FULFILL, wire.encode_signature(sig) + wire.encode_value(value))
-            self._cond.notify_all()
+                del self._work[key]
+                self._counts[DemandState.IN_PROCESS] -= 1
+            self._results[key] = value
+            if self._log is not None:
+                self._append_log(MsgType.FULFILL, key + wire.encode_value(value))
+            if queued:  # only queued work can be awaited
+                self._cond.notify_all()
 
     def fetch(self, sig: DemandSignature) -> Tuple[DemandState, Optional[Value]]:
         key = sig.key()
         with self._cond:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                raise NotFound(str(sig))
-            if entry.demand.state is DemandState.COMPUTED:
+            value = self._results.get(key)
+            if value is not None:
                 self._hits += 1
-                return DemandState.COMPUTED, entry.demand.result
+                return DemandState.COMPUTED, value
             self._misses += 1
+            entry = self._work.get(key)
+            if entry is None:
+                raise NotFound(str(sig))
             return entry.demand.state, None
 
     def await_result(self, sig: DemandSignature, timeout_ms: float) -> Value:
@@ -251,12 +263,12 @@ class DemandStore:
         deadline = self.now() + timeout_ms
         with self._cond:
             while True:
-                entry = self._entries.get(key)
-                if entry is None:
-                    raise NotFound(str(sig))
-                if entry.demand.state is DemandState.COMPUTED:
+                value = self._results.get(key)
+                if value is not None:
                     self._hits += 1
-                    return entry.demand.result
+                    return value
+                if key not in self._work:
+                    raise NotFound(str(sig))
                 remaining = deadline - self.now()
                 if remaining <= 0:
                     raise Timeout(f"no result for {sig} within {timeout_ms} ms")
@@ -270,7 +282,7 @@ class DemandStore:
             expired = [lease for lease in self._leases.values() if lease.expiry < now]
             for lease in expired:
                 del self._leases[lease.signature_key]
-                entry = self._entries[lease.signature_key]
+                entry = self._work[lease.signature_key]
                 entry.demand = replace(
                     entry.demand,
                     state=DemandState.PENDING,
@@ -284,12 +296,10 @@ class DemandStore:
             return len(expired)
 
     def _enqueue(self, entry: StoreEntry, key: bytes):
-        """Queue a pending entry for claiming, unless it is intensional."""
-        kind = entry.demand.signature.kind
-        if kind is not DemandKind.INTENSIONAL:
-            heapq.heappush(self._queues[kind], (entry.deposited_at, key))
-            # every waiting claim rechecks: one whose kinds do not match must not swallow it
-            self._queued.notify_all()
+        """Queue a pending entry for claiming."""
+        heapq.heappush(self._queues[entry.demand.signature.kind], (entry.deposited_at, key))
+        # every waiting claim rechecks: one whose kinds do not match must not swallow it
+        self._queued.notify_all()
 
     # -- resources ---------------------------------------------------------
 
@@ -319,7 +329,7 @@ class DemandStore:
                 deposits=self._deposits,
                 hits=self._hits,
                 misses=self._misses,
-                computed=self._counts[DemandState.COMPUTED],
+                computed=len(self._results),
                 pending=self._counts[DemandState.PENDING],
                 in_process=self._counts[DemandState.IN_PROCESS],
                 redeliveries=self._redeliveries,
@@ -339,37 +349,36 @@ class DemandStore:
             except EductionError:
                 pass  # stop at the first corrupt record; truncate below
             if good_end != len(data):
+                import logging  # only a damaged log needs it; a node start would pay for it
+
+                dropped = len(data) - good_end
+                logging.getLogger(__name__).warning(
+                    "store log %s: dropping %d bytes of torn or corrupt tail", path, dropped
+                )
                 with open(path, "r+b") as f:
                     f.truncate(good_end)
         self._log = open(path, "ab")
 
     def _replay(self, msg_type: MsgType, payload: bytes):
         if msg_type is MsgType.DEPOSIT:
-            d = wire.decode_demand(payload)
-            key = d.signature.key()
-            if key not in self._entries:
+            sig = wire.decode_demand(payload).signature
+            key = sig.key()
+            queued = sig.kind is not DemandKind.INTENSIONAL  # older logs hold intensional ones too
+            if queued and key not in self._work and key not in self._results:
                 self._deposits += 1
-                entry = StoreEntry(demand=Demand(d.signature), deposited_at=self.now())
-                self._entries[key] = entry
+                entry = StoreEntry(demand=Demand(sig), deposited_at=self.now())
+                self._work[key] = entry
                 self._counts[DemandState.PENDING] += 1
                 self._enqueue(entry, key)
         elif msg_type is MsgType.FULFILL:
             r = wire.Reader(payload)
-            sig = wire.read_signature(r)
+            key = wire.read_signature(r).key()
             value = wire.read_value(r)
             r.expect_done()
-            key = sig.key()
-            entry = self._entries.get(key)
-            if entry is None:
-                entry = StoreEntry(demand=Demand(sig), deposited_at=self.now())
-                self._entries[key] = entry
-                self._counts[DemandState.PENDING] += 1
-            if entry.demand.state is not DemandState.COMPUTED:
+            self._results.setdefault(key, value)
+            entry = self._work.pop(key, None)
+            if entry is not None:
                 self._counts[entry.demand.state] -= 1
-                self._counts[DemandState.COMPUTED] += 1
-                entry.demand = replace(
-                    entry.demand, state=DemandState.COMPUTED, result=value, lease_expiry=None
-                )
         elif msg_type is MsgType.RESOURCE_PUT:
             r = wire.Reader(payload)
             program_id = wire.read_value(r)

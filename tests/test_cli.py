@@ -179,5 +179,13 @@ class TestNodeCommand:
         assert out.startswith("node 127.0.0.1:")
         assert ":DST" in out and ":DWT" in out
 
+    def test_config_log_path_reaches_the_store(self, tmp_path, capsys):
+        log = tmp_path / "store.log"
+        config = tmp_path / "node.conf"
+        config.write_text(f"log.path = {log}\n")
+        args = ["node", "start", "--tiers", "dst", "--dst-port", "0", "--run-ms", "50"]
+        assert main(args + ["--config", str(config)]) == 0
+        assert log.exists()
+
     def test_unknown_tier_kind(self, capsys):
         assert main(["node", "start", "--tiers", "dst,xyz", "--run-ms", "10"]) == 1

@@ -1,16 +1,23 @@
 """Demand store: queue discipline, leases, persistence."""
+import logging
 import os
+import random
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
+from eduction import wire
+from eduction.evaluator import DivisionByZero, Evaluator
+from eduction.lang import compile_source
 from eduction.model import (
     EMPTY_CONTEXT,
     DemandKind,
     DemandSignature,
     DemandState,
+    as_float_array,
     make_context,
     pending_demand,
 )
@@ -106,9 +113,13 @@ class TestLifecycle:
             st.fetch(isig(d=99))
 
     def test_fetch_pending(self, st):
-        sig = isig(d=98)
+        sig = qsig(98)
         st.deposit(pending_demand(sig))
         assert st.fetch(sig) == (DemandState.PENDING, None)
+        # an intensional miss records nothing, so there is nothing to fetch
+        st.deposit(pending_demand(isig(d=98)))
+        with pytest.raises(NotFound):
+            st.fetch(isig(d=98))
 
     def test_fulfill_without_claim(self, st):
         sig = qsig(4)
@@ -118,7 +129,10 @@ class TestLifecycle:
 
     def test_fulfill_unknown_demand(self, st):
         with pytest.raises(NotClaimed):
-            st.fulfill(isig(d=5), 1, "w")
+            st.fulfill(qsig(5), 1, "w")
+        # an intensional result needs no deposit before it: it is stored
+        st.fulfill(isig(d=5), 1, "w")
+        assert st.fetch(isig(d=5)) == (DemandState.COMPUTED, 1)
 
     def test_idempotent_fulfill_same_value(self, st):
         sig = qsig(6)
@@ -169,12 +183,20 @@ class TestIntensional:
     def test_repeat_fulfil_agrees_or_conflicts(self, st):
         sig = isig(d=2)
         st.deposit(pending_demand(sig))
-        assert st.deposit(pending_demand(sig)).status is DepositStatus.DUPLICATE_PENDING
+        # the second deposit is a plain miss: nothing was recorded by the first
+        assert st.deposit(pending_demand(sig)).status is DepositStatus.ENQUEUED
         st.fulfill(sig, 7, "dgt")
         st.fulfill(sig, 7, "dgt")  # the slower generator's identical result
         with pytest.raises(ConflictingResult):
             st.fulfill(sig, 8, "dgt")
         assert st.fetch(sig) == (DemandState.COMPUTED, 7)
+
+    def test_failed_evaluation_leaves_nothing_pending(self, st):
+        geer = compile_source("x where dimension d; x = y + 1; y = 1 / #.d; end", "p")
+        with pytest.raises(DivisionByZero):
+            Evaluator(geer, st).eval_demand("x", make_context([("d", 0)]))
+        s = st.stats()
+        assert (s.computed, s.pending, s.in_process) == (0, 0, 0)
 
 
 class TestQueueOrder:
@@ -249,9 +271,13 @@ class TestLeases:
 
     def test_await_timeout(self):
         st = DemandStore()
+        st.deposit(pending_demand(qsig(5)))
         st.deposit(pending_demand(isig(d=5)))
         try:
             with pytest.raises(Timeout):
+                st.await_result(qsig(5), timeout_ms=20)
+            # an intensional miss leaves nothing to wait for
+            with pytest.raises(NotFound):
                 st.await_result(isig(d=5), timeout_ms=20)
         finally:
             st.close()
@@ -394,6 +420,52 @@ class TestResources:
             st.put_resource("p1", b"plain bytes")
 
 
+class TestFootprint:
+    """A computed entry costs its key and its value, nothing more."""
+
+    @staticmethod
+    def traced_growth(fill) -> int:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fill()
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_intensional_entries(self, st):
+        n = 10_000
+
+        def fill():
+            for i in range(n):
+                sig = isig("fib", d=i)
+                st.deposit(pending_demand(sig))
+                st.fulfill(sig, i, "dgt")
+
+        assert self.traced_growth(fill) / n < 300
+        assert st.stats().computed == n
+
+    def test_float_array_procedural_entries(self, st):
+        n = 20
+        rng = random.Random(7)
+        key_len = []
+
+        def fill(count):
+            for _ in range(count):  # fresh floats, as they arrive off the wire
+                amplitudes = as_float_array(rng.uniform(-1, 1) for _ in range(512))
+                sig = DemandSignature(
+                    "pipeline", "fe.window_energy", EMPTY_CONTEXT, DemandKind.PROCEDURAL, (amplitudes, 8)
+                )
+                key_len.append(len(sig.key()))
+                st.deposit(pending_demand(sig))
+                st.claim("w", QUEUED, 1000)
+                st.fulfill(sig, as_float_array(range(8)), "w")
+
+        fill(1)  # warms the store's tables and the interpreter's caches
+        assert self.traced_growth(lambda: fill(n)) / n < 2 * key_len[-1]
+        assert st.stats().computed == n + 1
+
+
 class TestStats:
     def test_counters(self, st):
         sig = qsig(1)
@@ -413,7 +485,7 @@ class TestStats:
 
 
 class TestPersistence:
-    def test_replay_restores_state(self, tmp_path, clock):
+    def test_replay_restores_state(self, tmp_path, clock, caplog):
         blob = TestResources.blob()
         log = str(tmp_path / "store.log")
         s1 = DemandStore(log_path=log, clock=clock)
@@ -432,8 +504,9 @@ class TestPersistence:
         assert s2.claim("w2", QUEUED, 1000).signature == open_
         assert s2.get_resource("p") == blob
         s2.close()
+        assert caplog.records == []  # an intact log drops nothing
 
-    def test_truncated_tail_ignored(self, tmp_path, clock):
+    def test_truncated_tail_ignored(self, tmp_path, clock, caplog):
         log = str(tmp_path / "store.log")
         s1 = DemandStore(log_path=log, clock=clock)
         a, b = qsig(1), qsig(2)
@@ -447,7 +520,13 @@ class TestPersistence:
         with open(log, "r+b") as f:
             f.truncate(size - 3)  # tear the final record
 
-        s2 = DemandStore(log_path=log, clock=clock)
+        with caplog.at_level(logging.WARNING, logger="eduction.store"):
+            s2 = DemandStore(log_path=log, clock=clock)
+        torn = size - 3 - os.path.getsize(log)
+        assert torn > 0
+        assert [r.getMessage() for r in caplog.records] == [
+            f"store log {log}: dropping {torn} bytes of torn or corrupt tail"
+        ]
         assert s2.fetch(a) == (DemandState.COMPUTED, 1)
         # the torn trailing record is dropped: b's result never replays
         assert s2.fetch(b)[0] is not DemandState.COMPUTED
@@ -458,16 +537,70 @@ class TestPersistence:
         s1 = DemandStore(log_path=log, clock=clock)
         sig = isig(d=1)
         s1.deposit(pending_demand(sig))
+        s1.deposit(pending_demand(qsig(1)))
         s1.close()
 
         s2 = DemandStore(log_path=log, clock=clock)
-        assert s2.fetch(sig) == (DemandState.PENDING, None)
+        assert s2.fetch(qsig(1)) == (DemandState.PENDING, None)
+        with pytest.raises(NotFound):
+            s2.fetch(sig)
+        assert s2.claim("w", list(DemandKind), 1000).signature == qsig(1)
         assert s2.claim("w", list(DemandKind), 1000) is None
         s2.fulfill(sig, 3, "dgt")
         assert s2.fetch(sig) == (DemandState.COMPUTED, 3)
         s2.close()
 
-    def test_corrupt_byte_stops_replay(self, tmp_path, clock):
+    def test_no_log_builds_no_log_payload(self, st, monkeypatch):
+        queued, computed = qsig(1), isig(d=1)
+        queued.key(), computed.key()  # the callers' own encodings
+        calls = []
+
+        def counting(name, encode):
+            return lambda x: calls.append(name) or encode(x)
+
+        for name in ("encode_value", "encode_demand"):
+            monkeypatch.setattr(wire, name, counting(name, getattr(wire, name)))
+        st.deposit(pending_demand(queued))
+        st.claim("w", QUEUED, 1000)
+        st.fulfill(queued, 5, "w")
+        st.fulfill(computed, 6, "dgt")
+        assert calls == []
+
+    def test_cold_intensional_demand_logs_one_fulfill(self, tmp_path, clock):
+        log = str(tmp_path / "store.log")
+        s = DemandStore(log_path=log, clock=clock)
+        sig = isig(d=3)
+        assert s.deposit(pending_demand(sig)).status is DepositStatus.ENQUEUED
+        s.fulfill(sig, 6, "dgt")
+        s.close()
+        with open(log, "rb") as f:
+            frames = [(t, p) for t, p, _ in wire.iter_frames(f.read())]
+        assert frames == [(wire.MsgType.FULFILL, sig.key() + wire.encode_value(6))]
+
+    def test_replays_log_with_intensional_deposits(self, tmp_path, clock):
+        # logs written before intensional deposits became pure lookups hold a
+        # DEPOSIT frame for every intensional miss, computed or abandoned
+        done, abandoned, queued = isig(d=1), isig(d=2), qsig(1)
+        frames = [
+            (wire.MsgType.DEPOSIT, wire.encode_demand(pending_demand(done))),
+            (wire.MsgType.DEPOSIT, wire.encode_demand(pending_demand(abandoned))),
+            (wire.MsgType.FULFILL, done.key() + wire.encode_value(10)),
+            (wire.MsgType.DEPOSIT, wire.encode_demand(pending_demand(queued))),
+        ]
+        log = tmp_path / "store.log"
+        log.write_bytes(b"".join(wire.encode_frame(t, p) for t, p in frames))
+
+        s = DemandStore(log_path=str(log), clock=clock)
+        assert s.fetch(done) == (DemandState.COMPUTED, 10)
+        with pytest.raises(NotFound):
+            s.fetch(abandoned)
+        stats = s.stats()
+        assert (stats.computed, stats.pending, stats.in_process) == (1, 1, 0)
+        assert s.claim("w", list(DemandKind), 1000).signature == queued
+        assert s.claim("w", list(DemandKind), 1000) is None
+        s.close()
+
+    def test_corrupt_byte_stops_replay(self, tmp_path, clock, caplog):
         log = str(tmp_path / "store.log")
         s1 = DemandStore(log_path=log, clock=clock)
         a, b = qsig(1), qsig(2)
@@ -476,11 +609,17 @@ class TestPersistence:
         s1.deposit(pending_demand(b))
         s1.close()
 
+        size = os.path.getsize(log)
         with open(log, "r+b") as f:
             f.seek(off_before_b)
             f.write(b"\xff\xff\xff\xff")
 
-        s2 = DemandStore(log_path=log, clock=clock)
+        with caplog.at_level(logging.WARNING, logger="eduction.store"):
+            s2 = DemandStore(log_path=log, clock=clock)
+        assert os.path.getsize(log) == off_before_b
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert record.getMessage() == f"store log {log}: dropping {size - off_before_b} bytes of torn or corrupt tail"
         assert s2.claim("w", QUEUED, 1000).signature == a
         assert s2.claim("w", QUEUED, 1000) is None
         s2.close()

@@ -69,10 +69,15 @@ def inproc_client(store):
 
 class TestDispatch:
     def test_deposit_reply_roundtrip(self, store):
-        payload = wire.encode_demand(pending_demand(isig()))
+        payload = wire.encode_demand(pending_demand(qsig()))
         mt, body = dispatch_store_request(store, MsgType.DEPOSIT, payload)
-        assert mt is MsgType.OK
-        assert store.fetch(isig())[0] is DemandState.PENDING
+        assert (mt, body) == (MsgType.OK, b"\x00")
+        assert store.fetch(qsig())[0] is DemandState.PENDING
+        # an intensional miss answers the same byte and records nothing
+        payload = wire.encode_demand(pending_demand(isig()))
+        assert dispatch_store_request(store, MsgType.DEPOSIT, payload) == (MsgType.OK, b"\x00")
+        with pytest.raises(NotFound):
+            store.fetch(isig())
 
     def test_malformed_payload_is_err(self, store):
         mt, body = dispatch_store_request(store, MsgType.DEPOSIT, b"\x00garbage")
@@ -252,6 +257,29 @@ class TestOneEncodingPerSignature:
         assert replayed.fetch(claimed.signature) == (DemandState.COMPUTED, 5)
         replayed.close()
         assert len(fresh_encodes) == 1
+
+
+class TestFailedEvaluation:
+    def test_leaves_nothing_pending_in_a_logged_dst(self, tmp_path):
+        from eduction.evaluator import DivisionByZero, Evaluator
+        from eduction.lang import compile_source
+
+        geer = compile_source("x where dimension d; x = y + 1; y = 1 / #.d; end", "p")
+        log = str(tmp_path / "store.log")
+        store = DemandStore(log_path=log)
+        srv = serve_store(store)
+        client = connect_store(f"127.0.0.1:{srv.port}")
+        try:
+            with pytest.raises(DivisionByZero):
+                Evaluator(geer, client).eval_demand("x", make_context([("d", 0)]))
+            assert client.stats().pending == 0
+        finally:
+            client.close()
+            srv.stop()
+            store.close()
+        reopened = DemandStore(log_path=log)
+        assert reopened.stats().pending == 0
+        reopened.close()
 
 
 @pytest.fixture(params=["inproc", "tcp"])

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from eduction.model import EMPTY_CONTEXT, DemandKind, DemandSignature, DemandState, pending_demand
-from eduction.store import DemandStore
+from eduction.store import DemandStore, NotFound
 from eduction.worker import (
     CLAIM_WAIT_MS,
     ArityMismatch,
@@ -165,12 +165,19 @@ class TestWorkerLoop:
 
         store = DemandStore()
         isig = DemandSignature("p", "x", make_context([("d", 1)]), DemandKind.INTENSIONAL)
+        qsig = psig("add2", 1, 0)
         store.deposit(pending_demand(isig))
-        w = Worker(WorkerConfig(worker_id="w"), store, build_demo_registry())
+        store.deposit(pending_demand(qsig))
+        # an intensional deposit queues nothing, so even a worker that asks
+        # for intensional demands finds none, and leaves procedural work alone
+        cfg = WorkerConfig(worker_id="w", kinds=frozenset({DemandKind.INTENSIONAL}))
+        w = Worker(cfg, store, build_demo_registry())
         w.start()
         time.sleep(0.05)
         w.stop()
-        assert store.fetch(isig)[0] is DemandState.PENDING
+        assert store.fetch(qsig)[0] is DemandState.PENDING
+        with pytest.raises(NotFound):
+            store.fetch(isig)
         store.close()
 
     def test_two_workers_split_queue_without_overlap(self):
