@@ -26,7 +26,7 @@ from .manager import (
     serve_manager,
     serve_node_agent,
 )
-from .model import EMPTY_CONTEXT, DemandKind, DemandSignature, make_context
+from .model import EMPTY_CONTEXT, DemandSignature, make_context
 from .pipeline import (
     CLASSIFY_MODE,
     DEFAULT_MODEL_ID,
@@ -39,13 +39,7 @@ from .pipeline import (
     top1_accuracy,
 )
 from .store import DemandStore
-from .transport import (
-    StoreClient,
-    TransportUnreachable,
-    connect_store,
-    dispatch_store_request,
-    InProcAgent,
-)
+from .transport import TransportUnreachable, connect_store
 from .worker import Worker, WorkerConfig, build_demo_registry
 from .pipeline import build_pipeline_registry
 
@@ -85,10 +79,6 @@ def _parse_ctx(text: Optional[str]):
         except ValueError:
             raise _UsageError(f"context tag must be an integer, got {tag!r}") from None
     return make_context(pairs)
-
-
-def _inproc_store_client(store: DemandStore) -> StoreClient:
-    return StoreClient(InProcAgent(lambda t, p: dispatch_store_request(store, t, p)))
 
 
 # --- compile -------------------------------------------------------------------

@@ -38,8 +38,8 @@ from .model import (
     pending_demand,
     value_kind,
 )
-from .store import DepositStatus, Timeout
-from .worker import ERROR_PREFIX, ProcedureFault, ProcedureRegistry, StoreUnreachable
+from .store import DepositStatus, ProcedureFault, Timeout  # a faulted call raises ProcedureFault
+from .worker import ProcedureRegistry, StoreUnreachable
 from .lang import UndefinedIdentifier
 
 # the store checks no lease for intensional fulfils, so every generator can
@@ -261,8 +261,6 @@ class Evaluator:
                 value = self.store.await_result(sig, self.cfg.proc_timeout_ms)
             except Timeout as e:
                 raise ProcTimeout(str(e)) from None
-        if isinstance(value, str) and value.startswith(ERROR_PREFIX):
-            raise ProcedureFault(value[len(ERROR_PREFIX) :])
         self._local[key] = value
         return value
 

@@ -36,21 +36,15 @@ from .errors import EductionError
 from . import wire
 from .store import DEFAULT_SWEEP_MS, DemandStore
 from .transport import (
-    DEFAULT_GMT_PORT,
     InProcAgent,
     TcpAgent,
     TcpServer,
-    _err_reply,
     connect_store,
-    decode_system_payload,
-    encode_system_reply,
-    register_inproc,
+    dispatch_system_request,
     serve_store,
     split_host_port,
     system_request,
-    unregister_inproc,
 )
-from .wire import MsgType
 from .worker import Worker, WorkerConfig, build_demo_registry
 
 DEFAULT_HEARTBEAT_MS = 1000
@@ -146,27 +140,20 @@ class _TierBase:
 
 
 class DstTier(_TierBase):
-    """Demand store plus its lease sweeper, served in-process or over TCP."""
+    """Demand store plus its lease sweeper, served over TCP."""
 
     kind = "DST"
 
     def _start(self) -> dict:
         self.store = DemandStore(log_path=self.config.get("log_path"))
         self.store.start_sweeper(self.config.get("sweep_ms", DEFAULT_SWEEP_MS))
-        if self.config.get("inproc"):
-            self._inproc_name = f"dst-{self.tier_id}"
-            register_inproc(self._inproc_name, self.store)
-            return {"address": f"inproc://{self._inproc_name}"}
         self._server = serve_store(
             self.store, self.config.get("host", "127.0.0.1"), int(self.config.get("port", 0))
         )
         return {"address": f"tcp://{self._server.host}:{self._server.port}"}
 
     def _stop(self) -> None:
-        if self.config.get("inproc"):
-            unregister_inproc(self._inproc_name)
-        else:
-            self._server.stop()
+        self._server.stop()
         self.store.close()
 
 
@@ -251,13 +238,12 @@ class TierFactory:
 class LocalNodeAgent:
     """Runs tier instances as threads inside this process."""
 
-    def __init__(self, factory: Optional[TierFactory] = None):
-        self._factory = factory or TierFactory()
+    def __init__(self):
         self._tiers: dict[str, _TierBase] = {}
         self._lock = threading.Lock()
 
     def start_tier(self, tier_id: str, kind: str, config: dict) -> dict:
-        tier = self._factory.create_tier(kind, tier_id, config)
+        tier = TierFactory().create_tier(kind, tier_id, config)
         details = tier.start()
         with self._lock:
             self._tiers[tier_id] = tier
@@ -289,30 +275,20 @@ class LocalNodeAgent:
             t.stop()
 
 
-def dispatch_node_request(agent: LocalNodeAgent, msg_type: MsgType, payload: bytes):
-    """Serve one node-agent command; shares the manager's SYSTEM op space."""
-    try:
-        if msg_type is not MsgType.SYSTEM:
-            return _err_reply("ProtocolError", f"node agent serves SYSTEM requests, got {msg_type.name}")
-        op, body = decode_system_payload(payload)
-        if op == SystemOp.ALLOCATE:
-            details = agent.start_tier(str(body["tier_id"]), str(body["kind"]), dict(body["config"]))
-            return MsgType.OK, encode_system_reply({"details": details})
-        if op == SystemOp.DEALLOCATE:
-            return MsgType.OK, encode_system_reply({"stopped": agent.stop_tier(str(body["tier_id"]))})
-        if op == SystemOp.STATUS:
-            return MsgType.OK, encode_system_reply({"tiers": agent.list_tiers()})
-        return _err_reply("ProtocolError", f"node agent does not serve op {op}")
-    except KeyError as e:
-        return _err_reply("MalformedEncoding", f"missing field {e}")
-    except EductionError as e:
-        return _err_reply(e.code, str(e))
-    except Exception as e:  # defensive: a server must always reply
-        return _err_reply("InternalError", f"{type(e).__name__}: {e}")
+def node_ops(agent: LocalNodeAgent) -> dict:
+    """The node-agent commands, a subset of the manager's SYSTEM op space."""
+    return {
+        SystemOp.ALLOCATE: lambda b: {
+            "details": agent.start_tier(str(b["tier_id"]), str(b["kind"]), dict(b["config"]))
+        },
+        SystemOp.DEALLOCATE: lambda b: {"stopped": agent.stop_tier(str(b["tier_id"]))},
+        SystemOp.STATUS: lambda b: {"tiers": agent.list_tiers()},
+    }
 
 
 def serve_node_agent(agent: LocalNodeAgent, host: str = "127.0.0.1", port: int = 0) -> TcpServer:
-    return TcpServer(lambda t, p: dispatch_node_request(agent, t, p), host, port).start()
+    ops = node_ops(agent)
+    return TcpServer(lambda t, p: dispatch_system_request(ops, t, p), host, port).start()
 
 
 class TcpNodeAgent:
@@ -365,11 +341,9 @@ class Manager:
         heartbeat_ms: float = DEFAULT_HEARTBEAT_MS,
         clock: Callable[[], float] = _monotonic_ms,
         log_path: Optional[str] = None,
-        factory: Optional[TierFactory] = None,
     ):
         self.heartbeat_ms = heartbeat_ms
         self._clock = clock
-        self._factory = factory or TierFactory()
         self._cmd = threading.RLock()
         self._hb = threading.Lock()
         self._nodes: dict[int, NodeRecord] = {}
@@ -562,39 +536,27 @@ class Manager:
 # --- manager service -------------------------------------------------------------
 
 
-def dispatch_manager_request(mgr: Manager, msg_type: MsgType, payload: bytes):
-    """Serve one manager command arriving as a SYSTEM message."""
-    try:
-        if msg_type is not MsgType.SYSTEM:
-            return _err_reply("ProtocolError", f"manager serves SYSTEM requests, got {msg_type.name}")
-        op, body = decode_system_payload(payload)
-        if op == SystemOp.REGISTER_NODE:
-            return MsgType.OK, encode_system_reply({"node_id": mgr.register_node(str(body["address"]))})
-        if op == SystemOp.ALLOCATE:
-            tier = mgr.allocate(int(body["node_id"]), str(body["kind"]), dict(body.get("config", {})))
-            return MsgType.OK, encode_system_reply({"tier_id": tier.tier_id, "details": tier.details})
-        if op == SystemOp.DEALLOCATE:
-            return MsgType.OK, encode_system_reply({"stopped": mgr.deallocate(str(body["tier_id"]))})
-        if op == SystemOp.MOVE:
-            tier = mgr.move(str(body["tier_id"]), int(body["node_id"]))
-            return MsgType.OK, encode_system_reply({"tier_id": tier.tier_id, "details": tier.details})
-        if op == SystemOp.HEARTBEAT:
-            return MsgType.OK, encode_system_reply({"status": mgr.heartbeat(int(body["node_id"])).value})
-        if op == SystemOp.STATUS:
-            return MsgType.OK, encode_system_reply(mgr.status_report())
-        return _err_reply("MalformedEncoding", f"unknown system op {op}")
-    except KeyError as e:
-        return _err_reply("MalformedEncoding", f"missing field {e}")
-    except (TypeError, ValueError) as e:
-        return _err_reply("MalformedEncoding", str(e))
-    except EductionError as e:
-        return _err_reply(e.code, str(e))
-    except Exception as e:  # defensive: a server must always reply
-        return _err_reply("InternalError", f"{type(e).__name__}: {e}")
+def manager_ops(mgr: Manager) -> dict:
+    """The manager's commands, one per SYSTEM op."""
+
+    def tier_reply(tier: TierRecord) -> dict:
+        return {"tier_id": tier.tier_id, "details": tier.details}
+
+    return {
+        SystemOp.REGISTER_NODE: lambda b: {"node_id": mgr.register_node(str(b["address"]))},
+        SystemOp.ALLOCATE: lambda b: tier_reply(
+            mgr.allocate(int(b["node_id"]), str(b["kind"]), dict(b.get("config", {})))
+        ),
+        SystemOp.DEALLOCATE: lambda b: {"stopped": mgr.deallocate(str(b["tier_id"]))},
+        SystemOp.MOVE: lambda b: tier_reply(mgr.move(str(b["tier_id"]), int(b["node_id"]))),
+        SystemOp.HEARTBEAT: lambda b: {"status": mgr.heartbeat(int(b["node_id"])).value},
+        SystemOp.STATUS: lambda b: mgr.status_report(),
+    }
 
 
 def serve_manager(mgr: Manager, host: str = "127.0.0.1", port: int = 0) -> TcpServer:
-    return TcpServer(lambda t, p: dispatch_manager_request(mgr, t, p), host, port).start()
+    ops = manager_ops(mgr)
+    return TcpServer(lambda t, p: dispatch_system_request(ops, t, p), host, port).start()
 
 
 class ManagerClient:
@@ -629,7 +591,8 @@ class ManagerClient:
 def connect_manager(address: str, mgr: Optional[Manager] = None) -> ManagerClient:
     """``inproc`` (give the manager) or ``[tcp://]host:port``."""
     if mgr is not None:
-        return ManagerClient(InProcAgent(lambda t, p: dispatch_manager_request(mgr, t, p)))
+        ops = manager_ops(mgr)
+        return ManagerClient(InProcAgent(lambda t, p: dispatch_system_request(ops, t, p)))
     address = address.removeprefix("tcp://")
     return ManagerClient(TcpAgent(*split_host_port(address, BadTierConfig, "manager")))
 

@@ -1,7 +1,8 @@
 """Core data model shared by every tier: values, contexts, demands.
 
 Values are plain Python objects: int (64-bit signed on the wire), float,
-bool, str, and tuple-of-floats.  ``value_kind`` tells the five kinds apart;
+bool, str, and tuple-of-floats, plus ``Fault``, the result a worker stores
+for a procedure that failed.  ``value_kind`` tells the six kinds apart;
 bool is checked before int because bool subclasses int.
 
 A context is a finite map from dimension names to integer tags and is the
@@ -19,7 +20,19 @@ from typing import Iterable, Optional, Tuple, Union
 
 from .errors import EductionError
 
-Value = Union[bool, int, float, str, Tuple[float, ...]]
+
+@dataclass(frozen=True)
+class Fault:
+    """A procedure's failure, stored where its result would be."""
+
+    code: str
+    message: str
+
+    def __str__(self):
+        return f"{self.code}: {self.message}"
+
+
+Value = Union[bool, int, float, str, Tuple[float, ...], Fault]
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
@@ -48,7 +61,7 @@ def is_identifier(name: str) -> bool:
 
 
 def value_kind(v: Value) -> str:
-    """One of 'int', 'float', 'bool', 'str', 'floats'."""
+    """One of 'int', 'float', 'bool', 'str', 'floats', 'fault'."""
     if isinstance(v, bool):
         return "bool"
     if isinstance(v, int):
@@ -59,6 +72,8 @@ def value_kind(v: Value) -> str:
         return "str"
     if isinstance(v, tuple):
         return "floats"
+    if isinstance(v, Fault):
+        return "fault"
     raise MalformedValue(f"not a value: {v!r}")
 
 
@@ -130,8 +145,6 @@ EMPTY_CONTEXT = Context()
 class DemandKind(enum.IntEnum):
     INTENSIONAL = 0
     PROCEDURAL = 1
-    RESOURCE = 2
-    SYSTEM = 3
 
 
 class DemandState(enum.IntEnum):
@@ -145,7 +158,7 @@ class DemandSignature:
     """Identity of a demand and the warehouse cache key.
 
     Procedural results depend only on the argument values, so procedural
-    signatures carry no context; the other kinds carry no arguments.
+    signatures carry no context; intensional ones carry no arguments.
     Equality is byte equality of the canonical encoding, which keeps
     0.0 and -0.0 apart even though Python compares them equal.
     """

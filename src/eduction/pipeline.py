@@ -33,7 +33,7 @@ from .errors import EductionError
 from . import wire
 from .model import DemandKind, DemandSignature, Value, as_float_array, pending_demand
 from .store import DepositStatus, NotFound
-from .worker import ERROR_PREFIX, ProcedureFault, ProcedureRegistry
+from .worker import ProcedureRegistry
 
 PROGRAM_ID = "pipeline"
 FE_PROC = "fe.window_energy"
@@ -294,20 +294,14 @@ def _args_digest(args: tuple) -> bytes:
     return hashlib.sha256(b"".join(wire.encode_value(a) for a in args)).digest()
 
 
-def _checked(value: Value) -> Value:
-    if isinstance(value, str) and value.startswith(ERROR_PREFIX):
-        raise ProcedureFault(value[len(ERROR_PREFIX) :])
-    return value
-
-
 def _submit(store, sig: DemandSignature):
     return store.deposit(pending_demand(sig))
 
 
 def _collect(store, sig: DemandSignature, out, timeout_ms: float) -> Value:
     if out.status is DepositStatus.ALREADY_COMPUTED:
-        return _checked(out.value)
-    return _checked(store.await_result(sig, timeout_ms))
+        return out.value
+    return store.await_result(sig, timeout_ms)
 
 
 def _call(store, name: str, args: tuple, timeout_ms: float) -> Value:

@@ -3,14 +3,17 @@
 Every computed value lands in the warehouse and is served from there
 instead of being recomputed.  A computed result is terminal and immutable,
 so the warehouse keeps only signature key -> value.  Only work a worker
-executes (procedural demands) is queued, and only until it is fulfilled:
-its entry goes PENDING -> IN_PROCESS -> computed, workers claim it under a
-lease, and when a lease expires the sweep sends the entry back to PENDING,
-which gives at-least-once delivery.  Intensional demands are never queued,
-leased or recorded: a deposit of one is a warehouse lookup, and whichever
-generator computes it on a miss fulfils it directly.  A second fulfill
-must match the stored value byte-for-byte (idempotent completion) or it is
-rejected as conflicting.
+executes (procedural demands) is queued, oldest first in one heap, and
+only until it is fulfilled: its entry goes PENDING -> IN_PROCESS ->
+computed, workers claim it under a lease, and when a lease expires the
+sweep sends the entry back to PENDING, which gives at-least-once delivery.
+Intensional demands are never queued, leased or recorded: a deposit of one
+is a warehouse lookup, and whichever generator computes it on a miss
+fulfils it directly.  A second fulfill must match the stored value
+byte-for-byte (idempotent completion) or it is rejected as conflicting.  A
+procedure that failed is fulfilled with a ``Fault``; it is stored like any
+result, and every read of it (a deposit that hits it, ``fetch``,
+``await_result``) raises ``ProcedureFault``.
 
 All operations take one lock, so the store is linearizable.  Two conditions
 share it: ``await_result`` blocks on one that ``fulfill`` notifies, and a
@@ -38,6 +41,7 @@ from .model import (
     DemandKind,
     DemandSignature,
     DemandState,
+    Fault,
     MalformedDemand,
     Value,
     is_finite_value,
@@ -49,6 +53,10 @@ DEFAULT_SWEEP_MS = 500
 
 
 class NotClaimed(EductionError):
+    pass
+
+
+class ProcedureFault(EductionError):
     pass
 
 
@@ -133,13 +141,12 @@ class DemandStore:
         self._results: dict[bytes, Value] = {}  # the warehouse: key -> computed value
         self._work: dict[bytes, StoreEntry] = {}  # queued procedural demands until fulfilled
         self._leases: dict[bytes, Lease] = {}
-        self._queues: dict[DemandKind, list] = {k: [] for k in DemandKind}
+        self._queue: list = []  # heap of (deposited_at, key) for claims
         self._resources: dict[str, bytes] = {}
         self._deposits = 0
         self._hits = 0
         self._misses = 0
         self._redeliveries = 0
-        self._counts = {DemandState.PENDING: 0, DemandState.IN_PROCESS: 0}
         self._log = None
         self._sweeper: Optional[threading.Thread] = None
         self._sweeper_stop: Optional[threading.Event] = None
@@ -166,6 +173,8 @@ class DemandStore:
             value = self._results.get(key)
             if value is not None:
                 self._hits += 1
+                if type(value) is Fault:
+                    raise ProcedureFault(str(value))
                 return DepositOutcome(DepositStatus.ALREADY_COMPUTED, value)
             self._misses += 1
             if d.signature.kind is DemandKind.INTENSIONAL:
@@ -175,7 +184,6 @@ class DemandStore:
             fresh = Demand(d.signature)
             entry = StoreEntry(demand=fresh, deposited_at=self.now())
             self._work[key] = entry
-            self._counts[DemandState.PENDING] += 1
             self._enqueue(entry, key)
             if self._log is not None:
                 self._append_log(MsgType.DEPOSIT, wire.encode_demand(fresh))
@@ -184,40 +192,37 @@ class DemandStore:
     def claim(
         self, worker_id: str, kinds: Iterable[DemandKind], lease_ms: float, wait_ms: float = 0
     ) -> Optional[Demand]:
-        """Lease the oldest pending demand of ``kinds``, waiting up to ``wait_ms`` for one."""
+        """Lease the oldest pending demand of ``kinds``, waiting up to ``wait_ms`` for one.
+
+        Only procedural demands are queued, so a claim whose ``kinds`` lack
+        PROCEDURAL finds nothing.
+        """
         if lease_ms <= 0:
             raise MalformedDemand("lease_ms must be positive")
-        kinds = tuple(kinds)
+        procedural = DemandKind.PROCEDURAL in kinds
         deadline = time.monotonic() + wait_ms / 1000.0
         with self._cond:
-            while (best := self._oldest_pending(kinds)) is None:
+            while not procedural or (key := self._oldest_pending()) is None:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return None
                 self._queued.wait(remaining)
-            key, kind = best
-            heapq.heappop(self._queues[kind])
+            heapq.heappop(self._queue)
             entry = self._work[key]
             expiry = self.now() + lease_ms
             entry.demand = replace(entry.demand, state=DemandState.IN_PROCESS, lease_expiry=expiry)
-            self._counts[DemandState.PENDING] -= 1
-            self._counts[DemandState.IN_PROCESS] += 1
             self._leases[key] = Lease(key, worker_id, expiry)
             return entry.demand
 
-    def _oldest_pending(self, kinds: Tuple[DemandKind, ...]) -> Optional[Tuple[bytes, DemandKind]]:
-        best = None  # (deposited_at, key, kind)
-        for kind in kinds:
-            q = self._queues[kind]
-            while q:
-                deposited_at, key = q[0]
-                entry = self._work.get(key)
-                if entry is not None and entry.demand.state is DemandState.PENDING:
-                    if best is None or (deposited_at, key) < best[:2]:
-                        best = (deposited_at, key, kind)
-                    break
-                heapq.heappop(q)  # stale heap entry
-        return None if best is None else best[1:]
+    def _oldest_pending(self) -> Optional[bytes]:
+        q = self._queue
+        while q:
+            key = q[0][1]
+            entry = self._work.get(key)
+            if entry is not None and entry.demand.state is DemandState.PENDING:
+                return key
+            heapq.heappop(q)  # stale heap entry
+        return None
 
     def fulfill(self, sig: DemandSignature, value: Value, worker_id: str) -> None:
         if not is_finite_value(value):
@@ -238,7 +243,6 @@ class DemandStore:
                     raise NotClaimed(f"{sig} is not claimed by {worker_id!r}")
                 del self._leases[key]
                 del self._work[key]
-                self._counts[DemandState.IN_PROCESS] -= 1
             self._results[key] = value
             if self._log is not None:
                 self._append_log(MsgType.FULFILL, key + wire.encode_value(value))
@@ -251,6 +255,8 @@ class DemandStore:
             value = self._results.get(key)
             if value is not None:
                 self._hits += 1
+                if type(value) is Fault:
+                    raise ProcedureFault(str(value))
                 return DemandState.COMPUTED, value
             self._misses += 1
             entry = self._work.get(key)
@@ -266,6 +272,8 @@ class DemandStore:
                 value = self._results.get(key)
                 if value is not None:
                     self._hits += 1
+                    if type(value) is Fault:
+                        raise ProcedureFault(str(value))
                     return value
                 if key not in self._work:
                     raise NotFound(str(sig))
@@ -289,15 +297,13 @@ class DemandStore:
                     lease_expiry=None,
                     attempts=entry.demand.attempts + 1,
                 )
-                self._counts[DemandState.IN_PROCESS] -= 1
-                self._counts[DemandState.PENDING] += 1
                 self._enqueue(entry, lease.signature_key)
                 self._redeliveries += 1
             return len(expired)
 
     def _enqueue(self, entry: StoreEntry, key: bytes):
         """Queue a pending entry for claiming."""
-        heapq.heappush(self._queues[entry.demand.signature.kind], (entry.deposited_at, key))
+        heapq.heappush(self._queue, (entry.deposited_at, key))
         # every waiting claim rechecks: one whose kinds do not match must not swallow it
         self._queued.notify_all()
 
@@ -309,10 +315,11 @@ class DemandStore:
             if self._resources.get(program_id) == data:
                 return  # idempotent re-put
             self._resources[program_id] = data
-            self._append_log(
-                MsgType.RESOURCE_PUT,
-                wire.encode_value(program_id) + len(data).to_bytes(4, "big") + data,
-            )
+            if self._log is not None:
+                self._append_log(
+                    MsgType.RESOURCE_PUT,
+                    wire.encode_value(program_id) + len(data).to_bytes(4, "big") + data,
+                )
 
     def get_resource(self, program_id: str) -> bytes:
         with self._cond:
@@ -330,8 +337,8 @@ class DemandStore:
                 hits=self._hits,
                 misses=self._misses,
                 computed=len(self._results),
-                pending=self._counts[DemandState.PENDING],
-                in_process=self._counts[DemandState.IN_PROCESS],
+                pending=len(self._work) - len(self._leases),
+                in_process=len(self._leases),
                 redeliveries=self._redeliveries,
             )
 
@@ -368,7 +375,6 @@ class DemandStore:
                 self._deposits += 1
                 entry = StoreEntry(demand=Demand(sig), deposited_at=self.now())
                 self._work[key] = entry
-                self._counts[DemandState.PENDING] += 1
                 self._enqueue(entry, key)
         elif msg_type is MsgType.FULFILL:
             r = wire.Reader(payload)
@@ -376,9 +382,7 @@ class DemandStore:
             value = wire.read_value(r)
             r.expect_done()
             self._results.setdefault(key, value)
-            entry = self._work.pop(key, None)
-            if entry is not None:
-                self._counts[entry.demand.state] -= 1
+            self._work.pop(key, None)
         elif msg_type is MsgType.RESOURCE_PUT:
             r = wire.Reader(payload)
             program_id = wire.read_value(r)

@@ -22,7 +22,10 @@ Request payloads (replies in parentheses):
 
 Errors come back as ERR frames carrying two Str values: the error code
 (a class name from the store's error family) and a human-readable message.
-Every request gets exactly one reply frame.
+A read of a demand whose procedure failed (a DEPOSIT that hits it, FETCH,
+AWAIT) is answered ERR ``ProcedureFault``.  Every request gets exactly one
+reply frame: each server runs its handler through ``answer``.  A store is
+addressed as ``[tcp://]host:port``; there is no ``inproc://`` address.
 
 A TCP client retries connection failures with exponential backoff: base
 100 ms, doubling, at most 5 tries, then ``TransportUnreachable``.
@@ -39,7 +42,7 @@ from typing import Callable, Iterable, Optional, Tuple
 
 from .errors import EductionError, error_for_code
 from . import wire
-from .model import Demand, DemandKind, DemandSignature, DemandState, Value, pending_demand
+from .model import Demand, DemandKind, DemandSignature, DemandState, Value
 from .store import DemandStore, DepositOutcome, DepositStatus, StoreStats
 from .wire import MsgType, ProtocolError
 
@@ -84,82 +87,91 @@ def _decode_kinds(mask: int) -> frozenset:
     return frozenset(k for k in DemandKind if mask & (1 << int(k)))
 
 
-def dispatch_store_request(store: DemandStore, msg_type: MsgType, payload: bytes) -> Tuple[MsgType, bytes]:
-    """Execute one store request; never raises, errors become ERR replies."""
+def answer(handle: Callable, target, msg_type: MsgType, payload: bytes) -> Tuple[MsgType, bytes]:
+    """``handle(target, msg_type, payload)``; never raises, errors become ERR replies."""
     try:
-        r = wire.Reader(payload)
-        if msg_type is MsgType.DEPOSIT:
-            d = wire.read_demand(r)
-            r.expect_done()
-            out = store.deposit(d)
-            body = bytes([out.status.value])
-            if out.status is DepositStatus.ALREADY_COMPUTED:
-                body += wire.encode_value(out.value)
-            return MsgType.OK, body
-        if msg_type is MsgType.CLAIM:
-            worker = wire.read_value(r)
-            mask = r.u8()
-            lease_ms = wire.read_value(r)
-            wait_ms = 0 if r.done() else wire.read_value(r)
-            r.expect_done()
-            if not isinstance(worker, str) or isinstance(lease_ms, bool) or not isinstance(lease_ms, int):
-                raise wire.MalformedEncoding("claim takes a Str worker and an Int lease")
-            if type(wait_ms) is not int or not 0 <= wait_ms <= MAX_CLAIM_WAIT_MS:  # bool too
-                raise wire.MalformedEncoding(f"claim wait must be an Int from 0 to {MAX_CLAIM_WAIT_MS} ms")
-            d = store.claim(worker, _decode_kinds(mask), lease_ms, wait_ms)
-            if d is None:
-                return MsgType.CLAIM_REPLY, b"\x00"
-            return MsgType.CLAIM_REPLY, b"\x01" + wire.encode_demand(Demand(d.signature, d.state, d.result))
-        if msg_type is MsgType.FULFILL:
-            sig = wire.read_signature(r)
-            value = wire.read_value(r)
-            worker = wire.read_value(r)
-            r.expect_done()
-            if not isinstance(worker, str):
-                raise wire.MalformedEncoding("fulfill takes a Str worker id")
-            store.fulfill(sig, value, worker)
-            return MsgType.OK, b""
-        if msg_type is MsgType.FETCH:
-            sig = wire.read_signature(r)
-            r.expect_done()
-            state, value = store.fetch(sig)
-            body = bytes([int(state)])
-            body += b"\x01" + wire.encode_value(value) if value is not None else b"\x00"
-            return MsgType.FETCH_REPLY, body
-        if msg_type is MsgType.AWAIT:
-            sig = wire.read_signature(r)
-            timeout_ms = wire.read_value(r)
-            r.expect_done()
-            if isinstance(timeout_ms, bool) or not isinstance(timeout_ms, int):
-                raise wire.MalformedEncoding("await takes an Int timeout")
-            value = store.await_result(sig, timeout_ms)
-            return MsgType.OK, wire.encode_value(value)
-        if msg_type is MsgType.RESOURCE_PUT:
-            program_id = wire.read_value(r)
-            n = r.u32()
-            data = r.take(n)
-            r.expect_done()
-            if not isinstance(program_id, str):
-                raise wire.MalformedEncoding("resource ids are Str")
-            store.put_resource(program_id, data)
-            return MsgType.OK, b""
-        if msg_type is MsgType.RESOURCE_GET:
-            program_id = wire.read_value(r)
-            r.expect_done()
-            if not isinstance(program_id, str):
-                raise wire.MalformedEncoding("resource ids are Str")
-            data = store.get_resource(program_id)
-            return MsgType.OK, len(data).to_bytes(4, "big") + data
-        if msg_type is MsgType.STATS:
-            r.expect_done()
-            s = store.stats()
-            fields = (s.deposits, s.hits, s.misses, s.computed, s.pending, s.in_process, s.redeliveries)
-            return MsgType.OK, struct.pack(">7Q", *fields)
-        return _err_reply("ProtocolError", f"store does not serve {msg_type.name} requests")
+        return handle(target, msg_type, payload)
     except EductionError as e:
         return _err_reply(e.code, str(e))
     except Exception as e:  # defensive: a server must always reply
         return _err_reply("InternalError", f"{type(e).__name__}: {e}")
+
+
+def dispatch_store_request(store: DemandStore, msg_type: MsgType, payload: bytes) -> Tuple[MsgType, bytes]:
+    """Execute one store request; never raises, errors become ERR replies."""
+    return answer(_store_request, store, msg_type, payload)
+
+
+def _store_request(store: DemandStore, msg_type: MsgType, payload: bytes) -> Tuple[MsgType, bytes]:
+    r = wire.Reader(payload)
+    if msg_type is MsgType.DEPOSIT:
+        d = wire.read_demand(r)
+        r.expect_done()
+        out = store.deposit(d)
+        body = bytes([out.status.value])
+        if out.status is DepositStatus.ALREADY_COMPUTED:
+            body += wire.encode_value(out.value)
+        return MsgType.OK, body
+    if msg_type is MsgType.CLAIM:
+        worker = wire.read_value(r)
+        mask = r.u8()
+        lease_ms = wire.read_value(r)
+        wait_ms = 0 if r.done() else wire.read_value(r)
+        r.expect_done()
+        if not isinstance(worker, str) or isinstance(lease_ms, bool) or not isinstance(lease_ms, int):
+            raise wire.MalformedEncoding("claim takes a Str worker and an Int lease")
+        if type(wait_ms) is not int or not 0 <= wait_ms <= MAX_CLAIM_WAIT_MS:  # bool too
+            raise wire.MalformedEncoding(f"claim wait must be an Int from 0 to {MAX_CLAIM_WAIT_MS} ms")
+        d = store.claim(worker, _decode_kinds(mask), lease_ms, wait_ms)
+        if d is None:
+            return MsgType.CLAIM_REPLY, b"\x00"
+        return MsgType.CLAIM_REPLY, b"\x01" + wire.encode_demand(Demand(d.signature, d.state, d.result))
+    if msg_type is MsgType.FULFILL:
+        sig = wire.read_signature(r)
+        value = wire.read_value(r)
+        worker = wire.read_value(r)
+        r.expect_done()
+        if not isinstance(worker, str):
+            raise wire.MalformedEncoding("fulfill takes a Str worker id")
+        store.fulfill(sig, value, worker)
+        return MsgType.OK, b""
+    if msg_type is MsgType.FETCH:
+        sig = wire.read_signature(r)
+        r.expect_done()
+        state, value = store.fetch(sig)
+        body = bytes([int(state)])
+        body += b"\x01" + wire.encode_value(value) if value is not None else b"\x00"
+        return MsgType.FETCH_REPLY, body
+    if msg_type is MsgType.AWAIT:
+        sig = wire.read_signature(r)
+        timeout_ms = wire.read_value(r)
+        r.expect_done()
+        if isinstance(timeout_ms, bool) or not isinstance(timeout_ms, int):
+            raise wire.MalformedEncoding("await takes an Int timeout")
+        value = store.await_result(sig, timeout_ms)
+        return MsgType.OK, wire.encode_value(value)
+    if msg_type is MsgType.RESOURCE_PUT:
+        program_id = wire.read_value(r)
+        n = r.u32()
+        data = r.take(n)
+        r.expect_done()
+        if not isinstance(program_id, str):
+            raise wire.MalformedEncoding("resource ids are Str")
+        store.put_resource(program_id, data)
+        return MsgType.OK, b""
+    if msg_type is MsgType.RESOURCE_GET:
+        program_id = wire.read_value(r)
+        r.expect_done()
+        if not isinstance(program_id, str):
+            raise wire.MalformedEncoding("resource ids are Str")
+        data = store.get_resource(program_id)
+        return MsgType.OK, len(data).to_bytes(4, "big") + data
+    if msg_type is MsgType.STATS:
+        r.expect_done()
+        s = store.stats()
+        fields = (s.deposits, s.hits, s.misses, s.computed, s.pending, s.in_process, s.redeliveries)
+        return MsgType.OK, struct.pack(">7Q", *fields)
+    raise ProtocolError(f"store does not serve {msg_type.name} requests")
 
 
 # --- carriers ------------------------------------------------------------------
@@ -330,30 +342,6 @@ def serve_store(store: DemandStore, host: str = "127.0.0.1", port: int = 0) -> T
     return TcpServer(lambda t, p: dispatch_store_request(store, t, p), host, port).start()
 
 
-# --- in-process address registry ------------------------------------------------
-
-_INPROC: dict[str, DemandStore] = {}
-_INPROC_LOCK = threading.Lock()
-
-
-def register_inproc(name: str, store: DemandStore):
-    with _INPROC_LOCK:
-        _INPROC[name] = store
-
-
-def unregister_inproc(name: str):
-    with _INPROC_LOCK:
-        _INPROC.pop(name, None)
-
-
-def resolve_inproc(name: str) -> DemandStore:
-    with _INPROC_LOCK:
-        try:
-            return _INPROC[name]
-        except KeyError:
-            raise TransportUnreachable(f"no in-process store named {name!r}") from None
-
-
 # --- client ----------------------------------------------------------------------
 
 
@@ -436,10 +424,7 @@ class StoreClient:
 
 
 def connect_store(address: str) -> StoreClient:
-    """``inproc://name`` or ``[tcp://]host:port`` to a store client."""
-    if address.startswith("inproc://"):
-        store = resolve_inproc(address[len("inproc://") :])
-        return StoreClient(InProcAgent(lambda t, p: dispatch_store_request(store, t, p)))
+    """``[tcp://]host:port`` to a store client."""
     address = address.removeprefix("tcp://")
     return StoreClient(TcpAgent(*split_host_port(address, TransportUnreachable, "store")))
 
@@ -484,3 +469,22 @@ def decode_system_payload(payload: bytes) -> Tuple[int, dict]:
 def encode_system_reply(body: dict) -> bytes:
     raw = json.dumps(body, sort_keys=True).encode("utf-8")
     return len(raw).to_bytes(4, "big") + raw
+
+
+def dispatch_system_request(ops: dict, msg_type: MsgType, payload: bytes) -> Tuple[MsgType, bytes]:
+    """Serve one SYSTEM request from ``ops`` (op -> body -> reply body); never raises."""
+    return answer(_system_request, ops, msg_type, payload)
+
+
+def _system_request(ops: dict, msg_type: MsgType, payload: bytes) -> Tuple[MsgType, bytes]:
+    if msg_type is not MsgType.SYSTEM:
+        raise ProtocolError(f"this server serves SYSTEM requests, got {msg_type.name}")
+    op, body = decode_system_payload(payload)
+    if op not in ops:
+        raise wire.MalformedEncoding(f"unknown system op {op}")
+    try:
+        return MsgType.OK, encode_system_reply(ops[op](body))
+    except KeyError as e:
+        raise wire.MalformedEncoding(f"missing field {e}") from None
+    except (TypeError, ValueError) as e:
+        raise wire.MalformedEncoding(str(e)) from None

@@ -21,6 +21,7 @@ Value encoding: one tag byte, then the payload.
     0x02  Bool        1 byte, 0x00 or 0x01
     0x03  Str         4-byte length + UTF-8 bytes
     0x04  FloatArray  4-byte count + count * binary64
+    0x05  Fault       Str code + Str message
 
 Context: 4-byte pair count, then (Str dim, Int tag) value encodings in
 ascending dimension order.  Signature: Str program id, Str name, kind byte,
@@ -46,6 +47,7 @@ from .model import (
     DemandKind,
     DemandSignature,
     DemandState,
+    Fault,
     MalformedDemand,
     MalformedValue,
     Value,
@@ -146,6 +148,10 @@ def encode_value(v: Value) -> bytes:
         if len(raw) > 0xFFFFFFFF:
             raise MalformedValue("string too long")
         return b"\x03" + len(raw).to_bytes(4, "big") + raw
+    if kind == "fault":
+        if not (isinstance(v.code, str) and isinstance(v.message, str)):
+            raise MalformedValue(f"a Fault holds a Str code and a Str message: {v!r}")
+        return b"\x05" + encode_value(v.code) + encode_value(v.message)
     try:
         body = struct.pack(f">{len(v)}d", *map(float, v))
     except (TypeError, ValueError, OverflowError) as e:
@@ -174,6 +180,8 @@ def read_value(r: Reader) -> Value:
         n = r.u32()
         raw = r.take(8 * n)
         return tuple(struct.unpack(f">{n}d", raw)) if n else ()
+    if tag == 0x05:
+        return Fault(_read_str(r), _read_str(r))
     raise MalformedValue(f"unknown value tag {tag:#04x}")
 
 

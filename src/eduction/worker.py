@@ -6,23 +6,22 @@ work is picked up at once.  The bound only limits how long ``Worker.stop``
 waits for a claim that finds nothing.
 
 A worker owns a registry of named procedures.  A procedure that raises is
-not allowed to wedge the queue: the failure is fulfilled as a Str value
-tagged with ``!ERR:`` so waiting generators fail fast instead of timing
+not allowed to wedge the queue: the failure is fulfilled as a ``Fault``
+(error code and message), and the store raises ``ProcedureFault`` to every
+generator that reads it, so waiting generators fail fast instead of timing
 out.  ``SystemExit``/``KeyboardInterrupt`` are not caught, so a dying
 worker leaves its claim to lapse and the demand is redelivered elsewhere.
 """
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import EductionError
 from . import wire
-from .model import Demand, DemandKind, MalformedValue, Value, is_finite_value
-from .store import ConflictingResult, NotClaimed
-
-ERROR_PREFIX = "!ERR:"
+from .model import Demand, DemandKind, Fault, MalformedValue, Value, is_finite_value
+from .store import ConflictingResult, NotClaimed, ProcedureFault
 
 CLAIM_WAIT_MS = 200
 
@@ -36,10 +35,6 @@ class UnknownProcedure(EductionError):
 
 
 class ArityMismatch(EductionError):
-    pass
-
-
-class ProcedureFault(EductionError):
     pass
 
 
@@ -87,7 +82,6 @@ def execute_one(registry: ProcedureRegistry, demand: Demand) -> Value:
 class WorkerConfig:
     worker_id: str
     lease_ms: float = 5000
-    kinds: frozenset = frozenset({DemandKind.PROCEDURAL})
 
 
 @dataclass
@@ -105,7 +99,7 @@ def run_worker(cfg: WorkerConfig, store, registry: ProcedureRegistry, stop: thre
     """
     summary = RunSummary()
     while not stop.is_set():
-        demand = store.claim(cfg.worker_id, cfg.kinds, cfg.lease_ms, wait_ms=CLAIM_WAIT_MS)
+        demand = store.claim(cfg.worker_id, (DemandKind.PROCEDURAL,), cfg.lease_ms, wait_ms=CLAIM_WAIT_MS)
         if demand is None:
             continue
         summary.claims += 1
@@ -115,7 +109,7 @@ def run_worker(cfg: WorkerConfig, store, registry: ProcedureRegistry, stop: thre
             if not is_finite_value(value):  # ... and finite, or the store refuses them
                 raise ProcedureFault(f"{demand.signature.name}: non-finite result")
         except (UnknownProcedure, ArityMismatch, ProcedureFault, MalformedValue) as e:
-            value = f"{ERROR_PREFIX}{e.code}: {e}"
+            value = Fault(e.code, str(e))
             summary.failures += 1
         try:
             store.fulfill(demand.signature, value, cfg.worker_id)

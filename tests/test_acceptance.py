@@ -18,6 +18,7 @@ from eduction.model import (
     DemandKind,
     DemandSignature,
     DemandState,
+    Fault,
     make_context,
     pending_demand,
 )
@@ -510,8 +511,12 @@ def test_criterion_7_move_tier_and_death_detection():
 # -- 8: wire fuzz round-trips and header corruption ------------------------------
 
 
+def _random_str(rng: random.Random):
+    return "".join(chr(rng.randrange(32, 0x2FF)) for _ in range(rng.randrange(0, 12)))
+
+
 def _random_value(rng: random.Random):
-    k = rng.randrange(5)
+    k = rng.randrange(6)
     if k == 0:
         return rng.randint(-(2**63), 2**63 - 1)
     if k == 1:
@@ -519,9 +524,10 @@ def _random_value(rng: random.Random):
     if k == 2:
         return rng.random() < 0.5
     if k == 3:
-        n = rng.randrange(0, 12)
-        return "".join(chr(rng.randrange(32, 0x2FF)) for _ in range(n))
-    return tuple(rng.uniform(-1e6, 1e6) for _ in range(rng.randrange(0, 6)))
+        return _random_str(rng)
+    if k == 4:
+        return tuple(rng.uniform(-1e6, 1e6) for _ in range(rng.randrange(0, 6)))
+    return Fault(_random_str(rng), _random_str(rng))
 
 
 def _random_signature(rng: random.Random):

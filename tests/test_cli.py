@@ -41,7 +41,8 @@ class TestCompile:
         assert main(["compile", str(src)]) == 0
         out = capsys.readouterr().out.strip()
         assert out.endswith("p.geer")
-        geer = wire.decode_geer(open(out, "rb").read())
+        with open(out, "rb") as f:
+            geer = wire.decode_geer(f.read())
         assert geer.program_id == "p"
 
     def test_parse_error_is_domain_error(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from eduction import pipeline as P
 from eduction.evaluator import (
     CircularDemand,
     DepthExceeded,
@@ -333,6 +334,86 @@ class TestProcedural:
         ev = Evaluator(geer, DemandStore(), EvalConfig(proc_timeout_ms=50))
         with pytest.raises(ProcTimeout):
             ev.eval_demand("x", EMPTY_CONTEXT)
+
+
+def fault_registry():
+    reg = ProcedureRegistry()
+    reg.register("boom", 0, lambda: 1 // 0)
+    reg.register("liar", 0, lambda: "!ERR:not really an error")
+    return reg
+
+
+@pytest.fixture(params=["direct", "tcp"])
+def connect(request):
+    """``connect(store)`` gives a generator's or worker's view of ``store``."""
+    servers, clients = [], []
+
+    def make(store):
+        if request.param == "direct":
+            return store
+        servers.append(serve_store(store))
+        clients.append(connect_store(f"127.0.0.1:{servers[-1].port}"))
+        return clients[-1]
+
+    yield make
+    for c in clients:
+        c.close()
+    for srv in servers:
+        srv.stop()
+
+
+class TestFaults:
+    """A procedure's failure is a Fault in the store, never an in-band Str."""
+
+    # the pipeline's program id: Evaluator and pipeline._call make the same demands
+    CALLS = compile_source("lie where lie = call liar(); boom = call boom(); end", P.PROGRAM_ID)
+
+    def test_error_prefixed_str_is_a_result(self, connect):
+        store = DemandStore()
+        w = Worker(WorkerConfig(worker_id="w0"), connect(store), fault_registry()).start()
+        try:
+            gen = connect(store)
+            assert Evaluator(self.CALLS, gen).eval_demand("lie", EMPTY_CONTEXT) == "!ERR:not really an error"
+            assert P._call(gen, "liar", (), 10000) == "!ERR:not really an error"
+        finally:
+            w.stop()
+            store.close()
+
+    def test_fault_reaches_every_generator(self, connect):
+        store = DemandStore()
+        w = Worker(WorkerConfig(worker_id="w0"), connect(store), fault_registry()).start()
+        try:
+            with pytest.raises(ProcedureFault) as first:
+                Evaluator(self.CALLS, connect(store)).eval_demand("boom", EMPTY_CONTEXT)
+        finally:
+            w.stop()
+        assert str(first.value).startswith("ProcedureFault: boom: ZeroDivisionError")
+        # no worker runs now: a second generator's deposit hits the stored fault
+        with pytest.raises(ProcedureFault) as second:
+            Evaluator(self.CALLS, connect(store)).eval_demand("boom", EMPTY_CONTEXT)
+        assert str(second.value) == str(first.value)
+        with pytest.raises(ProcedureFault) as third:
+            P._call(connect(store), "boom", (), 10000)
+        assert str(third.value) == str(first.value)
+        store.close()
+
+    def test_fault_survives_reopen(self, tmp_path, connect):
+        log = str(tmp_path / "store.log")
+        store = DemandStore(log_path=log)
+        w = Worker(WorkerConfig(worker_id="w0"), connect(store), fault_registry()).start()
+        try:
+            with pytest.raises(ProcedureFault) as first:
+                Evaluator(self.CALLS, connect(store)).eval_demand("boom", EMPTY_CONTEXT)
+        finally:
+            w.stop()
+            store.close()
+        reopened = DemandStore(log_path=log)
+        try:
+            with pytest.raises(ProcedureFault) as again:
+                Evaluator(self.CALLS, connect(reopened)).eval_demand("boom", EMPTY_CONTEXT)
+            assert str(again.value) == str(first.value)
+        finally:
+            reopened.close()
 
 
 class TestReference:

@@ -15,19 +15,28 @@ from eduction.manager import (
     NodeDead,
     NodeStatus,
     NodeUnknown,
+    SystemOp,
     TierFactory,
     TierState,
     TierUnknown,
     UnknownTierKind,
     connect_manager,
-    dispatch_node_request,
+    node_ops,
     serve_manager,
     serve_node_agent,
 )
 from eduction.model import DemandKind, DemandSignature, EMPTY_CONTEXT, pending_demand
 from eduction.store import NotFound
-from eduction.transport import StoreClient, TcpAgent, TransportUnreachable, connect_store
-from eduction.wire import MsgType
+from eduction.transport import (
+    InProcAgent,
+    StoreClient,
+    TcpAgent,
+    TransportUnreachable,
+    connect_store,
+    dispatch_system_request,
+    system_request,
+)
+from eduction.wire import MalformedEncoding, MsgType
 
 
 class FakeClock:
@@ -305,9 +314,28 @@ class TestRemoteSurface:
 
     def test_node_agent_dispatch(self):
         agent = LocalNodeAgent()
-        mt, body = dispatch_node_request(agent, MsgType.DEPOSIT, b"")
+        mt, body = dispatch_system_request(node_ops(agent), MsgType.DEPOSIT, b"")
         assert mt is MsgType.ERR  # only SYSTEM ops served on the agent channel
         agent.close()
+
+    @pytest.mark.parametrize(
+        "op, body",
+        [
+            (SystemOp.ALLOCATE, {"tier_id": "t1", "kind": "DST", "config": 5}),
+            (SystemOp.ALLOCATE, {"tier_id": "t1", "kind": "DST"}),
+            (SystemOp.HEARTBEAT, {"node_id": 1}),  # a manager op, not a node-agent one
+        ],
+        ids=["config-not-a-dict", "config-missing", "unknown-op"],
+    )
+    def test_node_agent_malformed_request(self, op, body):
+        agent = LocalNodeAgent()
+        ops = node_ops(agent)
+        try:
+            with pytest.raises(MalformedEncoding):
+                system_request(InProcAgent(lambda t, p: dispatch_system_request(ops, t, p)), op, body)
+            assert agent.list_tiers() == {}
+        finally:
+            agent.close()
 
     def test_remote_node_agent_lifecycle(self):
         # GMT drives a node's tiers over the agent back-channel

@@ -17,6 +17,7 @@ from eduction.model import (
     DemandKind,
     DemandSignature,
     DemandState,
+    Fault,
     as_float_array,
     make_context,
     pending_demand,
@@ -28,6 +29,7 @@ from eduction.store import (
     NonFiniteValue,
     NotClaimed,
     NotFound,
+    ProcedureFault,
     Timeout,
 )
 
@@ -333,8 +335,8 @@ class TestBlockingClaim:
         assert 0.14 <= time.monotonic() - started < 1.0
 
     def test_claimer_of_other_kinds_does_not_swallow_wakeup(self, st):
-        # the RESOURCE claimer waits first, so a single notify would wake only it
-        other, other_out = claim_in_thread(st, [DemandKind.RESOURCE], wait_ms=600)
+        # the INTENSIONAL claimer waits first, so a single notify would wake only it
+        other, other_out = claim_in_thread(st, [DemandKind.INTENSIONAL], wait_ms=600)
         t, out = claim_in_thread(st)
         deposited = time.monotonic()
         st.deposit(pending_demand(qsig(3)))
@@ -418,6 +420,46 @@ class TestResources:
 
         with pytest.raises(MalformedGeer):
             st.put_resource("p1", b"plain bytes")
+
+
+class TestFaults:
+    """A Fault is stored as the result; every read of it raises ProcedureFault."""
+
+    FAULT = Fault("UnknownProcedure", "add2")
+
+    def faulted(self, st):
+        sig = qsig(1)
+        st.deposit(pending_demand(sig))
+        st.claim("w", QUEUED, 1000)
+        st.fulfill(sig, self.FAULT, "w")
+        return sig
+
+    def test_every_read_raises(self, st):
+        sig = self.faulted(st)
+        reads = [lambda: st.deposit(pending_demand(sig)), lambda: st.fetch(sig), lambda: st.await_result(sig, 10)]
+        for read in reads:
+            with pytest.raises(ProcedureFault, match=r"\AUnknownProcedure: add2\Z"):
+                read()
+        s = st.stats()
+        assert (s.computed, s.pending, s.in_process) == (1, 0, 0)
+
+    def test_refulfil_compares_bytes(self, st):
+        sig = self.faulted(st)
+        st.fulfill(sig, Fault("UnknownProcedure", "add2"), "w")  # idempotent completion
+        with pytest.raises(ConflictingResult):
+            st.fulfill(sig, Fault("UnknownProcedure", "add3"), "w")
+        with pytest.raises(ConflictingResult):
+            st.fulfill(sig, "UnknownProcedure: add2", "w")
+
+    def test_fault_replays(self, tmp_path, clock):
+        log = str(tmp_path / "store.log")
+        s1 = DemandStore(log_path=log, clock=clock)
+        sig = self.faulted(s1)
+        s1.close()
+        s2 = DemandStore(log_path=log, clock=clock)
+        with pytest.raises(ProcedureFault, match=r"\AUnknownProcedure: add2\Z"):
+            s2.deposit(pending_demand(sig))
+        s2.close()
 
 
 class TestFootprint:
@@ -564,6 +606,15 @@ class TestPersistence:
         st.claim("w", QUEUED, 1000)
         st.fulfill(queued, 5, "w")
         st.fulfill(computed, 6, "dgt")
+        assert calls == []
+
+    def test_no_log_put_resource_encodes_nothing(self, st, monkeypatch):
+        blob = TestResources.blob()
+        calls = []
+        encode = wire.encode_value
+        monkeypatch.setattr(wire, "encode_value", lambda v: calls.append(v) or encode(v))
+        st.put_resource("p1", blob)
+        assert st.get_resource("p1") == blob
         assert calls == []
 
     def test_cold_intensional_demand_logs_one_fulfill(self, tmp_path, clock):

@@ -22,10 +22,8 @@ from eduction.transport import (
     TransportUnreachable,
     connect_store,
     dispatch_store_request,
-    register_inproc,
     serve_store,
     system_request,
-    unregister_inproc,
 )
 from eduction.wire import MsgType
 
@@ -58,13 +56,15 @@ def tcp_client(store):
     srv.stop()
 
 
+def inproc_store_client(store):
+    return StoreClient(InProcAgent(lambda t, p: dispatch_store_request(store, t, p)))
+
+
 @pytest.fixture
 def inproc_client(store):
-    register_inproc("t-main", store)
-    cl = connect_store("inproc://t-main")
+    cl = inproc_store_client(store)
     yield cl
     cl.close()
-    unregister_inproc("t-main")
 
 
 class TestDispatch:
@@ -105,6 +105,19 @@ class TestClaimKinds:
         got = inproc_client.claim("w", [DemandKind.PROCEDURAL], 1000)
         assert got is not None and got.signature == proc
 
+    def test_kinds_beyond_procedural_rejected(self, store):
+        # only INTENSIONAL (0) and PROCEDURAL (1) exist: kind byte 2 and mask
+        # bit 0x04 are malformed, not an empty queue
+        raw = bytearray(wire.encode_demand(pending_demand(isig())))
+        kind_at = 5 + 1 + 5 + 1  # after the two length-prefixed strings "p" and "x"
+        assert raw[kind_at] == 0
+        raw[kind_at] = 2
+        claim = wire.encode_value("w") + b"\x04" + wire.encode_value(1000)
+        for msg_type, payload in ((MsgType.DEPOSIT, bytes(raw)), (MsgType.CLAIM, claim)):
+            mt, body = dispatch_store_request(store, msg_type, payload)
+            assert mt is MsgType.ERR
+            assert wire.read_value(wire.Reader(body)) == "MalformedEncoding"
+
     def test_empty_kind_mask_rejected(self, store, inproc_client):
         # a zero bitmask is a malformed request, not an empty filter
         store.deposit(pending_demand(isig()))
@@ -133,8 +146,7 @@ class TestCarrierEquivalence:
         for mode in ("inproc", "tcp"):
             store = DemandStore()
             if mode == "inproc":
-                register_inproc("t-eq", store)
-                cl = connect_store("inproc://t-eq")
+                cl = inproc_store_client(store)
             else:
                 srv = serve_store(store)
                 cl = connect_store(f"127.0.0.1:{srv.port}")
@@ -142,9 +154,7 @@ class TestCarrierEquivalence:
                 results[mode] = self.run_ops(cl)
             finally:
                 cl.close()
-                if mode == "inproc":
-                    unregister_inproc("t-eq")
-                else:
+                if mode == "tcp":
                     srv.stop()
                 store.close()
         assert results["inproc"] == results["tcp"]
@@ -391,10 +401,6 @@ class TestRetry:
         with pytest.raises(TransportUnreachable):
             agent.request(MsgType.STATS, b"")
         assert waits == [0.1, 0.2, 0.4, 0.8]
-
-    def test_unknown_inproc_name(self):
-        with pytest.raises(TransportUnreachable):
-            connect_store("inproc://no-such-store")
 
 
 class TestSystemChannel:

@@ -13,6 +13,7 @@ from eduction.model import (
     DemandSignature,
     DemandState,
     EMPTY_CONTEXT,
+    Fault,
     MalformedValue,
     make_context,
 )
@@ -25,6 +26,7 @@ values = st.one_of(
     finite_floats,
     st.text(max_size=40),
     st.lists(finite_floats, max_size=8).map(tuple),
+    st.builds(Fault, st.text(max_size=12), st.text(max_size=40)),
 )
 dim_names = st.sampled_from(["d", "e", "f", "t0"])
 contexts = st.dictionaries(dim_names, int64s, max_size=3).map(lambda m: make_context(m.items()))
@@ -83,6 +85,17 @@ class TestValueCodec:
     def test_float_array_overflow_is_malformed(self):
         with pytest.raises(MalformedValue):
             wire.encode_value((10**400,))
+
+    def test_fault_encoding(self):
+        assert wire.encode_value(Fault("E", "m")) == b"\x05" + wire.encode_value("E") + wire.encode_value("m")
+        assert wire.decode_value(b"\x05" + wire.encode_value("E") + wire.encode_value("m")) == Fault("E", "m")
+
+    def test_fault_parts_must_be_str(self):
+        for code, message in ((1, "m"), ("E", True)):
+            with pytest.raises(wire.MalformedEncoding):
+                wire.decode_value(b"\x05" + wire.encode_value(code) + wire.encode_value(message))
+            with pytest.raises(MalformedValue):
+                wire.encode_value(Fault(code, message))
 
     def test_signed_zero_distinct_bytes(self):
         assert wire.encode_value(0.0) != wire.encode_value(-0.0)
@@ -209,7 +222,9 @@ class TestCanonicalDecode:
         "sig",
         [
             DemandSignature("p", "x", make_context([("d", 3), ("e", -1)])),
-            DemandSignature("pé", "f", kind=DemandKind.PROCEDURAL, args=(True, -7, 2.5, "ü!", (0.0, -1.5))),
+            DemandSignature(
+                "pé", "f", kind=DemandKind.PROCEDURAL, args=(True, -7, 2.5, "ü!", (0.0, -1.5), Fault("E", "m"))
+            ),
         ],
         ids=["intensional", "procedural"],
     )

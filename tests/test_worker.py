@@ -10,6 +10,7 @@ from eduction.worker import (
     CLAIM_WAIT_MS,
     ArityMismatch,
     DuplicateProcedure,
+    ProcedureFault,
     ProcedureRegistry,
     UnknownProcedure,
     Worker,
@@ -22,6 +23,25 @@ from eduction.worker import (
 
 def psig(proc, *args):
     return DemandSignature("p", proc, EMPTY_CONTEXT, DemandKind.PROCEDURAL, args)
+
+
+def run_to_fault(reg, sig) -> str:
+    """Deposit ``sig``, let a worker run it; the ProcedureFault ``store.fetch`` raises."""
+    store = DemandStore()
+    store.deposit(pending_demand(sig))
+    w = Worker(WorkerConfig(worker_id="w"), store, reg)
+    w.start()
+    try:
+        with pytest.raises(ProcedureFault):
+            store.await_result(sig, 5000)
+        assert w.alive
+        with pytest.raises(ProcedureFault) as info:
+            store.fetch(sig)
+        assert store.stats().in_process == 0
+    finally:
+        w.stop()
+        store.close()
+    return str(info.value)
 
 
 class TestRegistry:
@@ -83,82 +103,29 @@ class TestWorkerLoop:
         store.close()
 
     def test_fault_becomes_error_marker(self):
-        store = DemandStore()
         reg = ProcedureRegistry()
         reg.register("boom", 0, lambda: 1 // 0)
-        sig = psig("boom")
-        store.deposit(pending_demand(sig))
-        stop = threading.Event()
-        w = Worker(WorkerConfig(worker_id="w"), store, reg)
-        w.start()
-        try:
-            val = store.await_result(sig, 5000)
-        finally:
-            w.stop()
-            store.close()
-        assert isinstance(val, str) and val.startswith("!ERR:")
-        assert "ZeroDivisionError" in val
+        message = run_to_fault(reg, psig("boom"))
+        assert message.startswith("ProcedureFault: boom: ZeroDivisionError")
 
     def test_unknown_procedure_is_fault_not_crash(self):
-        store = DemandStore()
-        sig = psig("ghost", 1)
-        store.deposit(pending_demand(sig))
-        w = Worker(WorkerConfig(worker_id="w"), store, build_demo_registry())
-        w.start()
-        try:
-            val = store.await_result(sig, 5000)
-        finally:
-            w.stop()
-            store.close()
-        assert isinstance(val, str) and val.startswith("!ERR:")
+        assert run_to_fault(build_demo_registry(), psig("ghost", 1)).startswith("UnknownProcedure: ghost")
 
     def test_non_finite_result_is_fault(self):
-        store = DemandStore()
         reg = ProcedureRegistry()
         reg.register("inf", 0, lambda: float("inf"))
-        sig = psig("inf")
-        store.deposit(pending_demand(sig))
-        w = Worker(WorkerConfig(worker_id="w"), store, reg)
-        w.start()
-        try:
-            val = store.await_result(sig, 5000)
-        finally:
-            w.stop()
-            store.close()
-        assert isinstance(val, str) and val.startswith("!ERR:")
+        assert run_to_fault(reg, psig("inf")).startswith("ProcedureFault: inf: non-finite result")
 
     def test_non_encodable_result_is_fault(self):
-        store = DemandStore()
         reg = ProcedureRegistry()
         reg.register("bad", 0, lambda: object())
-        sig = psig("bad")
-        store.deposit(pending_demand(sig))
-        w = Worker(WorkerConfig(worker_id="w"), store, reg)
-        w.start()
-        try:
-            val = store.await_result(sig, 5000)
-        finally:
-            w.stop()
-            store.close()
-        assert isinstance(val, str) and val.startswith("!ERR:")
+        assert run_to_fault(reg, psig("bad")).startswith("MalformedValue: not a value")
 
     def test_float_overflow_result_is_fault_not_crash(self):
         # float(10**400) raises OverflowError; the worker must not die of it
-        store = DemandStore()
         reg = ProcedureRegistry()
         reg.register("huge", 0, lambda: (10**400,))
-        sig = psig("huge")
-        store.deposit(pending_demand(sig))
-        w = Worker(WorkerConfig(worker_id="w"), store, reg)
-        w.start()
-        try:
-            val = store.await_result(sig, 5000)
-            assert w.alive
-        finally:
-            w.stop()
-            store.close()
-        assert isinstance(val, str) and val.startswith("!ERR:MalformedValue")
-        assert store.stats().in_process == 0
+        assert run_to_fault(reg, psig("huge")).startswith("MalformedValue: bad float array element")
 
     def test_worker_ignores_intensional_kind(self):
         from eduction.model import make_context
@@ -168,13 +135,9 @@ class TestWorkerLoop:
         qsig = psig("add2", 1, 0)
         store.deposit(pending_demand(isig))
         store.deposit(pending_demand(qsig))
-        # an intensional deposit queues nothing, so even a worker that asks
-        # for intensional demands finds none, and leaves procedural work alone
-        cfg = WorkerConfig(worker_id="w", kinds=frozenset({DemandKind.INTENSIONAL}))
-        w = Worker(cfg, store, build_demo_registry())
-        w.start()
-        time.sleep(0.05)
-        w.stop()
+        # an intensional deposit queues nothing, so a claim for intensional
+        # demands finds none, and leaves procedural work alone
+        assert store.claim("w", [DemandKind.INTENSIONAL], 5000, wait_ms=50) is None
         assert store.fetch(qsig)[0] is DemandState.PENDING
         with pytest.raises(NotFound):
             store.fetch(isig)
