@@ -23,7 +23,7 @@ from .lang import Geer, compile_source, parse_program, tokenize
 from .store import DemandStore, DepositStatus
 from .evaluator import EvalConfig, Evaluator, reference_eval
 from .worker import ProcedureRegistry, Worker, WorkerConfig, build_demo_registry
-from .manager import Manager, ManagerClient, TierFactory, connect_manager, serve_manager
+from .manager import Manager, ManagerClient, connect_manager, serve_manager
 from .transport import StoreClient, connect_store, serve_store
 from .config import Config, load_config, resolve_config
 
@@ -45,7 +45,6 @@ __all__ = [
     "ManagerClient",
     "ProcedureRegistry",
     "StoreClient",
-    "TierFactory",
     "Value",
     "Worker",
     "WorkerConfig",

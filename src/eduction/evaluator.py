@@ -75,7 +75,6 @@ class ProcTimeout(EvalError):
 class EvalConfig:
     max_depth: int = 10000
     proc_timeout_ms: int = 30000
-    warehouse_enabled: bool = True
 
 
 def _wrap64(n: int) -> int:
@@ -197,8 +196,7 @@ class Evaluator:
         if len(self._chain) >= self.cfg.max_depth:
             raise DepthExceeded(f"demand depth exceeded {self.cfg.max_depth}")
 
-        use_warehouse = self.cfg.warehouse_enabled and self.store is not None
-        if use_warehouse:
+        if self.store is not None:
             out = self.store.deposit(pending_demand(sig))
             if out.status is DepositStatus.ALREADY_COMPUTED:
                 self._local[key] = out.value
@@ -216,7 +214,7 @@ class Evaluator:
             self._chain_set.discard(key)
 
         self._local[key] = value
-        if use_warehouse:
+        if self.store is not None:
             self.store.fulfill(sig, value, GENERATOR_ID)
         return value
 

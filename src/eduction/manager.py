@@ -5,10 +5,10 @@ register an address and then heartbeat; every other judgement about them
 is derived, never stored: a node is ALIVE while its last heartbeat is
 younger than two intervals, SUSPECT under five, DEAD from five on.
 
-Tier instances are started through ``TierFactory``, which dispatches on
-the kind string ("DST", "DWT", "DGT") and hands back a wrapper exposing
-idempotent start/stop.  Allocation talks to the owning node through a
-node agent: ``LocalNodeAgent`` runs tiers as threads in this process,
+Tier instances are built from ``TIERS``, which maps the kind string
+("DST", "DWT", "DGT") to a wrapper exposing idempotent start/stop.
+Allocation talks to the owning node through a node agent:
+``LocalNodeAgent`` runs tiers as threads in this process,
 ``TcpNodeAgent`` sends the same commands to a remote node's agent server.
 A move is stop-then-start with the config carried over and a fresh tier
 id; nothing migrates live state, redelivery of leased demands is the
@@ -50,9 +50,6 @@ from .worker import Worker, WorkerConfig, build_demo_registry
 DEFAULT_HEARTBEAT_MS = 1000
 SUSPECT_AFTER = 2  # missed intervals
 DEAD_AFTER = 5
-
-TIER_KINDS = ("DST", "DWT", "DGT")
-
 
 class UnknownTierKind(EductionError):
     pass
@@ -219,17 +216,7 @@ class DgtTier(_TierBase):
             self._client.close()
 
 
-class TierFactory:
-    """Maps a kind string to its concrete tier wrapper."""
-
-    def create_tier(self, kind: str, tier_id: str, config: dict) -> _TierBase:
-        if kind == "DST":
-            return DstTier(tier_id, config)
-        if kind == "DWT":
-            return DwtTier(tier_id, config)
-        if kind == "DGT":
-            return DgtTier(tier_id, config)
-        raise UnknownTierKind(str(kind))
+TIERS = {"DST": DstTier, "DWT": DwtTier, "DGT": DgtTier}
 
 
 # --- node agents --------------------------------------------------------------
@@ -243,7 +230,9 @@ class LocalNodeAgent:
         self._lock = threading.Lock()
 
     def start_tier(self, tier_id: str, kind: str, config: dict) -> dict:
-        tier = TierFactory().create_tier(kind, tier_id, config)
+        if kind not in TIERS:
+            raise UnknownTierKind(str(kind))
+        tier = TIERS[kind](tier_id, config)
         details = tier.start()
         with self._lock:
             self._tiers[tier_id] = tier
@@ -410,7 +399,7 @@ class Manager:
     def allocate(self, node_id: int, kind: str, config: dict) -> TierRecord:
         with self._cmd:
             rec = self._node(node_id, must_be_alive=True)
-            if kind not in TIER_KINDS:
+            if kind not in TIERS:
                 raise UnknownTierKind(str(kind))
             if kind == "DST" and any(
                 t.kind == "DST" and t.state is not TierState.STOPPED for t in self._tiers.values()

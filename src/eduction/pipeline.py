@@ -12,14 +12,18 @@ share every line of arithmetic:
                   ties broken by lower subject id
 
 Distributed mode keeps loading and preprocessing on the generator side and
-ships feature extraction and classification to workers as procedural
-demands ("fe.window_energy", "cls.train", "cls.classify").  The model lives
-in the store's resource map under its model id.  Train demands are issued
-one at a time, so the store's exclusive claim serializes every model
-mutation; each train records a digest of its arguments in the model so a
-redelivered train demand is applied exactly once.  Classify demands carry a
-digest of the model bytes, which keeps their signatures referentially
-transparent: a different model means a different demand.
+ships feature extraction, training and classification to workers as
+procedural demands ("fe.window_energy", "cls.train", "cls.classify").  A
+model version is an immutable resource named by the hex sha256 of its
+bytes, and training step t is a demand like any other:
+``cls.train(prev, subject_id, fv)`` loads version ``prev`` ("" is the empty
+model), folds in one feature vector, puts the new version under its digest
+and returns that digest.  A step is a function of its arguments alone, so a
+redelivered or repeated step yields the same version.  After the last step
+the generator copies the final version under the model id; of two trainings
+of one model id at once, the last copy wins, and it is a whole model.  Classify demands
+carry a digest of the model bytes, which keeps their signatures
+referentially transparent: a different model means a different demand.
 """
 from __future__ import annotations
 
@@ -42,7 +46,7 @@ CLASSIFY_PROC = "cls.classify"
 
 DEFAULT_WINDOWS = 8
 DEFAULT_MODEL_ID = "speakers"
-TSET_MAGIC = b"TSET\x01"
+TSET_MAGIC = b"TSET\x02"
 
 TRAIN_MODE = "train"
 CLASSIFY_MODE = "classify"
@@ -180,11 +184,10 @@ def extract_features(s: Sample, windows: int = DEFAULT_WINDOWS) -> Tuple[float, 
 
 @dataclass
 class TrainingSet:
-    """Per-subject running means plus digests of already-applied trainings."""
+    """Per-subject running means."""
 
     windows: Optional[int] = None
     subjects: dict = field(default_factory=dict)  # subject_id -> (mean tuple, count)
-    applied: frozenset = frozenset()  # digests of train demands already folded in
 
 
 def train(ts: TrainingSet, fv: Sequence[float], subject_id: int) -> TrainingSet:
@@ -199,7 +202,7 @@ def train(ts: TrainingSet, fv: Sequence[float], subject_id: int) -> TrainingSet:
         new_mean = tuple(m + (x - m) / new_count for m, x in zip(mean, fv))
     subjects = dict(ts.subjects)
     subjects[int(subject_id)] = (new_mean, new_count)
-    return TrainingSet(windows=len(fv), subjects=subjects, applied=ts.applied)
+    return TrainingSet(windows=len(fv), subjects=subjects)
 
 
 def classify(ts: TrainingSet, fv: Sequence[float]) -> ResultSet:
@@ -232,9 +235,6 @@ def encode_training_set(ts: TrainingSet) -> bytes:
         out.append(int(subject_id).to_bytes(8, "big", signed=True))
         out.append(int(count).to_bytes(8, "big"))
         out.append(wire.encode_value(as_float_array(mean)))
-    digests = sorted(ts.applied)
-    out.append(len(digests).to_bytes(4, "big"))
-    out.extend(digests)
     return b"".join(out)
 
 
@@ -251,9 +251,8 @@ def decode_training_set(data: bytes) -> TrainingSet:
         if not isinstance(mean, tuple):
             raise wire.MalformedEncoding("subject mean must be a FloatArray")
         subjects[subject_id] = (mean, count)
-    applied = frozenset(bytes(r.take(32)) for _ in range(r.u32()))
     r.expect_done()
-    return TrainingSet(windows=windows, subjects=subjects, applied=applied)
+    return TrainingSet(windows=windows, subjects=subjects)
 
 
 # --- local mode --------------------------------------------------------------
@@ -290,10 +289,6 @@ def _proc_sig(name: str, args: tuple) -> DemandSignature:
     return DemandSignature(PROGRAM_ID, name, kind=DemandKind.PROCEDURAL, args=args)
 
 
-def _args_digest(args: tuple) -> bytes:
-    return hashlib.sha256(b"".join(wire.encode_value(a) for a in args)).digest()
-
-
 def _submit(store, sig: DemandSignature):
     return store.deposit(pending_demand(sig))
 
@@ -317,17 +312,20 @@ def run_pipeline_distributed(
     windows: int = DEFAULT_WINDOWS,
     timeout_ms: float = 60000,
 ) -> list:
-    """Same contract as ``run_pipeline_local`` but over the demand queue.
+    """Same contract as ``run_pipeline_local`` without ``ts``, but over the demand queue.
 
-    Feature extraction and classification execute wherever a worker claims
-    them; this generator only loads, preprocesses, deposits and collects.
+    Feature extraction, training and classification execute wherever a
+    worker claims them; this generator only loads, preprocesses, deposits
+    and collects.  Training builds a model from ``samples`` alone and puts
+    it under ``model_id``, replacing any model stored there.
     """
     if mode == TRAIN_MODE:
+        version = ""
         for label, sample in samples:
             s = preprocess(sample)
             fv = _call(store, FE_PROC, (as_float_array(s.amplitudes), windows), timeout_ms)
-            # one train in flight at a time: the claim serializes model updates
-            _call(store, TRAIN_PROC, (model_id, int(label), fv), timeout_ms)
+            version = _call(store, TRAIN_PROC, (version, int(label), fv), timeout_ms)
+        store.put_resource(model_id, _version_bytes(store, version))
         return []
     if mode != CLASSIFY_MODE:
         raise ValueError(f"unknown mode {mode!r}")
@@ -355,11 +353,17 @@ def run_pipeline_distributed(
 # --- worker-side procedures ------------------------------------------------------
 
 
-def _load_model(store, model_id: str) -> TrainingSet:
+def _version_bytes(store, digest: str) -> bytes:
+    """The bytes of the model version named ``digest``; "" names the empty model."""
+    if not digest:
+        return encode_training_set(TrainingSet())
     try:
-        return decode_training_set(store.get_resource(model_id))
+        data = store.get_resource(digest)
     except NotFound:
-        return TrainingSet()
+        raise ValueError(f"no model version {digest}") from None
+    if hashlib.sha256(data).hexdigest() != digest:
+        raise ValueError(f"model version {digest} does not hash to its name")
+    return data
 
 
 def build_pipeline_registry(store) -> ProcedureRegistry:
@@ -373,19 +377,16 @@ def build_pipeline_registry(store) -> ProcedureRegistry:
             raise ValueError("window count must be an Int")
         return window_energies(amplitudes, windows)
 
-    def cls_train(model_id, subject_id, fv):
-        if not isinstance(model_id, str) or not isinstance(fv, tuple):
+    def cls_train(prev, subject_id, fv):
+        if not isinstance(prev, str) or not isinstance(fv, tuple):
             raise ValueError("cls.train takes (Str, Int, FloatArray)")
         if isinstance(subject_id, bool) or not isinstance(subject_id, int):
             raise ValueError("subject id must be an Int")
-        digest = _args_digest((model_id, subject_id, fv))
-        ts = _load_model(store, model_id)
-        if digest in ts.applied:
-            return "ok"  # redelivered train demand: already folded in
-        ts = train(ts, fv, subject_id)
-        ts = TrainingSet(ts.windows, ts.subjects, ts.applied | {digest})
-        store.put_resource(model_id, encode_training_set(ts))
-        return "ok"
+        ts = train(decode_training_set(_version_bytes(store, prev)), fv, subject_id)
+        data = encode_training_set(ts)
+        digest = hashlib.sha256(data).hexdigest()
+        store.put_resource(digest, data)
+        return digest
 
     def cls_classify(model_id, model_digest, fv):
         if not isinstance(model_id, str) or not isinstance(model_digest, str) or not isinstance(fv, tuple):

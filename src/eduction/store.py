@@ -141,7 +141,7 @@ class DemandStore:
         self._results: dict[bytes, Value] = {}  # the warehouse: key -> computed value
         self._work: dict[bytes, StoreEntry] = {}  # queued procedural demands until fulfilled
         self._leases: dict[bytes, Lease] = {}
-        self._queue: list = []  # heap of (deposited_at, key) for claims
+        self._queue: list = []  # heap of (deposited_at, key), one per PENDING entry
         self._resources: dict[str, bytes] = {}
         self._deposits = 0
         self._hits = 0
@@ -202,27 +202,17 @@ class DemandStore:
         procedural = DemandKind.PROCEDURAL in kinds
         deadline = time.monotonic() + wait_ms / 1000.0
         with self._cond:
-            while not procedural or (key := self._oldest_pending()) is None:
+            while not procedural or not self._queue:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return None
                 self._queued.wait(remaining)
-            heapq.heappop(self._queue)
+            key = heapq.heappop(self._queue)[1]
             entry = self._work[key]
             expiry = self.now() + lease_ms
             entry.demand = replace(entry.demand, state=DemandState.IN_PROCESS, lease_expiry=expiry)
             self._leases[key] = Lease(key, worker_id, expiry)
             return entry.demand
-
-    def _oldest_pending(self) -> Optional[bytes]:
-        q = self._queue
-        while q:
-            key = q[0][1]
-            entry = self._work.get(key)
-            if entry is not None and entry.demand.state is DemandState.PENDING:
-                return key
-            heapq.heappop(q)  # stale heap entry
-        return None
 
     def fulfill(self, sig: DemandSignature, value: Value, worker_id: str) -> None:
         if not is_finite_value(value):
@@ -355,6 +345,8 @@ class DemandStore:
                     good_end = end
             except EductionError:
                 pass  # stop at the first corrupt record; truncate below
+            for key, entry in self._work.items():  # queue only what the log left unfulfilled
+                self._enqueue(entry, key)
             if good_end != len(data):
                 import logging  # only a damaged log needs it; a node start would pay for it
 
@@ -373,9 +365,7 @@ class DemandStore:
             queued = sig.kind is not DemandKind.INTENSIONAL  # older logs hold intensional ones too
             if queued and key not in self._work and key not in self._results:
                 self._deposits += 1
-                entry = StoreEntry(demand=Demand(sig), deposited_at=self.now())
-                self._work[key] = entry
-                self._enqueue(entry, key)
+                self._work[key] = StoreEntry(demand=Demand(sig), deposited_at=self.now())
         elif msg_type is MsgType.FULFILL:
             r = wire.Reader(payload)
             key = wire.read_signature(r).key()

@@ -185,16 +185,12 @@ class TestWarehouse:
         assert second.computation_counter() == 0
         store.close()
 
-    def test_warehouse_disabled_blocks_sharing(self):
-        store = DemandStore()
-        cfg = EvalConfig(warehouse_enabled=False)
-        first = Evaluator(FACT, store, cfg)
-        first.eval_demand("fact", ctx(d=10))
-        second = Evaluator(FACT, store, cfg)
-        second.eval_demand("fact", ctx(d=10))
-        # nothing flowed through the store: the second run redoes all 11
+    def test_without_a_store_nothing_is_shared(self):
+        Evaluator(FACT).eval_demand("fact", ctx(d=10))
+        second = Evaluator(FACT)
+        assert second.eval_demand("fact", ctx(d=10)) == 3628800
+        # no warehouse: the second evaluator redoes all 11
         assert second.computation_counter() == 11
-        store.close()
 
     def test_clear_cache_falls_back_to_store(self):
         store = DemandStore()

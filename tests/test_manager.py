@@ -16,7 +16,6 @@ from eduction.manager import (
     NodeStatus,
     NodeUnknown,
     SystemOp,
-    TierFactory,
     TierState,
     TierUnknown,
     UnknownTierKind,
@@ -372,16 +371,16 @@ class TestHeartbeater:
         mgr.close()
 
 
-class TestFactory:
-    def test_dispatch_order(self):
-        f = TierFactory()
-        t = f.create_tier("DST", "t1", {})
-        assert type(t).__name__ == "DstTier"
-        with pytest.raises(UnknownTierKind):
-            f.create_tier("XYZ", "t2", {})
-
-
 class TestLocalNodeAgent:
+    def test_start_tier_dispatches_on_kind(self):
+        agent = LocalNodeAgent()
+        agent.start_tier("t1", "DST", {})
+        assert type(agent.tier("t1")).__name__ == "DstTier"
+        with pytest.raises(UnknownTierKind):
+            agent.start_tier("t2", "XYZ", {})
+        assert agent.tier("t2") is None
+        agent.close()
+
     def test_close_stops_worker_before_store(self):
         agent = LocalNodeAgent()
         address = agent.start_tier("dst-1", "DST", {})["address"]

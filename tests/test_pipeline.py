@@ -1,12 +1,16 @@
 """Recognition pipeline: loading, features, training, classification."""
+import hashlib
 import math
 import random
+import threading
 
 import numpy as np
 import pytest
 
 from eduction import pipeline as P
-from eduction.store import DemandStore
+from eduction import wire
+from eduction.store import DemandStore, ProcedureFault
+from eduction.transport import connect_store, serve_store
 from eduction.worker import Worker, WorkerConfig
 
 
@@ -232,13 +236,16 @@ class TestTrainingSetCodec:
         ts = P.TrainingSet(windows=2)
         ts = P.train(ts, (1.0, 2.0), 1)
         ts = P.train(ts, (3.0, 4.0), 2)
-        ts = P.TrainingSet(ts.windows, ts.subjects, frozenset({b"\x01" * 32}))
         back = P.decode_training_set(P.encode_training_set(ts))
         assert back == ts
 
     def test_magic_checked(self):
         with pytest.raises(Exception):
             P.decode_training_set(b"XXXX\x01rest")
+        # a model from before versions were named by digest carries an applied-digest set
+        old = b"TSET\x01" + bytes(8) + bytes(4)
+        with pytest.raises(wire.MalformedEncoding, match="bad training-set magic"):
+            P.decode_training_set(old)
 
     def test_deterministic_encoding(self):
         ts = P.TrainingSet(windows=2)
@@ -307,3 +314,147 @@ class TestEndToEnd:
             w.stop()
             store.close()
         assert first.subjects == second.subjects
+
+
+class CountingStore:
+    """A store that counts the model bytes its resource calls move."""
+
+    def __init__(self, store):
+        self.store = store
+        self.model_bytes = 0
+
+    def __getattr__(self, name):
+        return getattr(self.store, name)
+
+    def get_resource(self, resource_id):
+        data = self.store.get_resource(resource_id)
+        self.model_bytes += len(data)
+        return data
+
+    def put_resource(self, resource_id, data):
+        self.model_bytes += len(data)
+        self.store.put_resource(resource_id, data)
+
+
+class TestModelVersions:
+    def test_train_step_is_pure(self):
+        store = DemandStore()
+        reg = P.build_pipeline_registry(store)
+        fv = (1.0, 2.0)
+        first = reg.invoke(P.TRAIN_PROC, ("", 3, fv))
+        assert reg.invoke(P.TRAIN_PROC, ("", 3, fv)) == first
+        data = store.get_resource(first)
+        assert hashlib.sha256(data).hexdigest() == first
+        assert P.decode_training_set(data).subjects == {3: (fv, 1)}
+        second = reg.invoke(P.TRAIN_PROC, (first, 3, (3.0, 4.0)))
+        assert P.decode_training_set(store.get_resource(second)).subjects == {3: ((2.0, 3.0), 2)}
+        store.close()
+
+    def test_missing_or_altered_version_is_a_fault(self):
+        store = DemandStore()
+        reg = P.build_pipeline_registry(store)
+        with pytest.raises(ProcedureFault, match="no model version"):
+            reg.invoke(P.TRAIN_PROC, ("ab" * 32, 1, (1.0,)))
+        store.put_resource("cd" * 32, P.encode_training_set(P.TrainingSet()))
+        with pytest.raises(ProcedureFault, match="does not hash to its name"):
+            reg.invoke(P.TRAIN_PROC, ("cd" * 32, 1, (1.0,)))
+        store.close()
+
+    def test_train_bytes_per_step_do_not_grow(self):
+        def bytes_per_step(seeds):
+            train, _ = P.default_corpus(subjects=4, train_seeds=seeds, n=64)
+            store = CountingStore(DemandStore())
+            w = Worker(WorkerConfig(worker_id="w"), store.store, P.build_pipeline_registry(store)).start()
+            try:
+                P.run_pipeline_distributed(store, train, P.TRAIN_MODE, model_id="m")
+            finally:
+                w.stop()
+                store.close()
+            return store.model_bytes / len(train)
+
+        # before versions were named by digest: 1081 B over 20 steps, 5577 B over 160
+        assert bytes_per_step(range(1, 41)) <= bytes_per_step(range(1, 6))
+
+    def test_training_again_replaces_the_model(self):
+        first, _ = P.default_corpus(subjects=2, train_seeds=range(1, 4), n=64)
+        second, _ = P.default_corpus(subjects=2, train_seeds=range(4, 6), n=64)
+        store = DemandStore()
+        w = Worker(WorkerConfig(worker_id="w"), store, P.build_pipeline_registry(store)).start()
+        try:
+            P.run_pipeline_distributed(store, first, P.TRAIN_MODE, model_id="m")
+            P.run_pipeline_distributed(store, second, P.TRAIN_MODE, model_id="m")
+            P.run_pipeline_distributed(store, [], P.TRAIN_MODE, model_id="empty")
+            got = P.decode_training_set(store.get_resource("m"))
+            empty = P.decode_training_set(store.get_resource("empty"))
+        finally:
+            w.stop()
+            store.close()
+        assert got.subjects == P.run_pipeline_local(second, P.TRAIN_MODE)[0].subjects
+        assert empty.subjects == {}
+
+    def test_concurrent_trainings_over_tcp_leave_one_whole_model(self):
+        store = DemandStore()
+        srv = serve_store(store)
+        address = f"127.0.0.1:{srv.port}"
+        clients = [connect_store(address) for _ in range(4)]
+        workers = [
+            Worker(WorkerConfig(worker_id=f"w{i}"), cl, P.build_pipeline_registry(cl)).start()
+            for i, cl in enumerate(clients[:2])
+        ]
+        try:
+            for run in range(3):
+                sets = [
+                    P.default_corpus(subjects=2, train_seeds=range(base, base + 10), n=64)[0]
+                    for base in (100 * run + 1, 100 * run + 51)
+                ]
+                model_id = f"m{run}"
+                start = threading.Barrier(2)
+                errors = []
+
+                def train(cl, samples):
+                    try:
+                        start.wait()
+                        P.run_pipeline_distributed(cl, samples, P.TRAIN_MODE, model_id=model_id)
+                    except Exception as e:  # surfaced by the assertion below
+                        errors.append(e)
+
+                threads = [threading.Thread(target=train, args=(cl, ts)) for cl, ts in zip(clients[2:], sets)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+                assert errors == []
+                got = P.decode_training_set(store.get_resource(model_id)).subjects
+                wholes = [P.run_pipeline_local(ts, P.TRAIN_MODE)[0].subjects for ts in sets]
+                assert got in wholes
+        finally:
+            for w in workers:
+                w.stop()
+            for cl in clients:
+                cl.close()
+            srv.stop()
+            store.close()
+
+
+class TestDistributedErrors:
+    def test_unknown_mode(self):
+        store = DemandStore()
+        with pytest.raises(ValueError, match="unknown mode"):
+            P.run_pipeline_distributed(store, [], "cluster")
+        store.close()
+
+    def test_classify_without_a_model(self):
+        store = DemandStore()
+        with pytest.raises(P.EmptyTrainingSet):
+            P.run_pipeline_distributed(store, [], P.CLASSIFY_MODE, model_id="absent")
+        store.close()
+
+    def test_classify_refuses_a_changed_model(self):
+        store = DemandStore()
+        reg = P.build_pipeline_registry(store)
+        ts = P.train(P.TrainingSet(), (1.0, 1.0), 1)
+        store.put_resource("m", P.encode_training_set(ts))
+        stale = hashlib.sha256(P.encode_training_set(P.TrainingSet())).hexdigest()
+        with pytest.raises(ProcedureFault, match="changed since the demand was issued"):
+            reg.invoke(P.CLASSIFY_PROC, ("m", stale, (1.0, 1.0)))
+        store.close()

@@ -592,6 +592,26 @@ class TestPersistence:
         assert s2.fetch(sig) == (DemandState.COMPUTED, 3)
         s2.close()
 
+    def test_replay_queues_only_unfulfilled_work(self, tmp_path, clock):
+        log = str(tmp_path / "store.log")
+        s1 = DemandStore(log_path=log, clock=clock)
+        for d in range(200):
+            s1.deposit(pending_demand(qsig(d)))
+            s1.claim("w", QUEUED, 1000)
+            s1.fulfill(qsig(d), d, "w")
+        s1.close()
+
+        s2 = DemandStore(log_path=log, clock=clock)
+        assert s2.stats().pending == 0
+        # a completed demand leaves no claim-heap entry behind
+        assert s2._queue == []
+        s2.deposit(pending_demand(qsig(200)))
+        s2.close()
+
+        s3 = DemandStore(log_path=log, clock=clock)
+        assert [key for _, key in s3._queue] == [qsig(200).key()]
+        s3.close()
+
     def test_no_log_builds_no_log_payload(self, st, monkeypatch):
         queued, computed = qsig(1), isig(d=1)
         queued.key(), computed.key()  # the callers' own encodings
