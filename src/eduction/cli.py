@@ -112,7 +112,6 @@ def _cmd_eval(args) -> int:
     else:
         # self-contained: in-process store plus one demo worker for Calls
         store = DemandStore()
-        store.start_sweeper()
         worker = Worker(WorkerConfig(worker_id="cli-dwt"), store, build_demo_registry()).start()
         try:
             value = Evaluator(geer, store).eval_demand(args.identifier, ctx)
@@ -288,7 +287,6 @@ def _cmd_pipeline(args) -> int:
     if args.pipe_cmd == "demo":
         # self-contained: in-process store, pipeline workers, both phases
         store = DemandStore()
-        store.start_sweeper()
         workers = [
             Worker(
                 WorkerConfig(worker_id=f"demo-dwt-{i}", lease_ms=cfg.lease_ms),

@@ -3,7 +3,8 @@
 Each concrete error has a stable code (its class name) that travels verbatim
 in ERR reply payloads, so a client can re-raise the same class the server
 raised.  Subclasses register themselves; ``error_for_code`` maps a code back
-to the class, falling back to the base class for codes minted elsewhere.
+to the class, falling back to the base class for codes minted elsewhere
+(``InternalError`` among them), whose message then starts with the code.
 """
 from __future__ import annotations
 
@@ -23,8 +24,7 @@ class EductionError(Exception):
 
 
 def error_for_code(code: str, message: str = "") -> EductionError:
-    cls = _REGISTRY.get(code, EductionError)
-    err = cls(message or code)
-    if cls is EductionError:
-        err._foreign_code = code  # keep the original code for diagnostics
-    return err
+    cls = _REGISTRY.get(code)
+    if cls is None:
+        return EductionError(f"{code}: {message}" if message else code)
+    return cls(message or code)

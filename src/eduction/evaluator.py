@@ -37,6 +37,7 @@ from .model import (
     Value,
     pending_demand,
     value_kind,
+    wrap64,
 )
 from .store import DepositStatus, ProcedureFault, Timeout  # a faulted call raises ProcedureFault
 from .worker import ProcedureRegistry, StoreUnreachable
@@ -77,10 +78,6 @@ class EvalConfig:
     proc_timeout_ms: int = 30000
 
 
-def _wrap64(n: int) -> int:
-    return (n + (1 << 63)) % (1 << 64) - (1 << 63)
-
-
 def _numeric(v: Value, op: str):
     k = value_kind(v)
     if k not in ("int", "float"):
@@ -114,17 +111,17 @@ def apply_binop(op: str, a: Value, b: Value) -> Value:
     _numeric(b, op)
     both_int = value_kind(a) == "int" and value_kind(b) == "int"
     if op == "+":
-        return _wrap64(a + b) if both_int else float(a) + float(b)
+        return wrap64(a + b) if both_int else float(a) + float(b)
     if op == "-":
-        return _wrap64(a - b) if both_int else float(a) - float(b)
+        return wrap64(a - b) if both_int else float(a) - float(b)
     if op == "*":
-        return _wrap64(a * b) if both_int else float(a) * float(b)
+        return wrap64(a * b) if both_int else float(a) * float(b)
     if op == "/":
         if b == 0:
             raise DivisionByZero("division by zero")
         if both_int:
             q = abs(a) // abs(b)
-            return _wrap64(q if (a >= 0) == (b >= 0) else -q)
+            return wrap64(q if (a >= 0) == (b >= 0) else -q)
         return float(a) / float(b)
     if op == "%":
         if b == 0:
@@ -132,7 +129,7 @@ def apply_binop(op: str, a: Value, b: Value) -> Value:
         if both_int:
             q = abs(a) // abs(b)
             q = q if (a >= 0) == (b >= 0) else -q
-            return _wrap64(a - b * q)
+            return wrap64(a - b * q)
         return math.fmod(float(a), float(b))
     raise TypeMismatch(f"unknown operator {op!r}")
 
@@ -141,8 +138,8 @@ class Evaluator:
     """Eduction engine for one compiled program.
 
     ``store`` may be a local DemandStore or a StoreClient over any carrier;
-    when absent (or the warehouse is disabled) identifier results stay in
-    the local cache only.  Procedural demands always need a store.
+    when absent, identifier results stay in the local cache only.
+    Procedural demands always need a store.
     """
 
     def __init__(self, geer: lang.Geer, store=None, config: Optional[EvalConfig] = None):
@@ -150,9 +147,7 @@ class Evaluator:
         self.store = store
         self.cfg = config or EvalConfig()
         self._local: dict[bytes, Value] = {}
-        self._chain: list[bytes] = []
-        self._chain_names: list[str] = []
-        self._chain_set: set[bytes] = set()
+        self._chain: dict[bytes, tuple[str, Context]] = {}  # demands being computed, outermost first
         self._computations = 0
 
     # -- bookkeeping -------------------------------------------------------
@@ -180,8 +175,6 @@ class Evaluator:
             return self._demand(name, ctx.restrict(self.geer.dimensions))
         finally:
             self._chain.clear()
-            self._chain_names.clear()
-            self._chain_set.clear()
 
     def _demand(self, name: str, ctx: Context) -> Value:
         if name not in self.geer.dictionary:
@@ -190,9 +183,9 @@ class Evaluator:
         key = sig.key()
         if key in self._local:
             return self._local[key]
-        if key in self._chain_set:
-            chain = " -> ".join(self._chain_names + [f"{name}@{ctx}"])
-            raise CircularDemand(chain)
+        if key in self._chain:
+            chain = [*self._chain.values(), (name, ctx)]
+            raise CircularDemand(" -> ".join(f"{n}@{c}" for n, c in chain))
         if len(self._chain) >= self.cfg.max_depth:
             raise DepthExceeded(f"demand depth exceeded {self.cfg.max_depth}")
 
@@ -202,16 +195,12 @@ class Evaluator:
                 self._local[key] = out.value
                 return out.value
 
-        self._chain.append(key)
-        self._chain_names.append(f"{name}@{ctx}")
-        self._chain_set.add(key)
+        self._chain[key] = (name, ctx)
         try:
             self._computations += 1
             value = self._expr(self.geer.dictionary[name], ctx)
         finally:
-            self._chain.pop()
-            self._chain_names.pop()
-            self._chain_set.discard(key)
+            del self._chain[key]
 
         self._local[key] = value
         if self.store is not None:

@@ -37,11 +37,11 @@ or boolean literals; booleans arise only from comparisons.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Sequence, Tuple, Union
 
 from .errors import EductionError
-from .model import Value, is_identifier
+from .model import Value, wrap64
 
 KEYWORDS = frozenset({"where", "end", "dimension", "if", "then", "else", "call"})
 
@@ -251,7 +251,7 @@ class _Parser:
             t = self.advance()
             operand = self.unary()
             if isinstance(operand, Literal):
-                return Literal(_wrap64(-operand.value) if isinstance(operand.value, int) else -operand.value)
+                return Literal(wrap64(-operand.value) if isinstance(operand.value, int) else -operand.value)
             return Binary("-", Literal(0), operand)
         return self.postfix()
 
@@ -328,11 +328,6 @@ class _Parser:
         return decls
 
 
-def _wrap64(n: int) -> int:
-    """Two's-complement wrap to 64 bits."""
-    return (n + (1 << 63)) % (1 << 64) - (1 << 63)
-
-
 def parse_program(tokens: Sequence[Token]) -> tuple[AstNode, list[Declaration]]:
     p = _Parser(tokens)
     root = p.expr()
@@ -390,11 +385,21 @@ def token_digest(tokens: Sequence[Token]) -> bytes:
     return h.digest()
 
 
+def check_references(root_expr: AstNode, dictionary: dict, dims) -> None:
+    """Every identifier used must be defined and every dimension declared."""
+    for expr in [root_expr, *dictionary.values()]:
+        for node in _walk(expr):
+            if isinstance(node, Ident) and node.name not in dictionary:
+                raise UndefinedIdentifier(node.name)
+            if isinstance(node, (HashDim, At)) and node.dim not in dims:
+                raise UndeclaredDimension(node.dim)
+
+
 def analyze(
     root_expr: AstNode,
     declarations: Sequence[Declaration],
     program_id: str,
-    tokens: Optional[Sequence[Token]] = None,
+    tokens: Sequence[Token],
 ) -> Geer:
     dims: set[str] = set()
     dictionary: dict[str, AstNode] = {}
@@ -409,17 +414,7 @@ def analyze(
                 raise DuplicateDefinition(name)
             dictionary[name] = expr
 
-    for expr in [root_expr, *dictionary.values()]:
-        for node in _walk(expr):
-            if isinstance(node, Ident) and node.name not in dictionary:
-                raise UndefinedIdentifier(node.name)
-            if isinstance(node, HashDim) and node.dim not in dims:
-                raise UndeclaredDimension(node.dim)
-            if isinstance(node, At) and node.dim not in dims:
-                raise UndeclaredDimension(node.dim)
-
-    if tokens is None:
-        tokens = tokenize(pretty_program_parts(root_expr, dims, dictionary))
+    check_references(root_expr, dictionary, dims)
     return Geer(
         program_id=program_id,
         dimensions=frozenset(dims),

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 from .errors import EductionError
 from . import wire
-from .store import DEFAULT_SWEEP_MS, DemandStore
+from .store import DemandStore
 from .transport import (
     InProcAgent,
     TcpAgent,
@@ -137,13 +137,16 @@ class _TierBase:
 
 
 class DstTier(_TierBase):
-    """Demand store plus its lease sweeper, served over TCP."""
+    """Demand store served over TCP.
+
+    No thread watches its leases: the store expires a lapsed lease when a
+    claim, fetch or stats request next reads it.
+    """
 
     kind = "DST"
 
     def _start(self) -> dict:
         self.store = DemandStore(log_path=self.config.get("log_path"))
-        self.store.start_sweeper(self.config.get("sweep_ms", DEFAULT_SWEEP_MS))
         self._server = serve_store(
             self.store, self.config.get("host", "127.0.0.1"), int(self.config.get("port", 0))
         )

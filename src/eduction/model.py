@@ -37,6 +37,12 @@ Value = Union[bool, int, float, str, Tuple[float, ...], Fault]
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 
+
+def wrap64(n: int) -> int:
+    """Two's-complement wrap to 64 bits, the range of the wire's Int."""
+    return (n + (1 << 63)) % (1 << 64) - (1 << 63)
+
+
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
@@ -209,18 +215,15 @@ class DemandSignature:
 
 @dataclass(frozen=True)
 class Demand:
-    """A demand plus its lifecycle state.
+    """A demand plus its lifecycle state, exactly as it travels on the wire.
 
-    ``lease_expiry`` and ``attempts`` are bookkeeping owned by the demand
-    store; they never travel on the wire.  A result is present exactly when
-    the state is COMPUTED.
+    A result is present exactly when the state is COMPUTED.  Leases and
+    queue order are the demand store's own bookkeeping.
     """
 
     signature: DemandSignature
     state: DemandState = DemandState.PENDING
     result: Optional[Value] = None
-    lease_expiry: Optional[float] = None
-    attempts: int = 0
 
     def __post_init__(self):
         if (self.state is DemandState.COMPUTED) != (self.result is not None):

@@ -5,8 +5,10 @@ instead of being recomputed.  A computed result is terminal and immutable,
 so the warehouse keeps only signature key -> value.  Only work a worker
 executes (procedural demands) is queued, oldest first in one heap, and
 only until it is fulfilled: its entry goes PENDING -> IN_PROCESS ->
-computed, workers claim it under a lease, and when a lease expires the
-sweep sends the entry back to PENDING, which gives at-least-once delivery.
+computed, and workers claim it under a lease.  A lease expires where it is
+read, not on a timer: ``claim``, ``fetch`` and ``stats`` first send every
+lapsed lease's demand back to PENDING (``sweep_expired_leases``), which
+gives at-least-once delivery with no thread watching the clock.
 Intensional demands are never queued, leased or recorded: a deposit of one
 is a warehouse lookup, and whichever generator computes it on a miss
 fulfils it directly.  A second fulfill must match the stored value
@@ -18,8 +20,9 @@ result, and every read of it (a deposit that hits it, ``fetch``,
 All operations take one lock, so the store is linearizable.  Two conditions
 share it: ``await_result`` blocks on one that ``fulfill`` notifies, and a
 ``claim`` with nothing to take blocks, up to its ``wait_ms``, on one that
-a deposit and the lease sweep notify, so a worker picks up queued work as
-soon as it is queued and never polls.  When a log path is given,
+deposits and redeliveries notify.  A blocked claim also wakes when the
+earliest lease expires, so a worker picks up queued or redelivered work as
+soon as it is due and never polls.  When a log path is given,
 procedural deposits, fulfills and resource puts are appended as wire
 frames and replayed on startup, so a restart recovers the warehouse and
 re-queues whatever was in flight.
@@ -31,7 +34,7 @@ import heapq
 import os
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Tuple
 
 from .errors import EductionError
@@ -49,7 +52,6 @@ from .model import (
 from .wire import MsgType
 
 DEFAULT_LEASE_MS = 5000
-DEFAULT_SWEEP_MS = 500
 
 
 class NotClaimed(EductionError):
@@ -95,15 +97,8 @@ class DepositOutcome:
     value: Optional[Value] = None
 
 
-@dataclass
-class StoreEntry:
-    demand: Demand
-    deposited_at: float
-
-
 @dataclass(frozen=True)
 class Lease:
-    signature_key: bytes
     worker_id: str
     expiry: float
 
@@ -139,7 +134,9 @@ class DemandStore:
         self._cond = threading.Condition(self._lock)  # fulfilled: wakes await_result
         self._queued = threading.Condition(self._lock)  # enqueued: wakes claim
         self._results: dict[bytes, Value] = {}  # the warehouse: key -> computed value
-        self._work: dict[bytes, StoreEntry] = {}  # queued procedural demands until fulfilled
+        # queued procedural demands until fulfilled: key -> (signature, deposited_at);
+        # an entry is IN_PROCESS iff its key is leased, else PENDING
+        self._work: dict[bytes, Tuple[DemandSignature, float]] = {}
         self._leases: dict[bytes, Lease] = {}
         self._queue: list = []  # heap of (deposited_at, key), one per PENDING entry
         self._resources: dict[str, bytes] = {}
@@ -148,8 +145,6 @@ class DemandStore:
         self._misses = 0
         self._redeliveries = 0
         self._log = None
-        self._sweeper: Optional[threading.Thread] = None
-        self._sweeper_stop: Optional[threading.Event] = None
         if log_path is not None:
             with self._lock:  # replay enqueues, and notifying needs the lock
                 self._open_log(log_path)
@@ -181,12 +176,10 @@ class DemandStore:
                 return DepositOutcome(DepositStatus.ENQUEUED)
             if key in self._work:
                 return DepositOutcome(DepositStatus.DUPLICATE_PENDING)
-            fresh = Demand(d.signature)
-            entry = StoreEntry(demand=fresh, deposited_at=self.now())
-            self._work[key] = entry
-            self._enqueue(entry, key)
+            self._work[key] = (d.signature, self.now())
+            self._enqueue(key)
             if self._log is not None:
-                self._append_log(MsgType.DEPOSIT, wire.encode_demand(fresh))
+                self._append_log(MsgType.DEPOSIT, wire.encode_demand(d))
             return DepositOutcome(DepositStatus.ENQUEUED)
 
     def claim(
@@ -194,25 +187,31 @@ class DemandStore:
     ) -> Optional[Demand]:
         """Lease the oldest pending demand of ``kinds``, waiting up to ``wait_ms`` for one.
 
-        Only procedural demands are queued, so a claim whose ``kinds`` lack
-        PROCEDURAL finds nothing.
+        Lapsed leases are redelivered first, and a blocked claim wakes no
+        later than the earliest lease expiry, so a dead claimer's demand is
+        handed on as soon as its lease runs out.  Only procedural demands
+        are queued, so a claim whose ``kinds`` lack PROCEDURAL finds nothing.
         """
         if lease_ms <= 0:
             raise MalformedDemand("lease_ms must be positive")
         procedural = DemandKind.PROCEDURAL in kinds
         deadline = time.monotonic() + wait_ms / 1000.0
         with self._cond:
-            while not procedural or not self._queue:
+            while True:
+                self.sweep_expired_leases()
+                if procedural and self._queue:
+                    break
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return None
+                if self._leases:
+                    # wake when the next lease lapses; wait 1 ms at least, so a clock that stands still cannot spin this
+                    next_expiry = min(lease.expiry for lease in self._leases.values())
+                    remaining = min(remaining, max(next_expiry - self.now(), 1.0) / 1000.0)
                 self._queued.wait(remaining)
             key = heapq.heappop(self._queue)[1]
-            entry = self._work[key]
-            expiry = self.now() + lease_ms
-            entry.demand = replace(entry.demand, state=DemandState.IN_PROCESS, lease_expiry=expiry)
-            self._leases[key] = Lease(key, worker_id, expiry)
-            return entry.demand
+            self._leases[key] = Lease(worker_id, self.now() + lease_ms)
+            return Demand(self._work[key][0], DemandState.IN_PROCESS)
 
     def fulfill(self, sig: DemandSignature, value: Value, worker_id: str) -> None:
         if not is_finite_value(value):
@@ -242,6 +241,7 @@ class DemandStore:
     def fetch(self, sig: DemandSignature) -> Tuple[DemandState, Optional[Value]]:
         key = sig.key()
         with self._cond:
+            self.sweep_expired_leases()
             value = self._results.get(key)
             if value is not None:
                 self._hits += 1
@@ -249,10 +249,9 @@ class DemandStore:
                     raise ProcedureFault(str(value))
                 return DemandState.COMPUTED, value
             self._misses += 1
-            entry = self._work.get(key)
-            if entry is None:
+            if key not in self._work:
                 raise NotFound(str(sig))
-            return entry.demand.state, None
+            return (DemandState.IN_PROCESS if key in self._leases else DemandState.PENDING), None
 
     def await_result(self, sig: DemandSignature, timeout_ms: float) -> Value:
         key = sig.key()
@@ -273,27 +272,24 @@ class DemandStore:
                 self._cond.wait(remaining / 1000.0)
 
     def sweep_expired_leases(self, now: Optional[float] = None) -> int:
-        """Return expired IN_PROCESS entries to PENDING for redelivery."""
+        """Return the demands of lapsed leases to PENDING for redelivery.
+
+        The one place leases expire; ``claim``, ``fetch`` and ``stats`` call
+        it before they read the queue.  Returns how many leases lapsed.
+        """
         with self._cond:
             if now is None:
                 now = self.now()
-            expired = [lease for lease in self._leases.values() if lease.expiry < now]
-            for lease in expired:
-                del self._leases[lease.signature_key]
-                entry = self._work[lease.signature_key]
-                entry.demand = replace(
-                    entry.demand,
-                    state=DemandState.PENDING,
-                    lease_expiry=None,
-                    attempts=entry.demand.attempts + 1,
-                )
-                self._enqueue(entry, lease.signature_key)
-                self._redeliveries += 1
+            expired = [key for key, lease in self._leases.items() if lease.expiry < now]
+            for key in expired:
+                del self._leases[key]
+                self._enqueue(key)
+            self._redeliveries += len(expired)
             return len(expired)
 
-    def _enqueue(self, entry: StoreEntry, key: bytes):
-        """Queue a pending entry for claiming."""
-        heapq.heappush(self._queue, (entry.deposited_at, key))
+    def _enqueue(self, key: bytes):
+        """Queue a pending entry for claiming, in original deposit order."""
+        heapq.heappush(self._queue, (self._work[key][1], key))
         # every waiting claim rechecks: one whose kinds do not match must not swallow it
         self._queued.notify_all()
 
@@ -322,6 +318,7 @@ class DemandStore:
 
     def stats(self) -> StoreStats:
         with self._cond:
+            self.sweep_expired_leases()
             return StoreStats(
                 deposits=self._deposits,
                 hits=self._hits,
@@ -345,8 +342,8 @@ class DemandStore:
                     good_end = end
             except EductionError:
                 pass  # stop at the first corrupt record; truncate below
-            for key, entry in self._work.items():  # queue only what the log left unfulfilled
-                self._enqueue(entry, key)
+            for key in self._work:  # queue only what the log left unfulfilled
+                self._enqueue(key)
             if good_end != len(data):
                 import logging  # only a damaged log needs it; a node start would pay for it
 
@@ -365,7 +362,7 @@ class DemandStore:
             queued = sig.kind is not DemandKind.INTENSIONAL  # older logs hold intensional ones too
             if queued and key not in self._work and key not in self._results:
                 self._deposits += 1
-                self._work[key] = StoreEntry(demand=Demand(sig), deposited_at=self.now())
+                self._work[key] = (sig, self.now())
         elif msg_type is MsgType.FULFILL:
             r = wire.Reader(payload)
             key = wire.read_signature(r).key()
@@ -386,30 +383,7 @@ class DemandStore:
             self._log.write(wire.encode_frame(msg_type, payload))
             self._log.flush()
 
-    # -- background sweeper ----------------------------------------------------
-
-    def start_sweeper(self, interval_ms: float = DEFAULT_SWEEP_MS):
-        if self._sweeper is not None:
-            return
-        stop = threading.Event()
-
-        def loop():
-            while not stop.wait(interval_ms / 1000.0):
-                self.sweep_expired_leases()
-
-        self._sweeper_stop = stop
-        self._sweeper = threading.Thread(target=loop, name="dst-sweeper", daemon=True)
-        self._sweeper.start()
-
-    def stop_sweeper(self):
-        if self._sweeper is not None:
-            self._sweeper_stop.set()
-            self._sweeper.join()
-            self._sweeper = None
-            self._sweeper_stop = None
-
     def close(self):
-        self.stop_sweeper()
         if self._log is not None:
             self._log.close()
             self._log = None

@@ -125,7 +125,7 @@ def _store_request(store: DemandStore, msg_type: MsgType, payload: bytes) -> Tup
         d = store.claim(worker, _decode_kinds(mask), lease_ms, wait_ms)
         if d is None:
             return MsgType.CLAIM_REPLY, b"\x00"
-        return MsgType.CLAIM_REPLY, b"\x01" + wire.encode_demand(Demand(d.signature, d.state, d.result))
+        return MsgType.CLAIM_REPLY, b"\x01" + wire.encode_demand(d)
     if msg_type is MsgType.FULFILL:
         sig = wire.read_signature(r)
         value = wire.read_value(r)

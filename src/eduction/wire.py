@@ -417,20 +417,10 @@ def decode_geer(data: bytes) -> lang.Geer:
             dictionary[name] = _read_ast(r)
         root = _read_ast(r)
         r.expect_done()
-        geer = lang.Geer(program_id, frozenset(dims), dictionary, root, digest)
-        _validate_geer(geer)
-        return geer
+        lang.check_references(root, dictionary, dims)
+        return lang.Geer(program_id, frozenset(dims), dictionary, root, digest)
     except EductionError as e:
         raise lang.MalformedGeer(str(e)) from None
-
-
-def _validate_geer(geer: lang.Geer):
-    for expr in [geer.root_expr, *geer.dictionary.values()]:
-        for node in lang._walk(expr):
-            if isinstance(node, lang.Ident) and node.name not in geer.dictionary:
-                raise MalformedEncoding(f"undefined identifier {node.name!r}")
-            if isinstance(node, (lang.HashDim, lang.At)) and node.dim not in geer.dimensions:
-                raise MalformedEncoding(f"undeclared dimension {node.dim!r}")
 
 
 # --- frames ----------------------------------------------------------------

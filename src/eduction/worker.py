@@ -6,11 +6,13 @@ work is picked up at once.  The bound only limits how long ``Worker.stop``
 waits for a claim that finds nothing.
 
 A worker owns a registry of named procedures.  A procedure that raises is
-not allowed to wedge the queue: the failure is fulfilled as a ``Fault``
-(error code and message), and the store raises ``ProcedureFault`` to every
-generator that reads it, so waiting generators fail fast instead of timing
-out.  ``SystemExit``/``KeyboardInterrupt`` are not caught, so a dying
-worker leaves its claim to lapse and the demand is redelivered elsewhere.
+not allowed to wedge the queue: any domain error is fulfilled as a
+``Fault`` (error code and message), and the store raises ``ProcedureFault``
+to every generator that reads it, so waiting generators fail fast instead
+of timing out.  Two failures are not stored: ``TransportUnreachable`` (a
+store outage is transient, not the procedure's answer) and
+``SystemExit``/``KeyboardInterrupt``; either ends the loop, and the claim
+lapses so the demand is redelivered elsewhere.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import EductionError
 from . import wire
-from .model import Demand, DemandKind, Fault, MalformedValue, Value, is_finite_value
+from .model import Demand, DemandKind, Fault, Value, is_finite_value
 from .store import ConflictingResult, NotClaimed, ProcedureFault
 
 CLAIM_WAIT_MS = 200
@@ -97,6 +99,10 @@ def run_worker(cfg: WorkerConfig, store, registry: ProcedureRegistry, stop: thre
     The current demand is always fulfilled before the loop exits, so a
     graceful stop leaves no dangling lease behind.
     """
+    # imported here: at module level, through evaluator -> worker, it raised the
+    # peak RSS of every process importing eduction by about 0.5 MB
+    from .transport import TransportUnreachable
+
     summary = RunSummary()
     while not stop.is_set():
         demand = store.claim(cfg.worker_id, (DemandKind.PROCEDURAL,), cfg.lease_ms, wait_ms=CLAIM_WAIT_MS)
@@ -108,7 +114,9 @@ def run_worker(cfg: WorkerConfig, store, registry: ProcedureRegistry, stop: thre
             wire.encode_value(value)  # results must be encodable ...
             if not is_finite_value(value):  # ... and finite, or the store refuses them
                 raise ProcedureFault(f"{demand.signature.name}: non-finite result")
-        except (UnknownProcedure, ArityMismatch, ProcedureFault, MalformedValue) as e:
+        except TransportUnreachable:
+            raise
+        except EductionError as e:
             value = Fault(e.code, str(e))
             summary.failures += 1
         try:

@@ -221,7 +221,6 @@ def test_criterion_4_crash_redelivery():
 
     t0 = time.monotonic()
     store = DemandStore()
-    store.start_sweeper(interval_ms=100)
     for s in sigs:
         store.deposit(pending_demand(s))
 

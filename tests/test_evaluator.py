@@ -137,7 +137,7 @@ class TestErrors:
 
     def test_circular_demand(self):
         geer = compile_source("x where x = y; y = x; end", "p")
-        with pytest.raises(CircularDemand):
+        with pytest.raises(CircularDemand, match=r"^x@\{\} -> y@\{\} -> x@\{\}$"):
             ev_for(geer).eval_demand("x", EMPTY_CONTEXT)
 
     def test_self_reference(self):

@@ -1,5 +1,6 @@
 """General manager tier: registration, liveness, allocation, movement."""
 import json
+import threading
 import time
 
 import pytest
@@ -394,6 +395,29 @@ class TestLocalNodeAgent:
         assert time.monotonic() - started < 1.0
         assert worker.summary is not None and not worker.alive
 
+
+    def test_dst_redelivers_at_expiry_with_no_thread_of_its_own(self):
+        sig = DemandSignature("p", "add2", EMPTY_CONTEXT, DemandKind.PROCEDURAL, (1, 0))
+        agent = LocalNodeAgent()
+        before = set(threading.enumerate())
+        address = agent.start_tier("dst-1", "DST", {})["address"]
+        started = set(threading.enumerate()) - before
+        client = connect_store(address)
+        try:
+            # the frame server's accept loop is the one thread a DST starts
+            assert [t.name for t in started] == [f"frame-server-{address.rpartition(':')[2]}"]
+            client.deposit(pending_demand(sig))
+            leased = time.monotonic()
+            client.claim("dead", [DemandKind.PROCEDURAL], 300)
+            d = None
+            while d is None and time.monotonic() - leased < 2:
+                d = client.claim("live", [DemandKind.PROCEDURAL], 5000, wait_ms=200)
+            assert d is not None and d.signature == sig
+            assert time.monotonic() - leased < 0.3 + 0.1
+            assert client.stats().redeliveries == 1
+        finally:
+            client.close()
+            agent.close()
 
     def test_stopped_dst_serves_no_old_connection(self, tmp_path):
         def sig(n):

@@ -1,4 +1,5 @@
 """Values, contexts, signatures, demands."""
+import dataclasses
 import math
 
 import pytest
@@ -130,7 +131,9 @@ class TestDemand:
     def test_pending_demand_shape(self):
         d = pending_demand(DemandSignature("p", "x"))
         assert d.state is DemandState.PENDING
-        assert d.result is None and d.lease_expiry is None and d.attempts == 0
+        assert d.result is None
+        # exactly what travels on the wire: leases are the store's bookkeeping
+        assert [f.name for f in dataclasses.fields(d)] == ["signature", "state", "result"]
 
 
 def test_int64_bounds():

@@ -449,6 +449,24 @@ class TestDistributedErrors:
             P.run_pipeline_distributed(store, [], P.CLASSIFY_MODE, model_id="absent")
         store.close()
 
+    def test_domain_error_is_fault_and_worker_lives(self):
+        # a model trained with 8 windows, asked to classify 4-window features
+        train, test = P.default_corpus(subjects=2, n=128)
+        store = DemandStore()
+        w = Worker(WorkerConfig(worker_id="w"), store, P.build_pipeline_registry(store)).start()
+        try:
+            P.run_pipeline_distributed(store, train, P.TRAIN_MODE, model_id="m", windows=8)
+            with pytest.raises(ProcedureFault, match="^DimensionMismatch"):
+                P.run_pipeline_distributed(
+                    store, [(None, s) for _, s in test], P.CLASSIFY_MODE, model_id="m", windows=4, timeout_ms=3000
+                )
+            assert w.alive
+            s = store.stats()
+            assert (s.in_process, s.pending) == (0, 0)
+        finally:
+            w.stop()
+            store.close()
+
     def test_classify_refuses_a_changed_model(self):
         store = DemandStore()
         reg = P.build_pipeline_registry(store)

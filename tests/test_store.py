@@ -223,8 +223,8 @@ class TestLeases:
     def test_expiry_redelivers(self, st, clock):
         sig = qsig(1)
         st.deposit(pending_demand(sig))
-        d1 = st.claim("w1", QUEUED, lease_ms=1000)
-        assert d1.attempts == 0
+        st.claim("w1", QUEUED, lease_ms=1000)
+        assert st.stats().redeliveries == 0
         assert st.claim("w2", QUEUED, 1000) is None
 
         clock.advance(1001)
@@ -232,7 +232,7 @@ class TestLeases:
         assert st.fetch(sig)[0] is DemandState.PENDING
 
         d2 = st.claim("w2", QUEUED, 1000)
-        assert d2 is not None and d2.attempts == 1
+        assert d2 is not None and d2.state is DemandState.IN_PROCESS
         assert st.stats().redeliveries == 1
 
     def test_unexpired_lease_not_swept(self, st, clock):
@@ -326,7 +326,7 @@ class TestBlockingClaim:
         assert st.sweep_expired_leases() == 1
         t.join(3)
         assert not t.is_alive()
-        assert out["demand"].signature == qsig(2) and out["demand"].attempts == 1
+        assert out["demand"].signature == qsig(2) and st.stats().redeliveries == 1
         assert out["at"] - swept < 0.5
 
     def test_empty_claim_returns_none_after_wait(self, st):
@@ -383,6 +383,73 @@ class TestBlockingClaim:
         assert not any(t.is_alive() for t in claimers + depositors)
         assert len(claimed) == len(set(claimed)) == 200
         assert st.stats().in_process == st.stats().pending == 0
+
+
+class TestLazyExpiry:
+    """Leases expire where they are read: no thread watches them."""
+
+    def test_blocked_claim_gets_lapsed_lease_at_expiry(self):
+        st = DemandStore()  # real clock, and no thread of its own
+        sig = qsig(7)
+        st.deposit(pending_demand(sig))
+        before = time.monotonic()
+        st.claim("dead", QUEUED, lease_ms=300)
+        after = time.monotonic()
+        try:
+            d = st.claim("live", QUEUED, 5000, wait_ms=2000)
+            got = time.monotonic()
+            assert d is not None and d.signature == sig
+            assert before + 0.3 <= got < after + 0.3 + 0.1
+            assert st.stats().redeliveries == 1
+        finally:
+            st.close()
+
+    def test_claim_without_wait_redelivers(self, st, clock):
+        st.deposit(pending_demand(qsig(1)))
+        st.claim("dead", QUEUED, lease_ms=1000)
+        clock.advance(1001)
+        d = st.claim("live", QUEUED, 1000)  # wait_ms=0, as criterion 4 drains
+        assert d is not None and d.signature == qsig(1) and d.state is DemandState.IN_PROCESS
+        assert st.stats().redeliveries == 1
+
+    def test_fetch_reports_lapsed_lease_pending(self, st, clock):
+        sig = qsig(2)
+        st.deposit(pending_demand(sig))
+        st.claim("dead", QUEUED, lease_ms=1000)
+        assert st.fetch(sig) == (DemandState.IN_PROCESS, None)
+        clock.advance(1001)
+        assert st.fetch(sig) == (DemandState.PENDING, None)
+        s = st.stats()
+        assert (s.pending, s.in_process, s.redeliveries) == (1, 0, 1)
+
+    def test_stats_reports_lapsed_lease_pending(self, st, clock):
+        st.deposit(pending_demand(qsig(3)))
+        st.claim("dead", QUEUED, lease_ms=1000)
+        clock.advance(1001)
+        s = st.stats()
+        assert (s.pending, s.in_process, s.redeliveries) == (1, 0, 1)
+
+    def test_redelivery_keeps_deposit_order(self, st, clock):
+        first, second = qsig(5), qsig(1)
+        st.deposit(pending_demand(first))
+        clock.advance(1)
+        st.deposit(pending_demand(second))
+        assert st.claim("dead", QUEUED, lease_ms=100).signature == first
+        clock.advance(101)
+        # the redelivered demand was deposited first, so it is claimed first
+        assert st.claim("w", QUEUED, 1000).signature == first
+        assert st.claim("w", QUEUED, 1000).signature == second
+
+    def test_claim_waits_for_due_lease_without_spinning(self, st, clock, monkeypatch):
+        st.deposit(pending_demand(qsig(4)))
+        st.claim("w1", QUEUED, lease_ms=1000)
+        clock.advance(1000)  # due now, but a lease lapses only once its expiry has passed
+        sweeps = []
+        sweep = st.sweep_expired_leases
+        monkeypatch.setattr(st, "sweep_expired_leases", lambda now=None: sweeps.append(now) or sweep(now))
+        assert st.claim("w2", QUEUED, 1000, wait_ms=100) is None
+        # the fake clock never moves on, so each look waits the 1 ms floor
+        assert 2 <= len(sweeps) <= 110
 
 
 class TestResources:

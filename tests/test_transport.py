@@ -93,6 +93,17 @@ class TestDispatch:
         assert code == "NotFound" and "d=42" in message
         assert isinstance(transport.error_for_code(code, message), NotFound)
 
+    def test_unknown_code_is_named_in_the_message(self):
+        def crash(target, msg_type, payload):
+            raise RuntimeError("boom")
+
+        client = StoreClient(InProcAgent(lambda t, p: transport.answer(crash, None, t, p)))
+        with pytest.raises(transport.EductionError) as info:
+            client.stats()
+        # no class is registered for InternalError: the base class keeps the code
+        assert type(info.value) is transport.EductionError
+        assert str(info.value) == "InternalError: RuntimeError: boom"
+
 
 class TestClaimKinds:
     # the claim request carries the kind filter as a bitmask byte

@@ -127,6 +127,30 @@ class TestWorkerLoop:
         reg.register("huge", 0, lambda: (10**400,))
         assert run_to_fault(reg, psig("huge")).startswith("MalformedValue: bad float array element")
 
+    def test_domain_error_is_fault_outage_is_not(self):
+        from eduction.transport import TransportUnreachable
+
+        def missing():
+            raise NotFound("no model 'm'")
+
+        def outage():
+            raise TransportUnreachable("store down")
+
+        reg = ProcedureRegistry()
+        reg.register("missing", 0, missing)
+        reg.register("outage", 0, outage)
+        # any domain error is the procedure's answer: stored, and the worker lives on
+        assert run_to_fault(reg, psig("missing")) == "NotFound: no model 'm'"
+        # a store outage is not: it ends the loop and the lease lapses
+        store = DemandStore()
+        store.deposit(pending_demand(psig("outage")))
+        try:
+            with pytest.raises(TransportUnreachable):
+                run_worker(WorkerConfig(worker_id="w"), store, reg, threading.Event())
+            assert store.stats().in_process == 1
+        finally:
+            store.close()
+
     def test_worker_ignores_intensional_kind(self):
         from eduction.model import make_context
 
