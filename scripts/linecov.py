@@ -56,10 +56,16 @@ def run_traced(args) -> tuple:
     def tracer(frame, event, arg):
         return local if frame.f_code.co_filename.startswith(prefix) else None
 
+    class Rearm:
+        # a tracer that raises (say, a RecursionError from a test that
+        # exhausts the stack) is switched off, so set it again per test
+        def pytest_runtest_setup(self, item):
+            sys.settrace(tracer)
+
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        status = pytest.main(args)
+        status = pytest.main(args, plugins=[Rearm()])
     finally:
         sys.settrace(None)
         threading.settrace(None)

@@ -17,9 +17,10 @@ second fulfil as an idempotent completion.
 with no caches and no store, executing procedure calls inline through the
 same registry.  The two paths must agree on values and on error classes.
 
-The practical demand depth is bounded by the Python recursion limit;
-``eval_demand`` raises it enough for a few thousand nested demands, which
-covers desk-scale programs.
+Both paths bound the demand depth by ``max_depth`` (``DepthExceeded``).
+Each raises the Python recursion limit to fit that many nested demands,
+and a ``RecursionError`` that still escapes (an expression nested deeper
+than the limit allows per demand) becomes ``DepthExceeded`` too.
 """
 from __future__ import annotations
 
@@ -134,6 +135,17 @@ def apply_binop(op: str, a: Value, b: Value) -> Value:
     raise TypeMismatch(f"unknown operator {op!r}")
 
 
+def _fit_recursion_limit(max_depth: int):
+    """Raise the recursion limit to fit ``max_depth`` nested demands.
+
+    A demand takes about five frames through a plain expression; twelve
+    leaves room for nesting and for the store calls under the deepest one.
+    """
+    limit = 12 * max_depth + 1000
+    if sys.getrecursionlimit() < limit:
+        sys.setrecursionlimit(limit)
+
+
 class Evaluator:
     """Eduction engine for one compiled program.
 
@@ -167,12 +179,12 @@ class Evaluator:
     def eval_demand(self, name: str, ctx: Context) -> Value:
         if name not in self.geer.dictionary:
             raise UndefinedIdentifier(name)
-        limit = 12 * min(self.cfg.max_depth, 4000) + 1000
-        if sys.getrecursionlimit() < limit:
-            sys.setrecursionlimit(limit)
+        _fit_recursion_limit(self.cfg.max_depth)
         assert not self._chain, "eval_demand is not reentrant"
         try:
             return self._demand(name, ctx.restrict(self.geer.dimensions))
+        except RecursionError:
+            raise DepthExceeded(f"expressions nest too deep within {self.cfg.max_depth} demands") from None
         finally:
             self._chain.clear()
 
@@ -265,8 +277,9 @@ def reference_eval(
     classes as the engine.
     """
     dims = geer.dimensions
+    chain: set = set()  # demands being computed
 
-    def demand(name: str, ctx: Context, chain: frozenset) -> Value:
+    def demand(name: str, ctx: Context) -> Value:
         if name not in geer.dictionary:
             raise UndefinedIdentifier(name)
         rctx = ctx.restrict(dims)
@@ -275,32 +288,40 @@ def reference_eval(
             raise CircularDemand(f"{name}@{rctx}")
         if len(chain) >= max_depth:
             raise DepthExceeded(f"demand depth exceeded {max_depth}")
-        return expr(geer.dictionary[name], rctx, chain | {link})
+        chain.add(link)
+        try:
+            return expr(geer.dictionary[name], rctx)
+        finally:
+            chain.remove(link)
 
-    def expr(node, ctx: Context, chain: frozenset) -> Value:
+    def expr(node, ctx: Context) -> Value:
         if isinstance(node, lang.Literal):
             return node.value
         if isinstance(node, lang.Ident):
-            return demand(node.name, ctx, chain)
+            return demand(node.name, ctx)
         if isinstance(node, lang.Binary):
-            return apply_binop(node.op, expr(node.left, ctx, chain), expr(node.right, ctx, chain))
+            return apply_binop(node.op, expr(node.left, ctx), expr(node.right, ctx))
         if isinstance(node, lang.If):
-            cond = expr(node.cond, ctx, chain)
+            cond = expr(node.cond, ctx)
             if value_kind(cond) != "bool":
                 raise TypeMismatch("if condition must be Bool")
-            return expr(node.then_expr if cond else node.else_expr, ctx, chain)
+            return expr(node.then_expr if cond else node.else_expr, ctx)
         if isinstance(node, lang.HashDim):
             return ctx.get(node.dim)
         if isinstance(node, lang.At):
-            tag = expr(node.tag_expr, ctx, chain)
+            tag = expr(node.tag_expr, ctx)
             if value_kind(tag) != "int":
                 raise TypeMismatch("context tags must be Int")
-            return expr(node.expr, ctx.override(node.dim, tag), chain)
+            return expr(node.expr, ctx.override(node.dim, tag))
         if isinstance(node, lang.Call):
-            args = tuple(expr(a, ctx, chain) for a in node.args)
+            args = tuple(expr(a, ctx) for a in node.args)
             if registry is None:
                 raise StoreUnreachable("no procedure registry for the oracle")
             return registry.invoke(node.proc, args)
         raise TypeMismatch(f"not an expression: {node!r}")
 
-    return demand(name, ctx, frozenset())
+    _fit_recursion_limit(max_depth)
+    try:
+        return demand(name, ctx)
+    except RecursionError:
+        raise DepthExceeded(f"expressions nest too deep within {max_depth} demands") from None

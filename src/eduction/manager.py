@@ -6,8 +6,8 @@ is derived, never stored: a node is ALIVE while its last heartbeat is
 younger than two intervals, SUSPECT under five, DEAD from five on.
 
 Tier instances are built from ``TIERS``, which maps the kind string
-("DST", "DWT", "DGT") to a wrapper exposing idempotent start/stop.
-Allocation talks to the owning node through a node agent:
+("DST", "DWT", "DGT") to a wrapper that its node agent starts once and
+stops once.  Allocation talks to the owning node through a node agent:
 ``LocalNodeAgent`` runs tiers as threads in this process,
 ``TcpNodeAgent`` sends the same commands to a remote node's agent server.
 A move is stop-then-start with the config carried over and a fresh tier
@@ -86,7 +86,6 @@ class NodeStatus(enum.Enum):
 
 
 class TierState(enum.Enum):
-    STARTING = "STARTING"
     RUNNING = "RUNNING"
     STOPPED = "STOPPED"
 
@@ -108,7 +107,7 @@ def _monotonic_ms() -> float:
 
 
 class _TierBase:
-    """Concrete tier wrapper: holds config, starts and stops idempotently."""
+    """Concrete tier wrapper: holds config; started once and stopped once."""
 
     kind = "?"
 
@@ -116,23 +115,15 @@ class _TierBase:
         self.tier_id = tier_id
         self.config = dict(config)
         self.details: dict = {}
-        self._running = False
 
     def start(self) -> dict:
-        if not self._running:
-            self.details = self._start()
-            self._running = True
+        self.details = self._start()
         return self.details
-
-    def stop(self) -> None:
-        if self._running:
-            self._running = False
-            self._stop()
 
     def _start(self) -> dict:
         raise NotImplementedError
 
-    def _stop(self) -> None:
+    def stop(self) -> None:
         raise NotImplementedError
 
 
@@ -152,7 +143,7 @@ class DstTier(_TierBase):
         )
         return {"address": f"tcp://{self._server.host}:{self._server.port}"}
 
-    def _stop(self) -> None:
+    def stop(self) -> None:
         self._server.stop()
         self.store.close()
 
@@ -190,7 +181,7 @@ class DwtTier(_TierBase):
         self.worker = Worker(cfg, self._client, registry).start()
         return {"worker_id": self.tier_id, "procedures": registry.names()}
 
-    def _stop(self) -> None:
+    def stop(self) -> None:
         self.worker.stop()
         self._client.close()
 
@@ -214,7 +205,7 @@ class DgtTier(_TierBase):
                     raise
         return {"program": program}
 
-    def _stop(self) -> None:
+    def stop(self) -> None:
         if self._client is not None:
             self._client.close()
 
@@ -310,7 +301,6 @@ class TcpNodeAgent:
 class NodeRecord:
     node_id: int
     address: str
-    registered_at: float
     last_heartbeat: float
     agent: object = None  # node agent; built lazily for TCP addresses
 
@@ -355,8 +345,7 @@ class Manager:
                     raise DuplicateAddress(address)
             node_id = self._next_node
             self._next_node += 1
-            now = self._clock()
-            self._nodes[node_id] = NodeRecord(node_id, address, now, now, agent)
+            self._nodes[node_id] = NodeRecord(node_id, address, self._clock(), agent)
             self._log_event({"ev": "register", "node_id": node_id, "address": address})
             return node_id
 
@@ -410,13 +399,10 @@ class Manager:
                 raise AlreadyAllocated("a DST is already allocated (single-DST rule)")
             tier_id = f"t{self._next_tier}"
             self._next_tier += 1
-            tier = TierRecord(tier_id, kind, node_id, dict(config), TierState.STARTING)
+            # recorded STOPPED until its start returns: a failed start leaves it so
+            tier = TierRecord(tier_id, kind, node_id, dict(config), TierState.STOPPED)
             self._tiers[tier_id] = tier
-            try:
-                tier.details = self._agent_of(rec).start_tier(tier_id, kind, config)
-            except BaseException:
-                tier.state = TierState.STOPPED
-                raise
+            tier.details = self._agent_of(rec).start_tier(tier_id, kind, config)
             tier.state = TierState.RUNNING
             self._log_event(
                 {"ev": "alloc", "tier_id": tier_id, "node_id": node_id, "kind": kind, "config": tier.config}
@@ -494,8 +480,7 @@ class Manager:
         kind = ev["ev"]
         if kind == "register":
             node_id = int(ev["node_id"])
-            now = self._clock()
-            self._nodes[node_id] = NodeRecord(node_id, ev["address"], now, now)
+            self._nodes[node_id] = NodeRecord(node_id, ev["address"], self._clock())
             self._next_node = max(self._next_node, node_id + 1)
         elif kind == "alloc":
             tier_id = ev["tier_id"]

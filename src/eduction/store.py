@@ -20,12 +20,14 @@ result, and every read of it (a deposit that hits it, ``fetch``,
 All operations take one lock, so the store is linearizable.  Two conditions
 share it: ``await_result`` blocks on one that ``fulfill`` notifies, and a
 ``claim`` with nothing to take blocks, up to its ``wait_ms``, on one that
-deposits and redeliveries notify.  A blocked claim also wakes when the
-earliest lease expires, so a worker picks up queued or redelivered work as
-soon as it is due and never polls.  When a log path is given,
-procedural deposits, fulfills and resource puts are appended as wire
-frames and replayed on startup, so a restart recovers the warehouse and
-re-queues whatever was in flight.
+each queued entry (a deposit or a redelivery) notifies once.  Every claim
+can take every queued entry, so one wakeup per entry is enough; the store
+is the one place that decides what is claimable.  A blocked claim also
+wakes when the earliest lease expires, so a worker picks up queued or
+redelivered work as soon as it is due and never polls.  When a log path
+is given, procedural deposits, fulfills and resource puts are appended as
+wire frames and replayed on startup, so a restart recovers the warehouse
+and re-queues whatever was in flight.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .errors import EductionError
 from . import wire
@@ -182,24 +184,21 @@ class DemandStore:
                 self._append_log(MsgType.DEPOSIT, wire.encode_demand(d))
             return DepositOutcome(DepositStatus.ENQUEUED)
 
-    def claim(
-        self, worker_id: str, kinds: Iterable[DemandKind], lease_ms: float, wait_ms: float = 0
-    ) -> Optional[Demand]:
-        """Lease the oldest pending demand of ``kinds``, waiting up to ``wait_ms`` for one.
+    def claim(self, worker_id: str, lease_ms: float, wait_ms: float = 0) -> Optional[Demand]:
+        """Lease the oldest pending demand, waiting up to ``wait_ms`` for one.
 
-        Lapsed leases are redelivered first, and a blocked claim wakes no
-        later than the earliest lease expiry, so a dead claimer's demand is
-        handed on as soon as its lease runs out.  Only procedural demands
-        are queued, so a claim whose ``kinds`` lack PROCEDURAL finds nothing.
+        Only procedural demands are queued, so every claim can take every
+        entry.  Lapsed leases are redelivered first, and a blocked claim
+        wakes no later than the earliest lease expiry, so a dead claimer's
+        demand is handed on as soon as its lease runs out.
         """
         if lease_ms <= 0:
             raise MalformedDemand("lease_ms must be positive")
-        procedural = DemandKind.PROCEDURAL in kinds
         deadline = time.monotonic() + wait_ms / 1000.0
         with self._cond:
             while True:
                 self.sweep_expired_leases()
-                if procedural and self._queue:
+                if self._queue:
                     break
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
@@ -290,8 +289,7 @@ class DemandStore:
     def _enqueue(self, key: bytes):
         """Queue a pending entry for claiming, in original deposit order."""
         heapq.heappush(self._queue, (self._work[key][1], key))
-        # every waiting claim rechecks: one whose kinds do not match must not swallow it
-        self._queued.notify_all()
+        self._queued.notify()  # any claimer can take it; each rechecks the queue after a wait
 
     # -- resources ---------------------------------------------------------
 

@@ -8,10 +8,10 @@ byte-identical reply payloads for the same request sequence.
 Request payloads (replies in parentheses):
 
     DEPOSIT       demand                          (OK: status byte, + value when already computed)
-    CLAIM         Str worker, kinds bitmask, Int lease_ms[, Int wait_ms]
+    CLAIM         Str worker, Int lease_ms, Int wait_ms
                                                   (CLAIM_REPLY: 0x00, or 0x01 + demand)
                   with nothing queued the reply waits up to wait_ms
-                  (0 when absent, at most 30000) for a deposit or redelivery
+                  (at most 30000) for a deposit or redelivery
     FULFILL       signature, value, Str worker    (OK: empty)
     FETCH         signature                       (FETCH_REPLY: state byte, presence byte [+ value])
     AWAIT         signature, Int timeout_ms       (OK: value)
@@ -38,11 +38,11 @@ import socketserver
 import struct
 import threading
 import time
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .errors import EductionError, error_for_code
 from . import wire
-from .model import Demand, DemandKind, DemandSignature, DemandState, Value
+from .model import Demand, DemandSignature, DemandState, Value
 from .store import DemandStore, DepositOutcome, DepositStatus, StoreStats
 from .wire import MsgType, ProtocolError
 
@@ -74,19 +74,6 @@ def _decode_err(payload: bytes) -> EductionError:
     return error_for_code(code, message)
 
 
-def _encode_kinds(kinds: Iterable[DemandKind]) -> bytes:
-    mask = 0
-    for k in kinds:
-        mask |= 1 << int(k)
-    return bytes([mask])
-
-
-def _decode_kinds(mask: int) -> frozenset:
-    if mask == 0 or mask >= (1 << len(DemandKind)):
-        raise wire.MalformedEncoding(f"bad demand-kind mask {mask:#04x}")
-    return frozenset(k for k in DemandKind if mask & (1 << int(k)))
-
-
 def answer(handle: Callable, target, msg_type: MsgType, payload: bytes) -> Tuple[MsgType, bytes]:
     """``handle(target, msg_type, payload)``; never raises, errors become ERR replies."""
     try:
@@ -113,16 +100,13 @@ def _store_request(store: DemandStore, msg_type: MsgType, payload: bytes) -> Tup
             body += wire.encode_value(out.value)
         return MsgType.OK, body
     if msg_type is MsgType.CLAIM:
-        worker = wire.read_value(r)
-        mask = r.u8()
-        lease_ms = wire.read_value(r)
-        wait_ms = 0 if r.done() else wire.read_value(r)
+        worker = wire.read_str(r)
+        lease_ms = wire.read_int(r)
+        wait_ms = wire.read_int(r)
         r.expect_done()
-        if not isinstance(worker, str) or isinstance(lease_ms, bool) or not isinstance(lease_ms, int):
-            raise wire.MalformedEncoding("claim takes a Str worker and an Int lease")
-        if type(wait_ms) is not int or not 0 <= wait_ms <= MAX_CLAIM_WAIT_MS:  # bool too
+        if not 0 <= wait_ms <= MAX_CLAIM_WAIT_MS:
             raise wire.MalformedEncoding(f"claim wait must be an Int from 0 to {MAX_CLAIM_WAIT_MS} ms")
-        d = store.claim(worker, _decode_kinds(mask), lease_ms, wait_ms)
+        d = store.claim(worker, lease_ms, wait_ms)
         if d is None:
             return MsgType.CLAIM_REPLY, b"\x00"
         return MsgType.CLAIM_REPLY, b"\x01" + wire.encode_demand(d)
@@ -367,15 +351,8 @@ class StoreClient:
         r.expect_done()
         return DepositOutcome(status, value)
 
-    def claim(
-        self, worker_id: str, kinds: Iterable[DemandKind], lease_ms: float, wait_ms: float = 0
-    ) -> Optional[Demand]:
-        payload = (
-            wire.encode_value(worker_id)
-            + _encode_kinds(kinds)
-            + wire.encode_value(int(lease_ms))
-            + wire.encode_value(int(wait_ms))
-        )
+    def claim(self, worker_id: str, lease_ms: float, wait_ms: float = 0) -> Optional[Demand]:
+        payload = b"".join(map(wire.encode_value, (worker_id, int(lease_ms), int(wait_ms))))
         reply = self._request(MsgType.CLAIM, payload, MsgType.CLAIM_REPLY, SOCKET_TIMEOUT_S + wait_ms / 1000.0)
         r = wire.Reader(reply)
         if not r.u8():

@@ -181,7 +181,7 @@ def read_value(r: Reader) -> Value:
         raw = r.take(8 * n)
         return tuple(struct.unpack(f">{n}d", raw)) if n else ()
     if tag == 0x05:
-        return Fault(_read_str(r), _read_str(r))
+        return Fault(read_str(r), read_str(r))
     raise MalformedValue(f"unknown value tag {tag:#04x}")
 
 
@@ -197,14 +197,14 @@ def values_equal(a: Value, b: Value) -> bool:
     return encode_value(a) == encode_value(b)
 
 
-def _read_str(r: Reader) -> str:
+def read_str(r: Reader) -> str:
     v = read_value(r)
     if value_kind(v) != "str":
         raise MalformedEncoding("expected a Str value")
     return v
 
 
-def _read_int(r: Reader) -> int:
+def read_int(r: Reader) -> int:
     v = read_value(r)
     if value_kind(v) != "int":
         raise MalformedEncoding("expected an Int value")
@@ -227,8 +227,8 @@ def read_context(r: Reader) -> Context:
     pairs = []
     prev = None
     for _ in range(count):
-        dim = _read_str(r)
-        tag = _read_int(r)
+        dim = read_str(r)
+        tag = read_int(r)
         if not is_identifier(dim):
             raise MalformedEncoding(f"bad dimension name {dim!r}")
         if prev is not None and dim <= prev:
@@ -265,8 +265,8 @@ def _encode_signature(sig: DemandSignature) -> bytes:
 
 def read_signature(r: Reader) -> DemandSignature:
     start = r.pos
-    program_id = _read_str(r)
-    name = _read_str(r)
+    program_id = read_str(r)
+    name = read_str(r)
     kind_byte = r.u8()
     try:
         kind = DemandKind(kind_byte)
@@ -360,7 +360,7 @@ def _read_ast(r: Reader):
             raise MalformedEncoding("literals are Int or Float")
         return lang.Literal(v)
     if tag == 1:
-        return lang.Ident(_read_str(r))
+        return lang.Ident(read_str(r))
     if tag == 2:
         code = r.u8()
         if code >= len(lang.BINARY_OPS):
@@ -369,12 +369,12 @@ def _read_ast(r: Reader):
     if tag == 3:
         return lang.If(_read_ast(r), _read_ast(r), _read_ast(r))
     if tag == 4:
-        dim = _read_str(r)
+        dim = read_str(r)
         return lang.At(_read_ast(r), dim, _read_ast(r))
     if tag == 5:
-        return lang.HashDim(_read_str(r))
+        return lang.HashDim(read_str(r))
     if tag == 6:
-        proc = _read_str(r)
+        proc = read_str(r)
         argc = r.u32()
         return lang.Call(proc, tuple(_read_ast(r) for _ in range(argc)))
     raise MalformedEncoding(f"unknown AST tag {tag:#04x}")
@@ -401,17 +401,17 @@ def decode_geer(data: bytes) -> lang.Geer:
         r = Reader(data)
         if r.take(5) != GEER_MAGIC:
             raise MalformedEncoding("bad geer magic")
-        program_id = _read_str(r)
+        program_id = read_str(r)
         digest = r.take(r.u32())
         dims = []
         for _ in range(r.u32()):
-            d = _read_str(r)
+            d = read_str(r)
             if not is_identifier(d):
                 raise MalformedEncoding(f"bad dimension name {d!r}")
             dims.append(d)
         dictionary = {}
         for _ in range(r.u32()):
-            name = _read_str(r)
+            name = read_str(r)
             if name in dictionary:
                 raise MalformedEncoding(f"duplicate dictionary entry {name!r}")
             dictionary[name] = _read_ast(r)

@@ -105,7 +105,7 @@ def run_worker(cfg: WorkerConfig, store, registry: ProcedureRegistry, stop: thre
 
     summary = RunSummary()
     while not stop.is_set():
-        demand = store.claim(cfg.worker_id, (DemandKind.PROCEDURAL,), cfg.lease_ms, wait_ms=CLAIM_WAIT_MS)
+        demand = store.claim(cfg.worker_id, cfg.lease_ms, wait_ms=CLAIM_WAIT_MS)
         if demand is None:
             continue
         summary.claims += 1

@@ -130,7 +130,7 @@ def test_criterion_3_concurrent_claim_safety():
     def claimer(ix: int):
         wid = f"w{ix}"
         while not done.is_set():
-            d = store.claim(wid, [DemandKind.PROCEDURAL], lease_ms=60000)
+            d = store.claim(wid, lease_ms=60000)
             if d is None:
                 if store.stats().computed >= total:
                     done.set()
@@ -191,7 +191,7 @@ def _c4_drain(store, wid, lease_ms, die_at_fulfill=None):
     reg = build_demo_registry()
     fulfilled = 0
     while True:
-        d = store.claim(wid, [DemandKind.PROCEDURAL], lease_ms=lease_ms)
+        d = store.claim(wid, lease_ms=lease_ms)
         if d is None:
             return fulfilled
         if die_at_fulfill is not None and fulfilled + 1 == die_at_fulfill:
@@ -290,9 +290,7 @@ def _c5_script():
         reqs.append(
             (
                 MsgType.CLAIM,
-                wire.encode_value(f"w{i}")
-                + bytes([1 << DemandKind.PROCEDURAL])
-                + wire.encode_value(60000),
+                wire.encode_value(f"w{i}") + wire.encode_value(60000) + wire.encode_value(0),
             )
         )
     for i in range(10):  # fulfills for the claimed ten
@@ -326,7 +324,16 @@ def _c5_script():
         reqs.append((MsgType.STATS, b""))
     for i in range(8):  # malformed payloads: ERR replies
         reqs.append((MsgType.DEPOSIT, b"\xff" * (i + 1)))
-    reqs.append((MsgType.CLAIM, wire.encode_value("w") + b"\x00" + wire.encode_value(1)))
+    # the retired CLAIM layout, with a kind-mask byte: ERR reply
+    reqs.append(
+        (
+            MsgType.CLAIM,
+            wire.encode_value("w")
+            + bytes([1 << DemandKind.PROCEDURAL])
+            + wire.encode_value(60000)
+            + wire.encode_value(0),
+        )
+    )
     return reqs
 
 
@@ -359,9 +366,10 @@ def test_criterion_5_carrier_equivalence():
         for i, (a, b) in enumerate(zip(replies["inproc"], replies["tcp"]))
         if a != b
     ]
-    ok = not diffs
+    ok = not diffs and replies["tcp"][-1][0] == MsgType.ERR  # the retired CLAIM layout
     verdict(5, ok, f"{len(script)} requests, {len(diffs)} divergent replies")
     assert diffs == [], diffs[:5]
+    assert replies["tcp"][-1][0] == MsgType.ERR
 
 
 # -- 6: recognition accuracy, both modes, equal result sets ---------------------

@@ -1,11 +1,12 @@
 """Eductive engine vs. the recursive reference interpreter."""
 import random
+import sys
 import threading
 from dataclasses import replace
 
 import pytest
 
-from eduction import pipeline as P
+from eduction import lang, pipeline as P
 from eduction.evaluator import (
     CircularDemand,
     DepthExceeded,
@@ -22,7 +23,7 @@ from eduction.lang import compile_source
 from eduction.model import EMPTY_CONTEXT, make_context
 from eduction.store import DemandStore
 from eduction.transport import connect_store, serve_store
-from eduction.worker import ProcedureRegistry, Worker, WorkerConfig, build_demo_registry
+from eduction.worker import ProcedureRegistry, StoreUnreachable, Worker, WorkerConfig, build_demo_registry
 
 FACT = compile_source(
     "fact where dimension d; "
@@ -155,6 +156,66 @@ class TestErrors:
             Evaluator(FACT, DemandStore(), EvalConfig(max_depth=64)).eval_demand(
                 "fact", ctx(d=-1)
             )
+
+
+CHAIN = compile_source(
+    "c where dimension d; c = if #.d <= 0 then 0 else 1 + (c @.d (#.d - 1)); end", "chain"
+)
+
+
+def chain_outcome(path, d):
+    try:
+        if path == "oracle":
+            return reference_eval(CHAIN, "c", ctx(d=d))
+        return Evaluator(CHAIN).eval_demand("c", ctx(d=d))
+    except DepthExceeded:
+        return DepthExceeded
+
+
+def deep_sum(n):
+    """``x = 1 + (1 + (... + 1))``: one demand, ``n + 1`` nested expressions."""
+    node = lang.Literal(1)
+    for _ in range(n):
+        node = lang.Binary("+", lang.Literal(1), node)
+    return replace(compile_source("x where x = 0; end", "deep"), dictionary={"x": node})
+
+
+@pytest.fixture
+def low_recursion_limit():
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(saved)
+
+
+class TestDepth:
+    """Depth is a checked bound: ``DepthExceeded``, never a bare ``RecursionError``."""
+
+    @pytest.mark.parametrize("path", ["engine", "oracle"])
+    @pytest.mark.parametrize("where", ["main", "thread"])
+    def test_default_bound_is_exact(self, path, where):
+        depths = (9999, 10000, 10001)
+        out = []
+        if where == "main":
+            out = [chain_outcome(path, d) for d in depths]
+        else:
+            t = threading.Thread(target=lambda: out.extend(chain_outcome(path, d) for d in depths))
+            t.start()
+            t.join(60)
+            assert not t.is_alive()
+        assert out == [9999, DepthExceeded, DepthExceeded]
+
+    def test_oracle_raises_the_limit_itself(self, low_recursion_limit):
+        assert reference_eval(CHAIN, "c", ctx(d=500)) == 500
+
+    @pytest.mark.parametrize("path", ["engine", "oracle"])
+    def test_nesting_past_the_stack_is_depth_exceeded(self, path, low_recursion_limit):
+        geer = deep_sum(3000)
+        with pytest.raises(DepthExceeded):
+            if path == "oracle":
+                reference_eval(geer, "x", EMPTY_CONTEXT, max_depth=10)
+            else:
+                Evaluator(geer, config=EvalConfig(max_depth=10)).eval_demand("x", EMPTY_CONTEXT)
 
 
 class TestWarehouse:
@@ -413,6 +474,34 @@ class TestFaults:
 
 
 class TestReference:
+    CALLS = [
+        ("x where x = call add2(19, 23); end", {}),
+        ("z where z = call mul2(x, x + 1); x = 6; end", {}),
+        ("y where dimension d; y = call neg(call add2(#.d, 1)); end", {"d": 4}),
+        ("s where dimension d; s = if #.d <= 0 then 0 else call add2(#.d, s @.d (#.d - 1)); end", {"d": 5}),
+    ]
+
+    @pytest.mark.parametrize("src, tags", CALLS)
+    def test_reference_matches_engine_on_calls(self, src, tags):
+        geer = compile_source(src, "calls")
+        store = DemandStore()
+        w = Worker(WorkerConfig(worker_id="w0"), store, build_demo_registry()).start()
+        try:
+            engine = Evaluator(geer, store, EvalConfig(proc_timeout_ms=10000))
+            name = geer.root_expr.name
+            oracle = reference_eval(geer, name, ctx(**tags), build_demo_registry())
+            assert engine.eval_demand(name, ctx(**tags)) == oracle
+        finally:
+            w.stop()
+            store.close()
+
+    def test_calls_need_a_registry_or_a_store(self):
+        geer = compile_source(self.CALLS[0][0], "calls")
+        with pytest.raises(StoreUnreachable):
+            reference_eval(geer, "x", EMPTY_CONTEXT)
+        with pytest.raises(StoreUnreachable):
+            Evaluator(geer).eval_demand("x", EMPTY_CONTEXT)
+
     def test_reference_matches_engine_on_fact(self):
         for d in range(8):
             assert reference_eval(FACT, "fact", ctx(d=d)) == ev_for(FACT).eval_demand(

@@ -140,6 +140,9 @@ class TestAllocation:
     def test_worker_tier_needs_store(self):
         with pytest.raises(BadTierConfig):
             self.mgr.allocate(self.nid, "DWT", {})
+        # a failed start leaves its record behind, STOPPED
+        tiers = self.mgr.status_report()["tiers"]
+        assert [(t["kind"], t["state"]) for t in tiers.values()] == [("DWT", "STOPPED")]
 
     def test_unknown_registry_preset(self):
         dst = self.mgr.allocate(self.nid, "DST", {})
@@ -408,10 +411,10 @@ class TestLocalNodeAgent:
             assert [t.name for t in started] == [f"frame-server-{address.rpartition(':')[2]}"]
             client.deposit(pending_demand(sig))
             leased = time.monotonic()
-            client.claim("dead", [DemandKind.PROCEDURAL], 300)
+            client.claim("dead", 300)
             d = None
             while d is None and time.monotonic() - leased < 2:
-                d = client.claim("live", [DemandKind.PROCEDURAL], 5000, wait_ms=200)
+                d = client.claim("live", 5000, wait_ms=200)
             assert d is not None and d.signature == sig
             assert time.monotonic() - leased < 0.3 + 0.1
             assert client.stats().redeliveries == 1

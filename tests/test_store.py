@@ -47,9 +47,6 @@ def qsig(d):
     return psig("add2", (d, 0))
 
 
-QUEUED = [DemandKind.PROCEDURAL]
-
-
 class FakeClock:
     def __init__(self):
         self.t = 0.0
@@ -79,7 +76,7 @@ class TestLifecycle:
         out = st.deposit(pending_demand(sig))
         assert out.status is DepositStatus.ENQUEUED and out.value is None
 
-        d = st.claim("w1", QUEUED, lease_ms=5000)
+        d = st.claim("w1", lease_ms=5000)
         assert d is not None and d.signature == sig
         assert st.fetch(sig)[0] is DemandState.IN_PROCESS
 
@@ -93,22 +90,24 @@ class TestLifecycle:
         out = st.deposit(pending_demand(sig))
         assert out.status is DepositStatus.DUPLICATE_PENDING
         # still only one claimable instance
-        assert st.claim("w", QUEUED, 1000) is not None
-        assert st.claim("w", QUEUED, 1000) is None
+        assert st.claim("w", 1000) is not None
+        assert st.claim("w", 1000) is None
 
     def test_already_computed_returns_value(self, st):
         sig = qsig(3)
         st.deposit(pending_demand(sig))
-        st.claim("w", QUEUED, 1000)
+        st.claim("w", 1000)
         st.fulfill(sig, 7, "w")
         out = st.deposit(pending_demand(sig))
         assert out.status is DepositStatus.ALREADY_COMPUTED and out.value == 7
 
     def test_claim_filters_by_kind(self, st):
+        # the store alone decides what is claimable: only procedural work is queued
+        st.deposit(pending_demand(isig(d=1)))
         st.deposit(pending_demand(psig()))
-        assert st.claim("w", [DemandKind.INTENSIONAL], 1000) is None
-        got = st.claim("w", [DemandKind.PROCEDURAL], 1000)
-        assert got is not None and got.signature.kind is DemandKind.PROCEDURAL
+        got = st.claim("w", 1000)
+        assert got is not None and got.signature == psig()
+        assert st.claim("w", 1000) is None
 
     def test_fetch_unknown(self, st):
         with pytest.raises(NotFound):
@@ -139,7 +138,7 @@ class TestLifecycle:
     def test_idempotent_fulfill_same_value(self, st):
         sig = qsig(6)
         st.deposit(pending_demand(sig))
-        st.claim("w", QUEUED, 1000)
+        st.claim("w", 1000)
         st.fulfill(sig, 9, "w")
         st.fulfill(sig, 9, "other")  # no error: same bytes
         assert st.fetch(sig) == (DemandState.COMPUTED, 9)
@@ -147,7 +146,7 @@ class TestLifecycle:
     def test_conflicting_result(self, st):
         sig = qsig(7)
         st.deposit(pending_demand(sig))
-        st.claim("w", QUEUED, 1000)
+        st.claim("w", 1000)
         st.fulfill(sig, 9, "w")
         with pytest.raises(ConflictingResult):
             st.fulfill(sig, 10, "w")
@@ -155,7 +154,7 @@ class TestLifecycle:
     def test_non_finite_rejected(self, st):
         sig = qsig(8)
         st.deposit(pending_demand(sig))
-        st.claim("w", QUEUED, 1000)
+        st.claim("w", 1000)
         with pytest.raises(NonFiniteValue):
             st.fulfill(sig, float("nan"), "w")
         with pytest.raises(NonFiniteValue):
@@ -165,7 +164,7 @@ class TestLifecycle:
         # -0.0 and 0.0 encode differently, so the conflict guard sees them apart
         sig = qsig(9)
         st.deposit(pending_demand(sig))
-        st.claim("w", QUEUED, 1000)
+        st.claim("w", 1000)
         st.fulfill(sig, 0.0, "w")
         with pytest.raises(ConflictingResult):
             st.fulfill(sig, -0.0, "w")
@@ -176,7 +175,7 @@ class TestIntensional:
     def test_fulfil_needs_no_claim(self, st):
         sig = isig(d=1)
         assert st.deposit(pending_demand(sig)).status is DepositStatus.ENQUEUED
-        assert st.claim("w", [DemandKind.INTENSIONAL], 1000) is None
+        assert st.claim("w", 1000) is None
         st.fulfill(sig, 42, "dgt")
         assert st.fetch(sig) == (DemandState.COMPUTED, 42)
         s = st.stats()
@@ -207,7 +206,7 @@ class TestQueueOrder:
         for s in sigs:
             st.deposit(pending_demand(s))
             clock.advance(1)
-        claimed = [st.claim("w", QUEUED, 1000).signature for _ in sigs]
+        claimed = [st.claim("w", 1000).signature for _ in sigs]
         assert claimed == sigs
 
     def test_key_breaks_timestamp_ties(self, st):
@@ -215,7 +214,7 @@ class TestQueueOrder:
         sigs = [qsig(i) for i in (4, 2, 9)]
         for s in sigs:
             st.deposit(pending_demand(s))
-        claimed = [st.claim("w", QUEUED, 1000).signature for _ in sigs]
+        claimed = [st.claim("w", 1000).signature for _ in sigs]
         assert [c.key() for c in claimed] == sorted(s.key() for s in sigs)
 
 
@@ -223,31 +222,31 @@ class TestLeases:
     def test_expiry_redelivers(self, st, clock):
         sig = qsig(1)
         st.deposit(pending_demand(sig))
-        st.claim("w1", QUEUED, lease_ms=1000)
+        st.claim("w1", lease_ms=1000)
         assert st.stats().redeliveries == 0
-        assert st.claim("w2", QUEUED, 1000) is None
+        assert st.claim("w2", 1000) is None
 
         clock.advance(1001)
         assert st.sweep_expired_leases() == 1
         assert st.fetch(sig)[0] is DemandState.PENDING
 
-        d2 = st.claim("w2", QUEUED, 1000)
+        d2 = st.claim("w2", 1000)
         assert d2 is not None and d2.state is DemandState.IN_PROCESS
         assert st.stats().redeliveries == 1
 
     def test_unexpired_lease_not_swept(self, st, clock):
         st.deposit(pending_demand(qsig(2)))
-        st.claim("w1", QUEUED, lease_ms=1000)
+        st.claim("w1", lease_ms=1000)
         clock.advance(999)
         assert st.sweep_expired_leases() == 0
 
     def test_late_fulfill_after_redelivery_same_value(self, st, clock):
         sig = qsig(3)
         st.deposit(pending_demand(sig))
-        st.claim("w1", QUEUED, lease_ms=100)
+        st.claim("w1", lease_ms=100)
         clock.advance(101)
         st.sweep_expired_leases()
-        st.claim("w2", QUEUED, lease_ms=5000)
+        st.claim("w2", lease_ms=5000)
         st.fulfill(sig, 5, "w2")
         # the original claimer comes back with the same answer: accepted quietly
         st.fulfill(sig, 5, "w1")
@@ -260,7 +259,7 @@ class TestLeases:
         st.deposit(pending_demand(sig))
 
         def later():
-            st.claim("w", QUEUED, 1000)
+            st.claim("w", 1000)
             st.fulfill(sig, 11, "w")
 
         t = threading.Timer(0.05, later)
@@ -293,12 +292,12 @@ class TestLeases:
             st.close()
 
 
-def claim_in_thread(st, kinds=QUEUED, wait_ms=2000):
+def claim_in_thread(st, wait_ms=2000):
     """Start a blocking claim; the returned dict gets its demand and finish time."""
     out = {}
 
     def run():
-        out["demand"] = st.claim("w", kinds, 5000, wait_ms=wait_ms)
+        out["demand"] = st.claim("w", 5000, wait_ms=wait_ms)
         out["at"] = time.monotonic()
 
     t = threading.Thread(target=run)
@@ -319,7 +318,7 @@ class TestBlockingClaim:
 
     def test_sweep_wakes_blocked_claim(self, st, clock):
         st.deposit(pending_demand(qsig(2)))
-        st.claim("w1", QUEUED, lease_ms=1000)
+        st.claim("w1", lease_ms=1000)
         t, out = claim_in_thread(st)
         clock.advance(1001)
         swept = time.monotonic()
@@ -331,22 +330,33 @@ class TestBlockingClaim:
 
     def test_empty_claim_returns_none_after_wait(self, st):
         started = time.monotonic()
-        assert st.claim("w", QUEUED, 5000, wait_ms=150) is None
+        assert st.claim("w", 5000, wait_ms=150) is None
         assert 0.14 <= time.monotonic() - started < 1.0
 
-    def test_claimer_of_other_kinds_does_not_swallow_wakeup(self, st):
-        # the INTENSIONAL claimer waits first, so a single notify would wake only it
-        other, other_out = claim_in_thread(st, [DemandKind.INTENSIONAL], wait_ms=600)
-        t, out = claim_in_thread(st)
+    def test_each_blocked_claimer_gets_one_deposit(self, st):
+        claimers = [claim_in_thread(st) for _ in range(4)]
         deposited = time.monotonic()
-        st.deposit(pending_demand(qsig(3)))
-        t.join(3)
-        other.join(3)
-        assert not t.is_alive() and not other.is_alive()
-        assert out["demand"].signature == qsig(3)
-        assert out["at"] - deposited < 0.5
-        assert other_out["demand"] is None
+        for d in range(4):
+            st.deposit(pending_demand(qsig(d)))
+        for t, _ in claimers:
+            t.join(3)
+        assert not any(t.is_alive() for t, _ in claimers)
+        assert sorted(out["demand"].signature.args[0] for _, out in claimers) == [0, 1, 2, 3]
+        assert all(out["at"] - deposited < 0.5 for _, out in claimers)
 
+    def test_deposit_wakes_one_blocked_claimer(self, st, monkeypatch):
+        wakeups = []
+        wait = st._queued.wait
+        monkeypatch.setattr(st._queued, "wait", lambda timeout=None: wakeups.append(wait(timeout)))
+        claimers = [claim_in_thread(st, wait_ms=1000) for _ in range(4)]
+        st.deposit(pending_demand(qsig(1)))
+        time.sleep(0.2)
+        # waking all four would return four waits: one claim, three that wait again
+        assert len(wakeups) == 1
+        for t, _ in claimers:
+            t.join(3)
+        assert not any(t.is_alive() for t, _ in claimers)
+        assert [out["demand"] is None for _, out in claimers].count(False) == 1
 
     def test_blocked_claimers_take_each_deposit_once(self):
         st = DemandStore()
@@ -355,7 +365,7 @@ class TestBlockingClaim:
 
         def claimer(wid):
             while not stop.is_set():
-                d = st.claim(wid, QUEUED, 60000, wait_ms=50)
+                d = st.claim(wid, 60000, wait_ms=50)
                 if d is not None:
                     claimed.append(d.signature)
                     st.fulfill(d.signature, 0, wid)
@@ -393,10 +403,10 @@ class TestLazyExpiry:
         sig = qsig(7)
         st.deposit(pending_demand(sig))
         before = time.monotonic()
-        st.claim("dead", QUEUED, lease_ms=300)
+        st.claim("dead", lease_ms=300)
         after = time.monotonic()
         try:
-            d = st.claim("live", QUEUED, 5000, wait_ms=2000)
+            d = st.claim("live", 5000, wait_ms=2000)
             got = time.monotonic()
             assert d is not None and d.signature == sig
             assert before + 0.3 <= got < after + 0.3 + 0.1
@@ -406,16 +416,16 @@ class TestLazyExpiry:
 
     def test_claim_without_wait_redelivers(self, st, clock):
         st.deposit(pending_demand(qsig(1)))
-        st.claim("dead", QUEUED, lease_ms=1000)
+        st.claim("dead", lease_ms=1000)
         clock.advance(1001)
-        d = st.claim("live", QUEUED, 1000)  # wait_ms=0, as criterion 4 drains
+        d = st.claim("live", 1000)  # wait_ms=0, as criterion 4 drains
         assert d is not None and d.signature == qsig(1) and d.state is DemandState.IN_PROCESS
         assert st.stats().redeliveries == 1
 
     def test_fetch_reports_lapsed_lease_pending(self, st, clock):
         sig = qsig(2)
         st.deposit(pending_demand(sig))
-        st.claim("dead", QUEUED, lease_ms=1000)
+        st.claim("dead", lease_ms=1000)
         assert st.fetch(sig) == (DemandState.IN_PROCESS, None)
         clock.advance(1001)
         assert st.fetch(sig) == (DemandState.PENDING, None)
@@ -424,7 +434,7 @@ class TestLazyExpiry:
 
     def test_stats_reports_lapsed_lease_pending(self, st, clock):
         st.deposit(pending_demand(qsig(3)))
-        st.claim("dead", QUEUED, lease_ms=1000)
+        st.claim("dead", lease_ms=1000)
         clock.advance(1001)
         s = st.stats()
         assert (s.pending, s.in_process, s.redeliveries) == (1, 0, 1)
@@ -434,20 +444,20 @@ class TestLazyExpiry:
         st.deposit(pending_demand(first))
         clock.advance(1)
         st.deposit(pending_demand(second))
-        assert st.claim("dead", QUEUED, lease_ms=100).signature == first
+        assert st.claim("dead", lease_ms=100).signature == first
         clock.advance(101)
         # the redelivered demand was deposited first, so it is claimed first
-        assert st.claim("w", QUEUED, 1000).signature == first
-        assert st.claim("w", QUEUED, 1000).signature == second
+        assert st.claim("w", 1000).signature == first
+        assert st.claim("w", 1000).signature == second
 
     def test_claim_waits_for_due_lease_without_spinning(self, st, clock, monkeypatch):
         st.deposit(pending_demand(qsig(4)))
-        st.claim("w1", QUEUED, lease_ms=1000)
+        st.claim("w1", lease_ms=1000)
         clock.advance(1000)  # due now, but a lease lapses only once its expiry has passed
         sweeps = []
         sweep = st.sweep_expired_leases
         monkeypatch.setattr(st, "sweep_expired_leases", lambda now=None: sweeps.append(now) or sweep(now))
-        assert st.claim("w2", QUEUED, 1000, wait_ms=100) is None
+        assert st.claim("w2", 1000, wait_ms=100) is None
         # the fake clock never moves on, so each look waits the 1 ms floor
         assert 2 <= len(sweeps) <= 110
 
@@ -497,7 +507,7 @@ class TestFaults:
     def faulted(self, st):
         sig = qsig(1)
         st.deposit(pending_demand(sig))
-        st.claim("w", QUEUED, 1000)
+        st.claim("w", 1000)
         st.fulfill(sig, self.FAULT, "w")
         return sig
 
@@ -567,7 +577,7 @@ class TestFootprint:
                 )
                 key_len.append(len(sig.key()))
                 st.deposit(pending_demand(sig))
-                st.claim("w", QUEUED, 1000)
+                st.claim("w", 1000)
                 st.fulfill(sig, as_float_array(range(8)), "w")
 
         fill(1)  # warms the store's tables and the interpreter's caches
@@ -580,7 +590,7 @@ class TestStats:
         sig = qsig(1)
         st.deposit(pending_demand(sig))  # warehouse miss: enqueued
         st.fetch(sig)  # miss: still pending
-        st.claim("w", QUEUED, 1000)
+        st.claim("w", 1000)
         st.fulfill(sig, 1, "w")
         st.fetch(sig)  # hit
         s = st.stats()
@@ -601,7 +611,7 @@ class TestPersistence:
         done, open_ = qsig(1), qsig(2)
         s1.deposit(pending_demand(done))
         s1.deposit(pending_demand(open_))
-        s1.claim("w", QUEUED, 1000)
+        s1.claim("w", 1000)
         s1.fulfill(done, 123, "w")
         s1.put_resource("p", blob)
         s1.close()
@@ -610,7 +620,7 @@ class TestPersistence:
         assert s2.fetch(done) == (DemandState.COMPUTED, 123)
         # an in-flight claim does not survive: the demand shows up claimable again
         assert s2.fetch(open_)[0] is DemandState.PENDING
-        assert s2.claim("w2", QUEUED, 1000).signature == open_
+        assert s2.claim("w2", 1000).signature == open_
         assert s2.get_resource("p") == blob
         s2.close()
         assert caplog.records == []  # an intact log drops nothing
@@ -621,7 +631,7 @@ class TestPersistence:
         a, b = qsig(1), qsig(2)
         for sig in (a, b):
             s1.deposit(pending_demand(sig))
-            s1.claim("w", QUEUED, 1000)
+            s1.claim("w", 1000)
             s1.fulfill(sig, sig.args[0], "w")
         s1.close()
 
@@ -653,8 +663,8 @@ class TestPersistence:
         assert s2.fetch(qsig(1)) == (DemandState.PENDING, None)
         with pytest.raises(NotFound):
             s2.fetch(sig)
-        assert s2.claim("w", list(DemandKind), 1000).signature == qsig(1)
-        assert s2.claim("w", list(DemandKind), 1000) is None
+        assert s2.claim("w", 1000).signature == qsig(1)
+        assert s2.claim("w", 1000) is None
         s2.fulfill(sig, 3, "dgt")
         assert s2.fetch(sig) == (DemandState.COMPUTED, 3)
         s2.close()
@@ -664,7 +674,7 @@ class TestPersistence:
         s1 = DemandStore(log_path=log, clock=clock)
         for d in range(200):
             s1.deposit(pending_demand(qsig(d)))
-            s1.claim("w", QUEUED, 1000)
+            s1.claim("w", 1000)
             s1.fulfill(qsig(d), d, "w")
         s1.close()
 
@@ -690,7 +700,7 @@ class TestPersistence:
         for name in ("encode_value", "encode_demand"):
             monkeypatch.setattr(wire, name, counting(name, getattr(wire, name)))
         st.deposit(pending_demand(queued))
-        st.claim("w", QUEUED, 1000)
+        st.claim("w", 1000)
         st.fulfill(queued, 5, "w")
         st.fulfill(computed, 6, "dgt")
         assert calls == []
@@ -734,8 +744,8 @@ class TestPersistence:
             s.fetch(abandoned)
         stats = s.stats()
         assert (stats.computed, stats.pending, stats.in_process) == (1, 1, 0)
-        assert s.claim("w", list(DemandKind), 1000).signature == queued
-        assert s.claim("w", list(DemandKind), 1000) is None
+        assert s.claim("w", 1000).signature == queued
+        assert s.claim("w", 1000) is None
         s.close()
 
     def test_corrupt_byte_stops_replay(self, tmp_path, clock, caplog):
@@ -758,6 +768,6 @@ class TestPersistence:
         [record] = caplog.records
         assert record.levelno == logging.WARNING
         assert record.getMessage() == f"store log {log}: dropping {size - off_before_b} bytes of torn or corrupt tail"
-        assert s2.claim("w", QUEUED, 1000).signature == a
-        assert s2.claim("w", QUEUED, 1000) is None
+        assert s2.claim("w", 1000).signature == a
+        assert s2.claim("w", 1000) is None
         s2.close()

@@ -37,9 +37,6 @@ def qsig(d=1):
     return DemandSignature("p", "add2", EMPTY_CONTEXT, DemandKind.PROCEDURAL, (d, 0))
 
 
-QUEUED = [DemandKind.PROCEDURAL]
-
-
 @pytest.fixture
 def store():
     s = DemandStore()
@@ -58,6 +55,12 @@ def tcp_client(store):
 
 def inproc_store_client(store):
     return StoreClient(InProcAgent(lambda t, p: dispatch_store_request(store, t, p)))
+
+
+def assert_malformed(reply):
+    mt, body = reply
+    assert mt is MsgType.ERR
+    assert wire.read_value(wire.Reader(body)) == "MalformedEncoding"
 
 
 @pytest.fixture
@@ -106,34 +109,13 @@ class TestDispatch:
 
 
 class TestClaimKinds:
-    # the claim request carries the kind filter as a bitmask byte
-    def test_bitmask_selects_kinds(self, store, inproc_client):
-        proc = DemandSignature(
-            "p", "add2", EMPTY_CONTEXT, DemandKind.PROCEDURAL, (1, 2)
-        )
-        store.deposit(pending_demand(proc))
-        assert inproc_client.claim("w", [DemandKind.INTENSIONAL], 1000) is None
-        got = inproc_client.claim("w", [DemandKind.PROCEDURAL], 1000)
-        assert got is not None and got.signature == proc
-
     def test_kinds_beyond_procedural_rejected(self, store):
-        # only INTENSIONAL (0) and PROCEDURAL (1) exist: kind byte 2 and mask
-        # bit 0x04 are malformed, not an empty queue
+        # only INTENSIONAL (0) and PROCEDURAL (1) exist: kind byte 2 is malformed
         raw = bytearray(wire.encode_demand(pending_demand(isig())))
         kind_at = 5 + 1 + 5 + 1  # after the two length-prefixed strings "p" and "x"
         assert raw[kind_at] == 0
         raw[kind_at] = 2
-        claim = wire.encode_value("w") + b"\x04" + wire.encode_value(1000)
-        for msg_type, payload in ((MsgType.DEPOSIT, bytes(raw)), (MsgType.CLAIM, claim)):
-            mt, body = dispatch_store_request(store, msg_type, payload)
-            assert mt is MsgType.ERR
-            assert wire.read_value(wire.Reader(body)) == "MalformedEncoding"
-
-    def test_empty_kind_mask_rejected(self, store, inproc_client):
-        # a zero bitmask is a malformed request, not an empty filter
-        store.deposit(pending_demand(isig()))
-        with pytest.raises(wire.MalformedEncoding):
-            inproc_client.claim("w", [], 1000)
+        assert_malformed(dispatch_store_request(store, MsgType.DEPOSIT, bytes(raw)))
 
 
 class TestCarrierEquivalence:
@@ -144,7 +126,7 @@ class TestCarrierEquivalence:
         out = []
         out.append(client.deposit(pending_demand(sig)).status.name)
         out.append(client.fetch(sig)[0].name)
-        d = client.claim("w", QUEUED, 60000)
+        d = client.claim("w", 60000)
         out.append(d.signature.key().hex())
         client.fulfill(sig, 99, "w")
         st, val = client.fetch(sig)
@@ -175,7 +157,7 @@ class TestTcp:
     def test_full_lifecycle_over_tcp(self, store, tcp_client):
         sig = qsig(3)
         assert tcp_client.deposit(pending_demand(sig)).status is DepositStatus.ENQUEUED
-        d = tcp_client.claim("w", QUEUED, 5000)
+        d = tcp_client.claim("w", 5000)
         assert d.signature == sig
         tcp_client.fulfill(sig, 10, "w")
         assert tcp_client.await_result(sig, 1000) == 10
@@ -183,7 +165,7 @@ class TestTcp:
     def test_error_reraised_client_side(self, store, tcp_client):
         sig = qsig(4)
         tcp_client.deposit(pending_demand(sig))
-        tcp_client.claim("w", QUEUED, 5000)
+        tcp_client.claim("w", 5000)
         tcp_client.fulfill(sig, 1, "w")
         with pytest.raises(ConflictingResult):
             tcp_client.fulfill(sig, 2, "w")
@@ -210,7 +192,7 @@ class TestTcp:
             cl = connect_store(addr)
             try:
                 while True:
-                    d = cl.claim(wid, QUEUED, 60000)
+                    d = cl.claim(wid, 60000)
                     if d is None:
                         return
                     cl.fulfill(d.signature, d.signature.args[0], wid)
@@ -269,7 +251,7 @@ class TestOneEncodingPerSignature:
         store, generator, worker, log = logged
         sig = qsig(5)
         assert generator.deposit(pending_demand(sig)).status is DepositStatus.ENQUEUED
-        claimed = worker.claim("w", QUEUED, 5000)
+        claimed = worker.claim("w", 5000)
         worker.fulfill(claimed.signature, 5, "w")
         assert generator.await_result(sig, 1000) == 5
         assert len(fresh_encodes) == 1 and fresh_encodes[0] is sig
@@ -315,9 +297,8 @@ def agent(request, store):
     srv.stop()
 
 
-def claim_payload(*wait_ms):
-    payload = wire.encode_value("w") + bytes([1 << DemandKind.PROCEDURAL]) + wire.encode_value(60000)
-    return payload + b"".join(wire.encode_value(w) for w in wait_ms)
+def claim_payload(wait_ms=0):
+    return wire.encode_value("w") + wire.encode_value(60000) + wire.encode_value(wait_ms)
 
 
 class TestBlockingClaim:
@@ -325,7 +306,7 @@ class TestBlockingClaim:
         out = {}
 
         def run():
-            out["demand"] = StoreClient(agent).claim("w", QUEUED, 5000, wait_ms=2000)
+            out["demand"] = StoreClient(agent).claim("w", 5000, wait_ms=2000)
             out["at"] = time.monotonic()
 
         t = threading.Thread(target=run)
@@ -340,10 +321,11 @@ class TestBlockingClaim:
 
     def test_empty_claim_returns_none_after_wait(self, agent):
         started = time.monotonic()
-        assert StoreClient(agent).claim("w", QUEUED, 5000, wait_ms=150) is None
+        assert StoreClient(agent).claim("w", 5000, wait_ms=150) is None
         assert 0.14 <= time.monotonic() - started < 1.0
 
     def test_three_field_claim_still_claims(self, store, agent):
+        # Str worker, Int lease_ms, Int wait_ms: the one CLAIM layout
         store.deposit(pending_demand(qsig(2)))
         mt, body = agent.request(MsgType.CLAIM, claim_payload())
         assert mt is MsgType.CLAIM_REPLY and body[:1] == b"\x01"
@@ -351,10 +333,46 @@ class TestBlockingClaim:
     @pytest.mark.parametrize("wait_ms", [True, -1, transport.MAX_CLAIM_WAIT_MS + 1, 1.5])
     def test_bad_wait_is_err(self, store, agent, wait_ms):
         store.deposit(pending_demand(qsig(3)))
-        mt, body = agent.request(MsgType.CLAIM, claim_payload(wait_ms))
-        assert mt is MsgType.ERR
-        assert wire.read_value(wire.Reader(body)) == "MalformedEncoding"
+        assert_malformed(agent.request(MsgType.CLAIM, claim_payload(wait_ms)))
         assert store.stats().pending == 1
+
+    def test_claim_without_wait_is_err(self, store, agent):
+        store.deposit(pending_demand(qsig(4)))
+        assert_malformed(agent.request(MsgType.CLAIM, wire.encode_value("w") + wire.encode_value(60000)))
+        assert store.stats().pending == 1
+
+    @pytest.mark.parametrize("mask", [1 << DemandKind.INTENSIONAL, 1 << DemandKind.PROCEDURAL, 0x03])
+    @pytest.mark.parametrize("wait", [b"", wire.encode_value(0)])
+    def test_claim_with_kind_mask_is_err(self, store, agent, mask, wait):
+        # the layout with a kind-mask byte after the worker id is gone
+        store.deposit(pending_demand(qsig(5)))
+        payload = wire.encode_value("w") + bytes([mask]) + wire.encode_value(60000) + wait
+        assert_malformed(agent.request(MsgType.CLAIM, payload))
+        assert store.stats().pending == 1
+
+    def test_each_blocked_claimer_gets_one_deposit(self, store, agent):
+        outs = [{} for _ in range(4)]
+
+        def run(out, wid):
+            client = StoreClient(agent if isinstance(agent, InProcAgent) else TcpAgent(agent.host, agent.port))
+            try:
+                out["demand"] = client.claim(wid, 5000, wait_ms=2000)
+                out["at"] = time.monotonic()
+            finally:
+                client.close()
+
+        threads = [threading.Thread(target=run, args=(out, f"w{i}")) for i, out in enumerate(outs)]
+        for t in threads:
+            t.start()
+        time.sleep(0.2)  # let all four block
+        deposited = time.monotonic()
+        for d in range(4):
+            store.deposit(pending_demand(qsig(d)))
+        for t in threads:
+            t.join(3)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(out["demand"].signature.args[0] for out in outs) == [0, 1, 2, 3]
+        assert all(out["at"] - deposited < 0.5 for out in outs)
 
 
 class TestServerStop:

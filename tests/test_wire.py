@@ -162,6 +162,20 @@ class TestSignatureDemandCodec:
         with pytest.raises(wire.MalformedEncoding):
             wire.decode_signature(bytes(raw))
 
+    @pytest.mark.parametrize(
+        "tail, message",
+        [
+            (b"\x07\x00", "unknown demand state 0x07"),
+            (b"\x00\x02", "bad result presence byte 0x02"),
+            (b"\x02\x00", "COMPUTED"),
+        ],
+        ids=["state", "presence", "computed-without-result"],
+    )
+    def test_bad_demand_bytes_rejected(self, tail, message):
+        data = wire.encode_signature(DemandSignature("p", "x")) + tail
+        with pytest.raises(wire.MalformedEncoding, match=message):
+            wire.decode_demand(data)
+
 
 # Any 8 bytes as a float: NaN payloads, infinities, subnormals, -0.0.
 raw_floats = st.binary(min_size=8, max_size=8).map(lambda b: struct.unpack(">d", b)[0])
@@ -326,6 +340,14 @@ class TestGeerCodec:
         assert out.dictionary.keys() == geer.dictionary.keys()
         assert lang.pretty_program(out) == lang.pretty_program(geer)
         assert out.source_digest == geer.source_digest
+
+    def test_roundtrip_with_calls(self):
+        src = "y where dimension d; y = call add2(call neg(#.d), x); x = call mul2(2, 3); end"
+        geer = lang.compile_source(src, "calls")
+        data = wire.encode_geer(geer)
+        out = wire.decode_geer(data)
+        assert lang.pretty_program(out) == lang.pretty_program(geer)
+        assert wire.encode_geer(out) == data
 
     def test_encoding_is_deterministic(self):
         geer = lang.compile_source(self.SRC, "facts")

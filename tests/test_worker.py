@@ -159,10 +159,10 @@ class TestWorkerLoop:
         qsig = psig("add2", 1, 0)
         store.deposit(pending_demand(isig))
         store.deposit(pending_demand(qsig))
-        # an intensional deposit queues nothing, so a claim for intensional
-        # demands finds none, and leaves procedural work alone
-        assert store.claim("w", [DemandKind.INTENSIONAL], 5000, wait_ms=50) is None
-        assert store.fetch(qsig)[0] is DemandState.PENDING
+        # an intensional deposit queues nothing: a claim finds only the procedural work
+        assert store.claim("w", 5000).signature == qsig
+        assert store.claim("w", 5000, wait_ms=50) is None
+        assert store.fetch(qsig)[0] is DemandState.IN_PROCESS
         with pytest.raises(NotFound):
             store.fetch(isig)
         store.close()
