@@ -6,8 +6,9 @@
 Stdlib only: ``sys.settrace`` and ``threading.settrace`` record every line
 executed in the package while ``pytest.main`` runs in this process.  A
 module's executable lines are the line numbers of its compiled code objects.
-Lines run only in a subprocess are not seen; the suite starts none.  The
-exit status is pytest's.
+Lines run only in a subprocess are not seen, so the benchmark self-test
+that the suite starts counts for nothing here.  The exit status is
+pytest's.
 """
 import os
 import sys

@@ -40,7 +40,7 @@ from .model import (
     value_kind,
     wrap64,
 )
-from .store import DepositStatus, ProcedureFault, Timeout  # a faulted call raises ProcedureFault
+from .store import DepositStatus, ProcedureFault, Timeout, gather  # a faulted call raises ProcedureFault
 from .worker import ProcedureRegistry, StoreUnreachable
 from .lang import UndefinedIdentifier
 
@@ -252,14 +252,10 @@ class Evaluator:
         key = sig.key()
         if key in self._local:
             return self._local[key]
-        out = self.store.deposit(pending_demand(sig))
-        if out.status is DepositStatus.ALREADY_COMPUTED:
-            value = out.value
-        else:
-            try:
-                value = self.store.await_result(sig, self.cfg.proc_timeout_ms)
-            except Timeout as e:
-                raise ProcTimeout(str(e)) from None
+        try:
+            [value] = gather(self.store, [sig], self.cfg.proc_timeout_ms)
+        except Timeout as e:
+            raise ProcTimeout(str(e)) from None
         self._local[key] = value
         return value
 

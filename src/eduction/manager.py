@@ -11,8 +11,8 @@ stops once.  Allocation talks to the owning node through a node agent:
 ``LocalNodeAgent`` runs tiers as threads in this process,
 ``TcpNodeAgent`` sends the same commands to a remote node's agent server.
 A move is stop-then-start with the config carried over and a fresh tier
-id; nothing migrates live state, redelivery of leased demands is the
-store's job.
+id, and the event log records it as that dealloc and that alloc; nothing
+migrates live state, redelivery of leased demands is the store's job.
 
 Commands are serialized by one lock (a single logical command queue);
 heartbeats only touch timestamps and take a separate lock so a slow
@@ -433,9 +433,7 @@ class Manager:
                 raise TierUnknown(str(tier_id))
             self._node(dest_node_id, must_be_alive=True)
             self.deallocate(tier_id)
-            new = self.allocate(dest_node_id, tier.kind, tier.config)
-            self._log_event({"ev": "move", "old": tier_id, "new": new.tier_id, "node_id": dest_node_id})
-            return new
+            return self.allocate(dest_node_id, tier.kind, tier.config)
 
     # -- reporting -----------------------------------------------------------
 
@@ -492,8 +490,7 @@ class Manager:
             tier = self._tiers.get(ev["tier_id"])
             if tier is not None:
                 tier.state = TierState.STOPPED
-        elif kind == "move":
-            pass  # its dealloc and alloc events carry the state
+        # any other kind (an older log's "move") carries no state of its own
 
     def _log_event(self, ev: dict):
         if self._log is not None:

@@ -13,20 +13,26 @@ share every line of arithmetic:
 
 Distributed mode keeps loading and preprocessing on the generator side and
 ships feature extraction, training and classification to workers as
-procedural demands ("fe.window_energy", "cls.train", "cls.classify").  A
-model version is an immutable resource named by the hex sha256 of its
-bytes, and training step t is a demand like any other:
-``cls.train(prev, subject_id, fv)`` loads version ``prev`` ("" is the empty
-model), folds in one feature vector, puts the new version under its digest
-and returns that digest.  A step is a function of its arguments alone, so a
-redelivered or repeated step yields the same version.  After the last step
-the generator copies the final version under the model id; of two trainings
-of one model id at once, the last copy wins, and it is a whole model.  Classify demands
-carry a digest of the model bytes, which keeps their signatures
-referentially transparent: a different model means a different demand.
+procedural demands ("fe.window_energy", "cls.train", "cls.classify").  Training
+and classifying alike, the generator deposits every feature demand before
+it awaits any, so features are extracted in parallel.  A model version is an
+immutable resource named by the hex sha256 of its bytes, and training step
+t is a demand like any other: ``cls.train(prev, subject_id, fv)`` loads
+version ``prev`` ("" is the empty model), folds in one feature vector,
+puts the new version under its digest and returns that digest.  A step is
+a function of its arguments alone, so a redelivered or repeated step
+yields the same version.  After the last step the generator copies the
+final version under the model id; of two trainings of one model id at
+once, the last copy wins, and it is a whole model.  Classifying reads that
+copy once to learn its digest and deposits ``cls.classify(digest, fv)``
+for every sample: a signature names the model's content, not its id, so
+the same model under two ids shares warehouse entries.  A worker loads a
+version by digest through a small cache, which a digest's immutable bytes
+keep coherent.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -35,8 +41,8 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import EductionError
 from . import wire
-from .model import DemandKind, DemandSignature, Value, as_float_array, pending_demand
-from .store import DepositStatus, NotFound
+from .model import DemandKind, DemandSignature, Value, as_float_array
+from .store import NotFound, gather
 from .worker import ProcedureRegistry
 
 PROGRAM_ID = "pipeline"
@@ -289,19 +295,8 @@ def _proc_sig(name: str, args: tuple) -> DemandSignature:
     return DemandSignature(PROGRAM_ID, name, kind=DemandKind.PROCEDURAL, args=args)
 
 
-def _submit(store, sig: DemandSignature):
-    return store.deposit(pending_demand(sig))
-
-
-def _collect(store, sig: DemandSignature, out, timeout_ms: float) -> Value:
-    if out.status is DepositStatus.ALREADY_COMPUTED:
-        return out.value
-    return store.await_result(sig, timeout_ms)
-
-
 def _call(store, name: str, args: tuple, timeout_ms: float) -> Value:
-    sig = _proc_sig(name, args)
-    return _collect(store, sig, _submit(store, sig), timeout_ms)
+    return gather(store, [_proc_sig(name, args)], timeout_ms)[0]
 
 
 def run_pipeline_distributed(
@@ -319,35 +314,24 @@ def run_pipeline_distributed(
     and collects.  Training builds a model from ``samples`` alone and puts
     it under ``model_id``, replacing any model stored there.
     """
+    if mode not in (TRAIN_MODE, CLASSIFY_MODE):
+        raise ValueError(f"unknown mode {mode!r}")
+    fe_sigs = [_proc_sig(FE_PROC, (as_float_array(preprocess(s).amplitudes), windows)) for _, s in samples]
+    fvs = gather(store, fe_sigs, timeout_ms)
+
     if mode == TRAIN_MODE:
         version = ""
-        for label, sample in samples:
-            s = preprocess(sample)
-            fv = _call(store, FE_PROC, (as_float_array(s.amplitudes), windows), timeout_ms)
+        for (label, _), fv in zip(samples, fvs):
             version = _call(store, TRAIN_PROC, (version, int(label), fv), timeout_ms)
         store.put_resource(model_id, _version_bytes(store, version))
         return []
-    if mode != CLASSIFY_MODE:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    fe_sigs = [
-        _proc_sig(FE_PROC, (as_float_array(preprocess(sample).amplitudes), windows))
-        for _, sample in samples
-    ]
-    fe_outs = [_submit(store, sig) for sig in fe_sigs]
-    fvs = [_collect(store, sig, out, timeout_ms) for sig, out in zip(fe_sigs, fe_outs)]
 
     try:
-        model_digest = hashlib.sha256(store.get_resource(model_id)).hexdigest()
+        digest = hashlib.sha256(store.get_resource(model_id)).hexdigest()
     except NotFound:
         raise EmptyTrainingSet(f"no model {model_id!r} in the store") from None
-    cls_sigs = [_proc_sig(CLASSIFY_PROC, (model_id, model_digest, fv)) for fv in fvs]
-    cls_outs = [_submit(store, sig) for sig in cls_sigs]
-    results = []
-    for sig, out in zip(cls_sigs, cls_outs):
-        flat = _collect(store, sig, out, timeout_ms)
-        results.append(tuple((int(flat[i]), flat[i + 1]) for i in range(0, len(flat), 2)))
-    return results
+    flats = gather(store, [_proc_sig(CLASSIFY_PROC, (digest, fv)) for fv in fvs], timeout_ms)
+    return [tuple((int(flat[i]), flat[i + 1]) for i in range(0, len(flat), 2)) for flat in flats]
 
 
 # --- worker-side procedures ------------------------------------------------------
@@ -370,6 +354,12 @@ def build_pipeline_registry(store) -> ProcedureRegistry:
     """Pipeline procedures bound to the store that keeps the models."""
     reg = ProcedureRegistry()
 
+    @functools.lru_cache(maxsize=8)
+    def load(digest: str) -> TrainingSet:
+        # a digest names immutable bytes, so a cached version is never stale;
+        # callers share the TrainingSet, and train and classify only read it
+        return decode_training_set(_version_bytes(store, digest))
+
     def fe(amplitudes, windows):
         if not isinstance(amplitudes, tuple):
             raise ValueError("amplitudes must be a FloatArray")
@@ -382,31 +372,23 @@ def build_pipeline_registry(store) -> ProcedureRegistry:
             raise ValueError("cls.train takes (Str, Int, FloatArray)")
         if isinstance(subject_id, bool) or not isinstance(subject_id, int):
             raise ValueError("subject id must be an Int")
-        ts = train(decode_training_set(_version_bytes(store, prev)), fv, subject_id)
-        data = encode_training_set(ts)
+        data = encode_training_set(train(load(prev), fv, subject_id))
         digest = hashlib.sha256(data).hexdigest()
         store.put_resource(digest, data)
         return digest
 
-    def cls_classify(model_id, model_digest, fv):
-        if not isinstance(model_id, str) or not isinstance(model_digest, str) or not isinstance(fv, tuple):
-            raise ValueError("cls.classify takes (Str, Str, FloatArray)")
-        try:
-            raw = store.get_resource(model_id)
-        except NotFound:
-            raise EmptyTrainingSet(f"no model {model_id!r}") from None
-        if hashlib.sha256(raw).hexdigest() != model_digest:
-            raise ValueError(f"model {model_id!r} changed since the demand was issued")
-        rs = classify(decode_training_set(raw), fv)
+    def cls_classify(digest, fv):
+        if not isinstance(digest, str) or not isinstance(fv, tuple):
+            raise ValueError("cls.classify takes (Str, FloatArray)")
         flat = []
-        for subject_id, dist in rs:
+        for subject_id, dist in classify(load(digest), fv):
             flat.append(float(subject_id))
             flat.append(dist)
         return tuple(flat)
 
     reg.register(FE_PROC, 2, fe)
     reg.register(TRAIN_PROC, 3, cls_train)
-    reg.register(CLASSIFY_PROC, 3, cls_classify)
+    reg.register(CLASSIFY_PROC, 2, cls_classify)
     return reg
 
 

@@ -50,6 +50,7 @@ from .model import (
     MalformedDemand,
     Value,
     is_finite_value,
+    pending_demand,
 )
 from .wire import MsgType
 
@@ -370,7 +371,7 @@ class DemandStore:
             self._work.pop(key, None)
         elif msg_type is MsgType.RESOURCE_PUT:
             r = wire.Reader(payload)
-            program_id = wire.read_value(r)
+            program_id = wire.read_str(r)
             n = r.u32()
             self._resources[program_id] = r.take(n)
             r.expect_done()
@@ -385,6 +386,21 @@ class DemandStore:
         if self._log is not None:
             self._log.close()
             self._log = None
+
+
+def gather(store, sigs, timeout_ms: float) -> list:
+    """Deposit every signature, then give each one's value, in order.
+
+    ``store`` is a ``DemandStore`` or a client of one.  A warehouse hit is
+    its value at once; anything else is awaited.  Every deposit goes out
+    before the first wait, so the demands run on as many workers as there
+    are.  This is the one place that reads a procedural deposit's outcome.
+    """
+    outs = [store.deposit(pending_demand(sig)) for sig in sigs]
+    return [
+        out.value if out.status is DepositStatus.ALREADY_COMPUTED else store.await_result(sig, timeout_ms)
+        for sig, out in zip(sigs, outs)
+    ]
 
 
 def _validate_resource(data: bytes):

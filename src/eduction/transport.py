@@ -113,10 +113,8 @@ def _store_request(store: DemandStore, msg_type: MsgType, payload: bytes) -> Tup
     if msg_type is MsgType.FULFILL:
         sig = wire.read_signature(r)
         value = wire.read_value(r)
-        worker = wire.read_value(r)
+        worker = wire.read_str(r)
         r.expect_done()
-        if not isinstance(worker, str):
-            raise wire.MalformedEncoding("fulfill takes a Str worker id")
         store.fulfill(sig, value, worker)
         return MsgType.OK, b""
     if msg_type is MsgType.FETCH:
@@ -128,26 +126,20 @@ def _store_request(store: DemandStore, msg_type: MsgType, payload: bytes) -> Tup
         return MsgType.FETCH_REPLY, body
     if msg_type is MsgType.AWAIT:
         sig = wire.read_signature(r)
-        timeout_ms = wire.read_value(r)
+        timeout_ms = wire.read_int(r)
         r.expect_done()
-        if isinstance(timeout_ms, bool) or not isinstance(timeout_ms, int):
-            raise wire.MalformedEncoding("await takes an Int timeout")
         value = store.await_result(sig, timeout_ms)
         return MsgType.OK, wire.encode_value(value)
     if msg_type is MsgType.RESOURCE_PUT:
-        program_id = wire.read_value(r)
+        program_id = wire.read_str(r)
         n = r.u32()
         data = r.take(n)
         r.expect_done()
-        if not isinstance(program_id, str):
-            raise wire.MalformedEncoding("resource ids are Str")
         store.put_resource(program_id, data)
         return MsgType.OK, b""
     if msg_type is MsgType.RESOURCE_GET:
-        program_id = wire.read_value(r)
+        program_id = wire.read_str(r)
         r.expect_done()
-        if not isinstance(program_id, str):
-            raise wire.MalformedEncoding("resource ids are Str")
         data = store.get_resource(program_id)
         return MsgType.OK, len(data).to_bytes(4, "big") + data
     if msg_type is MsgType.STATS:

@@ -258,6 +258,34 @@ class TestEventLog:
                 obj = json.loads(line)
                 assert list(obj) == sorted(obj)
 
+    def test_move_is_logged_as_its_dealloc_and_alloc(self, tmp_path):
+        log = str(tmp_path / "gmt.jsonl")
+        mgr, _ = make_mgr(log_path=log)
+        n1 = mgr.register_node("n:1", agent=LocalNodeAgent())
+        n2 = mgr.register_node("n:2", agent=LocalNodeAgent())
+        old = mgr.allocate(n1, "DST", {})
+        new = mgr.move(old.tier_id, n2)
+        mgr.close()
+        with open(log) as f:
+            lines = f.readlines()
+        assert [json.loads(line)["ev"] for line in lines] == ["register", "register", "alloc", "dealloc", "alloc"]
+
+        def replayed(path):
+            m = Manager(heartbeat_ms=1000, clock=FakeClock(), log_path=path)
+            report = m.status_report()
+            m.close()
+            return report
+
+        # a log written before moves stopped logging themselves holds a "move" line too
+        older = str(tmp_path / "older.jsonl")
+        move = {"ev": "move", "old": old.tier_id, "new": new.tier_id, "node_id": n2, "ts": 0.0}
+        with open(older, "w") as f:
+            f.writelines(lines + [json.dumps(move, sort_keys=True) + "\n"])
+        report = replayed(older)
+        assert report == replayed(log)
+        assert report["tiers"][old.tier_id]["state"] == "STOPPED"
+        assert report["tiers"][new.tier_id]["node_id"] == n2
+
     def test_torn_tail_stops_replay(self, tmp_path):
         log = str(tmp_path / "gmt.jsonl")
         mgr, _ = make_mgr(log_path=log)

@@ -2,6 +2,7 @@
 import hashlib
 import math
 import random
+import sys
 import threading
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from eduction import pipeline as P
 from eduction import wire
+from eduction.model import pending_demand
 from eduction.store import DemandStore, ProcedureFault
 from eduction.transport import connect_store, serve_store
 from eduction.worker import Worker, WorkerConfig
@@ -317,23 +319,136 @@ class TestEndToEnd:
 
 
 class CountingStore:
-    """A store that counts the model bytes its resource calls move."""
+    """A store that counts its resource gets and the model bytes its resource calls move."""
 
     def __init__(self, store):
         self.store = store
         self.model_bytes = 0
+        self.gets = 0
 
     def __getattr__(self, name):
         return getattr(self.store, name)
 
     def get_resource(self, resource_id):
         data = self.store.get_resource(resource_id)
+        self.gets += 1
         self.model_bytes += len(data)
         return data
 
     def put_resource(self, resource_id, data):
         self.model_bytes += len(data)
         self.store.put_resource(resource_id, data)
+
+
+class RecordingStore:
+    """A store that records the procedure name of every deposit."""
+
+    def __init__(self, store):
+        self.store = store
+        self.deposited = []
+
+    def __getattr__(self, name):
+        return getattr(self.store, name)
+
+    def deposit(self, d):
+        self.deposited.append(d.signature.name)
+        return self.store.deposit(d)
+
+
+class TestOnePathToAModel:
+    def test_classify_fetches_the_model_once_per_worker(self):
+        train, test = P.default_corpus()
+        store = DemandStore()
+        counting = CountingStore(store)
+        w = Worker(WorkerConfig(worker_id="w"), store, P.build_pipeline_registry(store)).start()
+        try:
+            P.run_pipeline_distributed(store, train, P.TRAIN_MODE, model_id="m")
+        finally:
+            w.stop()
+        w = Worker(WorkerConfig(worker_id="w"), store, P.build_pipeline_registry(counting)).start()
+        try:
+            results = P.run_pipeline_distributed(store, [(None, s) for _, s in test], P.CLASSIFY_MODE, model_id="m")
+        finally:
+            w.stop()
+            store.close()
+        assert P.top1_accuracy(results, [sid for sid, _ in test]) == (20, 20)
+        # a fetch per sample before versions were loaded by digest: 20
+        assert counting.gets == 1
+
+    def test_training_deposits_every_feature_before_its_first_step(self):
+        train, _ = P.default_corpus(subjects=2, n=64)
+        store = RecordingStore(DemandStore())
+        workers = [
+            Worker(WorkerConfig(worker_id=f"w{i}"), store.store, P.build_pipeline_registry(store.store)).start()
+            for i in range(2)
+        ]
+        try:
+            P.run_pipeline_distributed(store, train, P.TRAIN_MODE, model_id="m")
+        finally:
+            for w in workers:
+                w.stop()
+            store.close()
+        names = store.deposited
+        assert names.count(P.FE_PROC) == names.count(P.TRAIN_PROC) == len(train)
+        assert names.index(P.TRAIN_PROC) == len(train)
+
+    def test_threads_sharing_a_registry_read_the_right_versions(self):
+        # more versions than the cache holds, so threads evict each other's entries
+        store = DemandStore()
+        models = [P.train(P.TrainingSet(), (float(i), 1.0), i) for i in range(12)]
+        models = [P.train(ts, (1.0, float(i)), 99) for i, ts in enumerate(models)]
+        digests = []
+        for ts in models:
+            data = P.encode_training_set(ts)
+            digests.append(hashlib.sha256(data).hexdigest())
+            store.put_resource(digests[-1], data)
+        reg = P.build_pipeline_registry(store)
+        fv = (0.5, 0.5)
+        right, wrong = [], []
+
+        def run(seed):
+            rng = random.Random(seed)
+            for _ in range(200):
+                i = rng.randrange(len(models))
+                flat = reg.invoke(P.CLASSIFY_PROC, (digests[i], fv))
+                got = tuple((int(flat[k]), flat[k + 1]) for k in range(0, len(flat), 2))
+                (right if got == P.classify(models[i], fv) else wrong).append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(seed,)) for seed in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+            store.close()
+        assert not any(t.is_alive() for t in threads)
+        assert (len(right), wrong) == (8 * 200, [])
+
+    def test_one_model_under_two_ids_shares_classify_results(self):
+        train, test = P.default_corpus(subjects=2, n=64)
+        test = [(None, s) for _, s in test]
+        store = DemandStore()
+        reg = P.build_pipeline_registry(store)
+        invoked = []
+        invoke = reg.invoke
+        reg.invoke = lambda name, args: invoked.append(name) or invoke(name, args)
+        w = Worker(WorkerConfig(worker_id="w"), store, reg).start()
+        try:
+            P.run_pipeline_distributed(store, train, P.TRAIN_MODE, model_id="a")
+            store.put_resource("b", store.get_resource("a"))
+            first = P.run_pipeline_distributed(store, test, P.CLASSIFY_MODE, model_id="a")
+            computed = invoked.count(P.CLASSIFY_PROC)
+            second = P.run_pipeline_distributed(store, test, P.CLASSIFY_MODE, model_id="b")
+        finally:
+            w.stop()
+            store.close()
+        assert computed == len(test)
+        assert invoked.count(P.CLASSIFY_PROC) == computed
+        assert second == first
 
 
 class TestModelVersions:
@@ -467,12 +582,29 @@ class TestDistributedErrors:
             w.stop()
             store.close()
 
-    def test_classify_refuses_a_changed_model(self):
+    def test_classify_refuses_a_missing_or_altered_version(self):
         store = DemandStore()
         reg = P.build_pipeline_registry(store)
-        ts = P.train(P.TrainingSet(), (1.0, 1.0), 1)
-        store.put_resource("m", P.encode_training_set(ts))
-        stale = hashlib.sha256(P.encode_training_set(P.TrainingSet())).hexdigest()
-        with pytest.raises(ProcedureFault, match="changed since the demand was issued"):
-            reg.invoke(P.CLASSIFY_PROC, ("m", stale, (1.0, 1.0)))
+        with pytest.raises(ProcedureFault, match="no model version"):
+            reg.invoke(P.CLASSIFY_PROC, ("ab" * 32, (1.0, 1.0)))
+        store.put_resource("cd" * 32, P.encode_training_set(P.train(P.TrainingSet(), (1.0, 1.0), 1)))
+        with pytest.raises(ProcedureFault, match="does not hash to its name"):
+            reg.invoke(P.CLASSIFY_PROC, ("cd" * 32, (1.0, 1.0)))
         store.close()
+
+    def test_replayed_old_classify_demand_is_an_arity_fault(self, tmp_path):
+        # a log written when classify took (model_id, digest, fv) still queues such demands
+        log = str(tmp_path / "store.log")
+        old = ("m", "ab" * 32, (1.0, 1.0))
+        first = DemandStore(log_path=log)
+        first.deposit(pending_demand(P._proc_sig(P.CLASSIFY_PROC, old)))
+        first.close()
+        store = DemandStore(log_path=log)
+        w = Worker(WorkerConfig(worker_id="w"), store, P.build_pipeline_registry(store)).start()
+        try:
+            with pytest.raises(ProcedureFault, match="^ArityMismatch"):
+                P._call(store, P.CLASSIFY_PROC, old, 3000)
+            assert w.alive
+        finally:
+            w.stop()
+            store.close()

@@ -748,6 +748,26 @@ class TestPersistence:
         assert s.claim("w", 1000) is None
         s.close()
 
+    def test_resource_with_an_int_id_stops_replay(self, tmp_path, clock, caplog):
+        blob = TestResources.blob()
+        log = str(tmp_path / "store.log")
+        s1 = DemandStore(log_path=log, clock=clock)
+        s1.put_resource("p", blob)
+        s1.close()
+        good = os.path.getsize(log)
+        with open(log, "ab") as f:
+            payload = wire.encode_value(1) + len(blob).to_bytes(4, "big") + blob
+            f.write(wire.encode_frame(wire.MsgType.RESOURCE_PUT, payload))
+
+        with caplog.at_level(logging.WARNING, logger="eduction.store"):
+            s2 = DemandStore(log_path=log, clock=clock)
+        assert os.path.getsize(log) == good
+        assert len(caplog.records) == 1
+        assert s2.get_resource("p") == blob
+        with pytest.raises(NotFound):
+            s2.get_resource(1)
+        s2.close()
+
     def test_corrupt_byte_stops_replay(self, tmp_path, clock, caplog):
         log = str(tmp_path / "store.log")
         s1 = DemandStore(log_path=log, clock=clock)

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from eduction import transport, wire
+from eduction.lang import compile_source
 from eduction.model import (
     EMPTY_CONTEXT,
     DemandKind,
@@ -173,8 +174,6 @@ class TestTcp:
             tcp_client.get_resource("missing")
 
     def test_resources_over_tcp(self, store, tcp_client):
-        from eduction.lang import compile_source
-
         blob = wire.encode_geer(compile_source("40 + 2", "t"))
         tcp_client.put_resource("t", blob)
         assert tcp_client.get_resource("t") == blob
@@ -373,6 +372,33 @@ class TestBlockingClaim:
         assert not any(t.is_alive() for t in threads)
         assert sorted(out["demand"].signature.args[0] for out in outs) == [0, 1, 2, 3]
         assert all(out["at"] - deposited < 0.5 for out in outs)
+
+
+class TestTypedFields:
+    """Each Str or Int field of a request is read as that kind or answered MalformedEncoding."""
+
+    def test_fulfill_worker_must_be_str(self, store, agent):
+        store.deposit(pending_demand(qsig(6)))
+        store.claim("w", 60000)
+        payload = wire.encode_signature(qsig(6)) + wire.encode_value(8) + wire.encode_value(7)
+        assert_malformed(agent.request(MsgType.FULFILL, payload))
+        assert store.stats().in_process == 1
+
+    @pytest.mark.parametrize("timeout_ms", [True, "100"])
+    def test_await_timeout_must_be_int(self, store, agent, timeout_ms):
+        store.deposit(pending_demand(qsig(7)))
+        payload = wire.encode_signature(qsig(7)) + wire.encode_value(timeout_ms)
+        assert_malformed(agent.request(MsgType.AWAIT, payload))
+
+    def test_resource_put_id_must_be_str(self, store, agent):
+        data = wire.encode_geer(compile_source("1", "p"))
+        payload = wire.encode_value(1) + len(data).to_bytes(4, "big") + data
+        assert_malformed(agent.request(MsgType.RESOURCE_PUT, payload))
+        with pytest.raises(NotFound):
+            store.get_resource(1)
+
+    def test_resource_get_id_must_be_str(self, store, agent):
+        assert_malformed(agent.request(MsgType.RESOURCE_GET, wire.encode_value(1)))
 
 
 class TestServerStop:
