@@ -6,21 +6,29 @@ warehouse, so nothing is computed twice.  Intensional sub-demands are
 evaluated in-process and their results published to the warehouse; only
 procedural (``call``) demands queue for workers.
 
+The engine keeps its own demand stack.  Each identifier body runs as a
+generator that yields its sub-demands to one driver loop, which holds the
+stack, the cycle check and the depth bound, so a chain of demands as deep
+as ``max_depth`` needs no more Python recursion than one body does.  The
+local memo is keyed by ``(name, ctx.pairs)``; a signature is built and
+encoded only on a local miss, for the warehouse.
+
 A cold intensional demand costs two store requests: a deposit that doubles
 as the warehouse lookup, then, once the value is computed, a fulfill.  The
 store records nothing for an intensional miss, so no claim comes in
-between, and an evaluation that raises leaves nothing behind.  Two generators that compute the same demand concurrently both
-fulfil it; determinism makes the values agree, and the store accepts the
-second fulfil as an idempotent completion.
+between, and an evaluation that raises leaves nothing behind.  Two
+generators that compute the same demand concurrently both fulfil it;
+determinism makes the values agree, and the store accepts the second
+fulfil as an idempotent completion.
 
 ``reference_eval`` is an independent oracle: a direct recursive interpreter
 with no caches and no store, executing procedure calls inline through the
 same registry.  The two paths must agree on values and on error classes.
 
 Both paths bound the demand depth by ``max_depth`` (``DepthExceeded``).
-Each raises the Python recursion limit to fit that many nested demands,
-and a ``RecursionError`` that still escapes (an expression nested deeper
-than the limit allows per demand) becomes ``DepthExceeded`` too.
+Only the oracle raises the Python recursion limit, to fit that many nested
+demands.  In either path a ``RecursionError`` (an expression nested deeper
+than the limit allows within one body) becomes ``DepthExceeded`` too.
 """
 from __future__ import annotations
 
@@ -79,11 +87,7 @@ class EvalConfig:
     proc_timeout_ms: int = 30000
 
 
-def _numeric(v: Value, op: str):
-    k = value_kind(v)
-    if k not in ("int", "float"):
-        raise TypeMismatch(f"{op} needs numeric operands, got {k}")
-    return v
+_NUMERIC = ("int", "float")
 
 
 def apply_binop(op: str, a: Value, b: Value) -> Value:
@@ -93,24 +97,28 @@ def apply_binop(op: str, a: Value, b: Value) -> Value:
     zero; ``%`` follows the sign of the dividend; mixing Int and Float
     promotes to Float; ``&&``/``||`` are strict and take Bools.
     """
+    ka, kb = value_kind(a), value_kind(b)
     if op in ("&&", "||"):
-        if value_kind(a) != "bool" or value_kind(b) != "bool":
+        if ka != "bool" or kb != "bool":
             raise TypeMismatch(f"{op} needs Bool operands")
         return (a and b) if op == "&&" else (a or b)
     if op in ("==", "!="):
-        ka, kb = value_kind(a), value_kind(b)
-        numeric = {"int", "float"}
-        if not (ka == kb or (ka in numeric and kb in numeric)):
+        if not (ka == kb or (ka in _NUMERIC and kb in _NUMERIC)):
             raise TypeMismatch(f"{op} on {ka} and {kb}")
         eq = a == b
         return eq if op == "==" else not eq
-    if op in ("<", "<=", ">", ">="):
-        _numeric(a, op)
-        _numeric(b, op)
-        return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[op]
-    _numeric(a, op)
-    _numeric(b, op)
-    both_int = value_kind(a) == "int" and value_kind(b) == "int"
+    for k in (ka, kb):
+        if k not in _NUMERIC:
+            raise TypeMismatch(f"{op} needs numeric operands, got {k}")
+    if op == "<":
+        return a < b
+    if op == "<=":
+        return a <= b
+    if op == ">":
+        return a > b
+    if op == ">=":
+        return a >= b
+    both_int = ka == "int" and kb == "int"
     if op == "+":
         return wrap64(a + b) if both_int else float(a) + float(b)
     if op == "-":
@@ -136,10 +144,11 @@ def apply_binop(op: str, a: Value, b: Value) -> Value:
 
 
 def _fit_recursion_limit(max_depth: int):
-    """Raise the recursion limit to fit ``max_depth`` nested demands.
+    """Raise the recursion limit to fit ``max_depth`` nested oracle demands.
 
     A demand takes about five frames through a plain expression; twelve
-    leaves room for nesting and for the store calls under the deepest one.
+    leaves room for nesting.  Only ``reference_eval`` recurses per demand,
+    so only it calls this.
     """
     limit = 12 * max_depth + 1000
     if sys.getrecursionlimit() < limit:
@@ -158,8 +167,10 @@ class Evaluator:
         self.geer = geer
         self.store = store
         self.cfg = config or EvalConfig()
-        self._local: dict[bytes, Value] = {}
-        self._chain: dict[bytes, tuple[str, Context]] = {}  # demands being computed, outermost first
+        # intensional results keyed by (name, ctx.pairs), exact since tags are
+        # Ints; procedural ones by signature bytes, so 0.0 and -0.0 stay apart
+        self._local: dict = {}
+        self._chain: dict[tuple, tuple[str, Context]] = {}  # demands being computed, outermost first
         self._computations = 0
 
     # -- bookkeeping -------------------------------------------------------
@@ -179,70 +190,107 @@ class Evaluator:
     def eval_demand(self, name: str, ctx: Context) -> Value:
         if name not in self.geer.dictionary:
             raise UndefinedIdentifier(name)
-        _fit_recursion_limit(self.cfg.max_depth)
         assert not self._chain, "eval_demand is not reentrant"
         try:
-            return self._demand(name, ctx.restrict(self.geer.dimensions))
+            return self._drive(name, ctx.restrict(self.geer.dimensions))
         except RecursionError:
             raise DepthExceeded(f"expressions nest too deep within {self.cfg.max_depth} demands") from None
         finally:
             self._chain.clear()
 
-    def _demand(self, name: str, ctx: Context) -> Value:
-        if name not in self.geer.dictionary:
-            raise UndefinedIdentifier(name)
-        sig = DemandSignature(self.geer.program_id, name, ctx, DemandKind.INTENSIONAL)
-        key = sig.key()
-        if key in self._local:
-            return self._local[key]
-        if key in self._chain:
-            chain = [*self._chain.values(), (name, ctx)]
-            raise CircularDemand(" -> ".join(f"{n}@{c}" for n, c in chain))
-        if len(self._chain) >= self.cfg.max_depth:
-            raise DepthExceeded(f"demand depth exceeded {self.cfg.max_depth}")
+    def _drive(self, name: str, ctx: Context) -> Value:
+        """Run a demand and all its sub-demands on one explicit stack.
 
-        if self.store is not None:
-            out = self.store.deposit(pending_demand(sig))
-            if out.status is DepositStatus.ALREADY_COMPUTED:
-                self._local[key] = out.value
-                return out.value
-
-        self._chain[key] = (name, ctx)
+        A frame is ``(key, signature, body)``, where ``body`` is the
+        identifier's ``_expr`` generator, suspended at the sub-demand it
+        yielded.  A demand answered by the local memo or the warehouse sends
+        its value straight back, so a warm query starts no body at all.
+        """
+        local, chain, store = self._local, self._chain, self.store
+        program_id, bodies, max_depth = self.geer.program_id, self.geer.dictionary, self.cfg.max_depth
+        stack: list = []
         try:
-            self._computations += 1
-            value = self._expr(self.geer.dictionary[name], ctx)
+            while True:
+                # (name, ctx) is a demand: a hit sets `value`, a miss pushes its body
+                key = (name, ctx.pairs)
+                value = local.get(key)
+                if value is None:
+                    if key in chain:
+                        cycle = [*chain.values(), (name, ctx)]
+                        raise CircularDemand(" -> ".join(f"{n}@{c}" for n, c in cycle))
+                    if len(stack) >= max_depth:
+                        raise DepthExceeded(f"demand depth exceeded {max_depth}")
+                    sig = None
+                    if store is not None:
+                        sig = DemandSignature(program_id, name, ctx, DemandKind.INTENSIONAL)
+                        out = store.deposit(pending_demand(sig))
+                        if out.status is DepositStatus.ALREADY_COMPUTED:
+                            value = local[key] = out.value
+                    if value is None:
+                        chain[key] = (name, ctx)
+                        self._computations += 1
+                        stack.append((key, sig, self._expr(bodies[name], ctx)))
+                # send `value` to the innermost body until it demands again;
+                # when the outermost body returns, its value is the answer
+                while stack:
+                    key, sig, body = stack[-1]
+                    try:
+                        name, ctx = body.send(value)
+                        break
+                    except StopIteration as done:
+                        value = local[key] = done.value
+                    stack.pop()
+                    del chain[key]
+                    if store is not None:
+                        store.fulfill(sig, value, GENERATOR_ID)
+                else:
+                    return value
         finally:
-            del self._chain[key]
+            # the language has no handler, so an error ends every body on the stack
+            while stack:
+                stack.pop()[2].close()
 
-        self._local[key] = value
-        if self.store is not None:
-            self.store.fulfill(sig, value, GENERATOR_ID)
-        return value
-
-    def _expr(self, node, ctx: Context) -> Value:
-        if isinstance(node, lang.Literal):
-            return node.value
-        if isinstance(node, lang.Ident):
-            return self._demand(node.name, ctx)
-        if isinstance(node, lang.Binary):
-            left = self._expr(node.left, ctx)
-            right = self._expr(node.right, ctx)
-            return apply_binop(node.op, left, right)
-        if isinstance(node, lang.If):
-            cond = self._expr(node.cond, ctx)
+    def _expr(self, node, ctx: Context):
+        """Evaluate ``node`` as a generator: it yields each sub-demand
+        ``(name, ctx)``, is sent that demand's value, and returns its own."""
+        t = type(node)
+        if t is lang.Binary:
+            # a literal or `#` operand is read in place, with no generator of its own
+            left, right = node.left, node.right
+            if type(left) is lang.Literal:
+                a = left.value
+            elif type(left) is lang.HashDim:
+                a = ctx.get(left.dim)
+            else:
+                a = yield from self._expr(left, ctx)
+            if type(right) is lang.Literal:
+                b = right.value
+            elif type(right) is lang.HashDim:
+                b = ctx.get(right.dim)
+            else:
+                b = yield from self._expr(right, ctx)
+            return apply_binop(node.op, a, b)
+        if t is lang.Ident:
+            return (yield node.name, ctx)
+        if t is lang.If:
+            cond = yield from self._expr(node.cond, ctx)
             if value_kind(cond) != "bool":
                 raise TypeMismatch("if condition must be Bool")
-            return self._expr(node.then_expr if cond else node.else_expr, ctx)
-        if isinstance(node, lang.HashDim):
-            return ctx.get(node.dim)
-        if isinstance(node, lang.At):
-            tag = self._expr(node.tag_expr, ctx)
+            return (yield from self._expr(node.then_expr if cond else node.else_expr, ctx))
+        if t is lang.At:
+            tag = yield from self._expr(node.tag_expr, ctx)
             if value_kind(tag) != "int":
                 raise TypeMismatch("context tags must be Int")
-            return self._expr(node.expr, ctx.override(node.dim, tag))
-        if isinstance(node, lang.Call):
-            args = tuple(self._expr(a, ctx) for a in node.args)
-            return self._procedural(node.proc, args)
+            return (yield from self._expr(node.expr, ctx.override(node.dim, tag)))
+        if t is lang.Literal:
+            return node.value
+        if t is lang.HashDim:
+            return ctx.get(node.dim)
+        if t is lang.Call:
+            args = []
+            for arg in node.args:
+                args.append((yield from self._expr(arg, ctx)))
+            return self._procedural(node.proc, tuple(args))
         raise TypeMismatch(f"not an expression: {node!r}")
 
     def _procedural(self, proc: str, args) -> Value:

@@ -28,14 +28,16 @@ copy once to learn its digest and deposits ``cls.classify(digest, fv)``
 for every sample: a signature names the model's content, not its id, so
 the same model under two ids shares warehouse entries.  A worker loads a
 version by digest through a small cache, which a digest's immutable bytes
-keep coherent.
+keep coherent; a version the worker puts goes into that cache too, so the
+next training step does not fetch it back.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -354,11 +356,27 @@ def build_pipeline_registry(store) -> ProcedureRegistry:
     """Pipeline procedures bound to the store that keeps the models."""
     reg = ProcedureRegistry()
 
-    @functools.lru_cache(maxsize=8)
+    # The last few versions loaded or put, by digest.  A digest names
+    # immutable bytes, so a cached version is never stale; callers share the
+    # TrainingSet, and train and classify only read it.
+    versions: OrderedDict[str, TrainingSet] = OrderedDict()
+    lock = threading.Lock()
+
+    def remember(digest: str, data: bytes) -> TrainingSet:
+        ts = decode_training_set(data)
+        with lock:
+            versions[digest] = ts
+            if len(versions) > 8:
+                versions.popitem(last=False)
+        return ts
+
     def load(digest: str) -> TrainingSet:
-        # a digest names immutable bytes, so a cached version is never stale;
-        # callers share the TrainingSet, and train and classify only read it
-        return decode_training_set(_version_bytes(store, digest))
+        with lock:
+            ts = versions.get(digest)
+            if ts is not None:
+                versions.move_to_end(digest)
+                return ts
+        return remember(digest, _version_bytes(store, digest))
 
     def fe(amplitudes, windows):
         if not isinstance(amplitudes, tuple):
@@ -375,6 +393,8 @@ def build_pipeline_registry(store) -> ProcedureRegistry:
         data = encode_training_set(train(load(prev), fv, subject_id))
         digest = hashlib.sha256(data).hexdigest()
         store.put_resource(digest, data)
+        # the next step starts from this version: cache what a fetch would give
+        remember(digest, data)
         return digest
 
     def cls_classify(digest, fv):

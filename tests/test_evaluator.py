@@ -1,11 +1,18 @@
 """Eductive engine vs. the recursive reference interpreter."""
+import gc
+import inspect
+import math
+import os
 import random
+import subprocess
 import sys
+import textwrap
 import threading
 from dataclasses import replace
 
 import pytest
 
+import eduction
 from eduction import lang, pipeline as P
 from eduction.evaluator import (
     CircularDemand,
@@ -20,7 +27,7 @@ from eduction.evaluator import (
     reference_eval,
 )
 from eduction.lang import compile_source
-from eduction.model import EMPTY_CONTEXT, make_context
+from eduction.model import EMPTY_CONTEXT, DemandKind, make_context
 from eduction.store import DemandStore
 from eduction.transport import connect_store, serve_store
 from eduction.worker import ProcedureRegistry, StoreUnreachable, Worker, WorkerConfig, build_demo_registry
@@ -158,9 +165,8 @@ class TestErrors:
             )
 
 
-CHAIN = compile_source(
-    "c where dimension d; c = if #.d <= 0 then 0 else 1 + (c @.d (#.d - 1)); end", "chain"
-)
+CHAIN_SRC = "c where dimension d; c = if #.d <= 0 then 0 else 1 + (c @.d (#.d - 1)); end"
+CHAIN = compile_source(CHAIN_SRC, "chain")
 
 
 def chain_outcome(path, d):
@@ -216,6 +222,83 @@ class TestDepth:
                 reference_eval(geer, "x", EMPTY_CONTEXT, max_depth=10)
             else:
                 Evaluator(geer, config=EvalConfig(max_depth=10)).eval_demand("x", EMPTY_CONTEXT)
+
+    def test_engine_leaves_the_recursion_limit_alone(self):
+        # a fresh interpreter, so no earlier test has raised the limit
+        code = textwrap.dedent(f"""
+            import sys, threading
+            from eduction.evaluator import Evaluator
+            from eduction.lang import compile_source
+            from eduction.model import make_context
+            chain = compile_source({CHAIN_SRC!r}, "chain")
+            before = sys.getrecursionlimit()
+            ask = lambda: Evaluator(chain).eval_demand("c", make_context([("d", 9999)]))
+            out = [ask()]
+            t = threading.Thread(target=lambda: out.append(ask()))
+            t.start()
+            t.join()
+            print(before, sys.getrecursionlimit(), *out)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eduction.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1000", "1000", "9999", "9999"]
+
+
+class BodyLog(Evaluator):
+    """An Evaluator that keeps every expression generator it starts."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.bodies = []
+
+    def _expr(self, node, ctx):
+        gen = super()._expr(node, ctx)
+        self.bodies.append(gen)
+        return gen
+
+
+class TestFailureLeavesNothingBehind:
+    """An error ends the evaluation: every suspended body is closed and the
+    chain is empty, so the same Evaluator answers its next query."""
+
+    @pytest.mark.parametrize(
+        "src, cfg, bad, good, value, error",
+        [
+            (
+                "c where dimension d, e; c = if #.d <= 0 then 1 / #.e else 1 + (c @.d (#.d - 1)); end",
+                {},
+                {"d": 49, "e": 0},
+                {"d": 49, "e": 1},
+                50,
+                DivisionByZero,
+            ),
+            (
+                "x where dimension d, e; "
+                "x = if #.d > 0 then 1 + (x @.d (#.d - 1)) else if #.e == 0 then y else 0; y = x; end",
+                {},
+                {"d": 50, "e": 0},
+                {"d": 50, "e": 1},
+                50,
+                CircularDemand,
+            ),
+            (CHAIN_SRC, {"max_depth": 64}, {"d": 100}, {"d": 63}, 63, DepthExceeded),
+        ],
+        ids=["division", "cycle", "depth"],
+    )
+    def test_error_closes_every_body(self, src, cfg, bad, good, value, error):
+        root = src.split()[0]
+        store = DemandStore()
+        ev = BodyLog(compile_source(src, "p"), store, EvalConfig(**cfg))
+        with pytest.raises(error):
+            ev.eval_demand(root, ctx(**bad))
+        assert len(ev.bodies) > 50
+        assert {inspect.getgeneratorstate(g) for g in ev.bodies} == {inspect.GEN_CLOSED}
+        assert ev._chain == {}
+        assert ev.eval_demand(root, ctx(**good)) == value
+        assert store.stats().pending == 0
+        store.close()
+        gc.collect()  # an error while finalizing a body would be unraisable, which pytest fails on
 
 
 class TestWarehouse:
@@ -393,6 +476,53 @@ class TestProcedural:
             ev.eval_demand("x", EMPTY_CONTEXT)
 
 
+class DepositLog:
+    """A store that records the signature of every deposit."""
+
+    def __init__(self, store):
+        self.store = store
+        self.signatures = []
+
+    def __getattr__(self, name):
+        return getattr(self.store, name)
+
+    def deposit(self, d):
+        self.signatures.append(d.signature)
+        return self.store.deposit(d)
+
+
+class TestProceduralMemo:
+    """One evaluation deposits each distinct call once, and calls are told
+    apart by the bytes of their arguments, not by Python equality."""
+
+    def evaluate(self, src):
+        reg = build_demo_registry()
+        reg.register("kind", 1, lambda v: {int: 1, float: 2, bool: 3}[type(v)])
+        reg.register("sign", 1, lambda v: math.copysign(1.0, v))
+        store = DepositLog(DemandStore())
+        w = Worker(WorkerConfig(worker_id="w0"), store.store, reg).start()
+        try:
+            ev = Evaluator(compile_source(f"x where x = {src}; end", "p"), store, EvalConfig(proc_timeout_ms=10000))
+            value = ev.eval_demand("x", EMPTY_CONTEXT)
+        finally:
+            w.stop()
+            store.close()
+        return value, [s.args for s in store.signatures if s.kind is DemandKind.PROCEDURAL]
+
+    def test_same_call_twice_deposits_once(self):
+        assert self.evaluate("call add2(19, 23) + call add2(19, 23)") == (84, [(19, 23)])
+
+    def test_zero_and_negative_zero_are_two_calls(self):
+        value, calls = self.evaluate("call sign(0.0) - call sign(-0.0)")
+        assert value == 2.0
+        assert len(calls) == 2
+
+    def test_int_float_and_bool_are_three_calls(self):
+        value, calls = self.evaluate("call kind(1) * 100 + call kind(1.0) * 10 + call kind(1 == 1)")
+        assert value == 123
+        assert len(calls) == 3
+
+
 def fault_registry():
     reg = ProcedureRegistry()
     reg.register("boom", 0, lambda: 1 // 0)
@@ -509,12 +639,19 @@ class TestReference:
             )
 
     def test_reference_raises_same_errors(self):
-        geer = compile_source("x where x = 1 / 0; end", "p")
-        with pytest.raises(DivisionByZero):
-            reference_eval(geer, "x", EMPTY_CONTEXT)
-        geer = compile_source("x where x = x; end", "p")
-        with pytest.raises(CircularDemand):
-            reference_eval(geer, "x", EMPTY_CONTEXT)
+        cases = [
+            ("x where x = 1 / 0; end", "x", DivisionByZero),
+            ("x where x = x; end", "x", CircularDemand),
+            ("x where x = if 1 then 2 else 3; end", "x", TypeMismatch),
+            ("x where dimension d; x = #.d @.d 1.5; end", "x", TypeMismatch),
+            ("x where x = 1; end", "y", UndefinedIdentifier),
+        ]
+        for src, root, error in cases:
+            geer = compile_source(src, "p")
+            with pytest.raises(error):
+                reference_eval(geer, root, EMPTY_CONTEXT)
+            with pytest.raises(error):
+                ev_for(geer).eval_demand(root, EMPTY_CONTEXT)
 
     def test_random_program_equivalence_sample(self):
         import helpers

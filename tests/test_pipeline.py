@@ -475,6 +475,21 @@ class TestModelVersions:
             reg.invoke(P.TRAIN_PROC, ("cd" * 32, 1, (1.0,)))
         store.close()
 
+    def test_chained_steps_fetch_no_version(self):
+        store = DemandStore()
+        counting = CountingStore(store)
+        reg = P.build_pipeline_registry(counting)
+        digest, local = "", P.TrainingSet()
+        for step in range(20):
+            fv = (float(step), 1.0)
+            digest = reg.invoke(P.TRAIN_PROC, (digest, step % 4, fv))
+            local = P.train(local, fv, step % 4)
+        got = P.decode_training_set(store.get_resource(digest))
+        store.close()
+        # each step fetched the version the step before had put: 19
+        assert counting.gets == 0
+        assert got.subjects == local.subjects
+
     def test_train_bytes_per_step_do_not_grow(self):
         def bytes_per_step(seeds):
             train, _ = P.default_corpus(subjects=4, train_seeds=seeds, n=64)
