@@ -463,15 +463,24 @@ class Manager:
 
     def _open_log(self, path: str):
         if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as f:
-                for line in f:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
+            with open(path, "rb") as f:
+                data = f.read()
+            good_end = 0
+            for line in data.split(b"\n")[:-1]:  # the last piece is empty, or a torn write
+                try:
+                    if line.strip():
                         self._replay(json.loads(line))
-                    except (json.JSONDecodeError, KeyError, ValueError):
-                        break  # stop at the first torn record
+                except (KeyError, TypeError, ValueError):
+                    break  # stop at the first torn or corrupt record; truncate below
+                good_end += len(line) + 1
+            if good_end != len(data):
+                import logging  # only a damaged log needs it
+
+                logging.getLogger(__name__).warning(
+                    "manager log %s: dropping %d bytes of torn or corrupt tail", path, len(data) - good_end
+                )
+                with open(path, "r+b") as f:
+                    f.truncate(good_end)
         self._log = open(path, "a", encoding="utf-8")
 
     def _replay(self, ev: dict):

@@ -111,10 +111,9 @@ class Context:
         return 0
 
     def override(self, dim: str, tag: int) -> "Context":
-        if not is_identifier(dim):
-            raise BadDimensionName(dim)
+        """``dim`` at ``tag``; both were checked where they entered the program."""
         kept = tuple((n, t) for n, t in self.pairs if n != dim)
-        return Context(tuple(sorted(kept + ((dim, int(tag)),))))
+        return Context(tuple(sorted(kept + ((dim, tag),))))
 
     def restrict(self, dims) -> "Context":
         """Drop every dimension not in ``dims``."""

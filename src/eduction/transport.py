@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import socket
-import socketserver
 import struct
 import threading
 import time
@@ -236,50 +235,21 @@ class TcpAgent:
             self._drop()
 
 
-class _FrameHandler(socketserver.BaseRequestHandler):
-    def handle(self):
-        while True:
-            try:
-                msg_type, payload = read_frame(self.request)
-            except (ConnectionError, OSError):
-                return
-            except EductionError as e:
-                reply_type, reply = _err_reply(e.code, str(e))
-                try:
-                    self.request.sendall(wire.encode_frame(reply_type, reply))
-                except OSError:
-                    pass
-                return  # framing is broken; the stream cannot be trusted
-            reply_type, reply = self.server.frame_handler(msg_type, payload)
-            try:
-                self.request.sendall(wire.encode_frame(reply_type, reply))
-            except OSError:
-                return
-
-    def finish(self):
-        self.server.connections.discard(self.request)
-
-
-class _Server(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-
 class TcpServer:
     """Threaded frame server; one handler callable serves every connection.
 
-    A blocking accept loop stands in for ``serve_forever``, which notices a
-    shutdown only at its next 0.5 s poll: ``stop`` shuts the listening
-    socket down, and that fails the pending ``accept`` at once.  ``stop``
-    then shuts every open connection down too, so a client that connected
-    before the stop is not served after it.
+    One thread accepts, and each connection gets a thread of its own that
+    runs the frame loop.  ``stop`` shuts the listening socket down, which
+    fails the pending ``accept`` at once, and then shuts every open
+    connection down too, so a client that connected before the stop is not
+    served after it.
     """
 
     def __init__(self, handler: Callable[[MsgType, bytes], Tuple[MsgType, bytes]], host: str = "127.0.0.1", port: int = 0):
-        self._server = _Server((host, port), _FrameHandler)
-        self._server.frame_handler = handler
-        self._server.connections = set()  # open ones; each handler removes its own
-        self.host, self.port = self._server.server_address
+        self._handler = handler
+        self._listener = socket.create_server((host, port))
+        self.host, self.port = self._listener.getsockname()[:2]
+        self._connections: set = set()  # open ones; each connection thread removes its own
         self._thread: Optional[threading.Thread] = None
         self._stopping = False
 
@@ -291,27 +261,46 @@ class TcpServer:
     def _accept_loop(self):
         while not self._stopping:
             try:
-                request, client_address = self._server.get_request()
+                conn, _ = self._listener.accept()
             except OSError:
                 continue  # shut down by stop(), or a client that gave up mid-accept
-            self._server.connections.add(request)
-            self._server.process_request(request, client_address)
+            self._connections.add(conn)
+            threading.Thread(target=self._serve, args=(conn,), name=f"frame-conn-{self.port}", daemon=True).start()
 
-    def stop(self):
-        if self._thread is not None:
-            self._stopping = True
+    def _serve(self, conn: socket.socket):
+        try:
+            while True:
+                try:
+                    msg_type, payload = read_frame(conn)
+                except EductionError as e:  # framing is broken; the stream cannot be trusted
+                    conn.sendall(wire.encode_frame(*_err_reply(e.code, str(e))))
+                    return
+                conn.sendall(wire.encode_frame(*self._handler(msg_type, payload)))
+        except OSError:  # the peer went away, or stop() shut the connection down
+            pass
+        finally:
+            self._connections.discard(conn)
             try:
-                self._server.socket.shutdown(socket.SHUT_RDWR)
+                conn.shutdown(socket.SHUT_WR)
             except OSError:
                 pass
-            self._server.server_close()
+            conn.close()
+
+    def stop(self):
+        self._stopping = True
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        if self._thread is not None:
             self._thread.join()  # nothing is accepted after this
             self._thread = None
-            for conn in list(self._server.connections):
-                try:
-                    conn.shutdown(socket.SHUT_RDWR)  # its handler's recv sees EOF
-                except OSError:
-                    pass  # closed meanwhile
+        self._listener.close()
+        for conn in list(self._connections):
+            try:
+                conn.shutdown(socket.SHUT_RDWR)  # its thread's recv sees EOF
+            except OSError:
+                pass  # closed meanwhile
 
 
 def serve_store(store: DemandStore, host: str = "127.0.0.1", port: int = 0) -> TcpServer:
@@ -321,22 +310,24 @@ def serve_store(store: DemandStore, host: str = "127.0.0.1", port: int = 0) -> T
 # --- client ----------------------------------------------------------------------
 
 
+def _reply(agent, msg_type: MsgType, payload: bytes, expect: MsgType, timeout_s: Optional[float] = None) -> bytes:
+    """One round trip; an ERR reply raises its error, any other type but ``expect`` a ``ProtocolError``."""
+    reply_type, reply = agent.request(msg_type, payload, timeout_s)
+    if reply_type is MsgType.ERR:
+        raise _decode_err(reply)
+    if reply_type is not expect:
+        raise ProtocolError(f"expected {expect.name} reply, got {reply_type.name}")
+    return reply
+
+
 class StoreClient:
     """Store operations over any carrier; ERR replies re-raise the right class."""
 
     def __init__(self, agent):
         self.agent = agent
 
-    def _request(self, msg_type: MsgType, payload: bytes, expect: MsgType, timeout_s: Optional[float] = None) -> bytes:
-        reply_type, reply = self.agent.request(msg_type, payload, timeout_s)
-        if reply_type is MsgType.ERR:
-            raise _decode_err(reply)
-        if reply_type is not expect:
-            raise ProtocolError(f"expected {expect.name} reply, got {reply_type.name}")
-        return reply
-
     def deposit(self, d: Demand) -> DepositOutcome:
-        reply = self._request(MsgType.DEPOSIT, wire.encode_demand(d), MsgType.OK)
+        reply = _reply(self.agent, MsgType.DEPOSIT, wire.encode_demand(d), MsgType.OK)
         r = wire.Reader(reply)
         status = DepositStatus(r.u8())
         value = wire.read_value(r) if status is DepositStatus.ALREADY_COMPUTED else None
@@ -345,7 +336,7 @@ class StoreClient:
 
     def claim(self, worker_id: str, lease_ms: float, wait_ms: float = 0) -> Optional[Demand]:
         payload = b"".join(map(wire.encode_value, (worker_id, int(lease_ms), int(wait_ms))))
-        reply = self._request(MsgType.CLAIM, payload, MsgType.CLAIM_REPLY, SOCKET_TIMEOUT_S + wait_ms / 1000.0)
+        reply = _reply(self.agent, MsgType.CLAIM, payload, MsgType.CLAIM_REPLY, SOCKET_TIMEOUT_S + wait_ms / 1000.0)
         r = wire.Reader(reply)
         if not r.u8():
             r.expect_done()
@@ -356,10 +347,10 @@ class StoreClient:
 
     def fulfill(self, sig: DemandSignature, value: Value, worker_id: str) -> None:
         payload = wire.encode_signature(sig) + wire.encode_value(value) + wire.encode_value(worker_id)
-        self._request(MsgType.FULFILL, payload, MsgType.OK)
+        _reply(self.agent, MsgType.FULFILL, payload, MsgType.OK)
 
     def fetch(self, sig: DemandSignature):
-        reply = self._request(MsgType.FETCH, wire.encode_signature(sig), MsgType.FETCH_REPLY)
+        reply = _reply(self.agent, MsgType.FETCH, wire.encode_signature(sig), MsgType.FETCH_REPLY)
         r = wire.Reader(reply)
         state = DemandState(r.u8())
         value = wire.read_value(r) if r.u8() else None
@@ -368,22 +359,22 @@ class StoreClient:
 
     def await_result(self, sig: DemandSignature, timeout_ms: float) -> Value:
         payload = wire.encode_signature(sig) + wire.encode_value(int(timeout_ms))
-        reply = self._request(MsgType.AWAIT, payload, MsgType.OK, timeout_s=timeout_ms / 1000.0 + 10.0)
+        reply = _reply(self.agent, MsgType.AWAIT, payload, MsgType.OK, timeout_s=timeout_ms / 1000.0 + 10.0)
         return wire.decode_value(reply)
 
     def put_resource(self, program_id: str, data: bytes) -> None:
         payload = wire.encode_value(program_id) + len(data).to_bytes(4, "big") + data
-        self._request(MsgType.RESOURCE_PUT, payload, MsgType.OK)
+        _reply(self.agent, MsgType.RESOURCE_PUT, payload, MsgType.OK)
 
     def get_resource(self, program_id: str) -> bytes:
-        reply = self._request(MsgType.RESOURCE_GET, wire.encode_value(program_id), MsgType.OK)
+        reply = _reply(self.agent, MsgType.RESOURCE_GET, wire.encode_value(program_id), MsgType.OK)
         r = wire.Reader(reply)
         data = r.take(r.u32())
         r.expect_done()
         return data
 
     def stats(self) -> StoreStats:
-        reply = self._request(MsgType.STATS, b"", MsgType.OK)
+        reply = _reply(self.agent, MsgType.STATS, b"", MsgType.OK)
         if len(reply) != 56:
             raise ProtocolError("bad stats reply")
         return StoreStats(*struct.unpack(">7Q", reply))
@@ -408,22 +399,22 @@ def split_host_port(address: str, error: type, role: str) -> Tuple[str, int]:
 
 def system_request(agent, op: int, body: dict, timeout_s: Optional[float] = None) -> dict:
     """One SYSTEM round-trip carrying a JSON body; used by the manager tier."""
-    raw = json.dumps(body, sort_keys=True).encode("utf-8")
-    payload = bytes([op]) + len(raw).to_bytes(4, "big") + raw
-    reply_type, reply = agent.request(MsgType.SYSTEM, payload, timeout_s)
-    if reply_type is MsgType.ERR:
-        raise _decode_err(reply)
-    if reply_type is not MsgType.OK:
-        raise ProtocolError(f"expected OK reply, got {reply_type.name}")
-    r = wire.Reader(reply)
-    raw = r.take(r.u32())
-    r.expect_done()
-    return json.loads(raw.decode("utf-8"))
+    reply = _reply(agent, MsgType.SYSTEM, bytes([op]) + encode_system_reply(body), MsgType.OK, timeout_s)
+    return _read_system_body(wire.Reader(reply))
 
 
 def decode_system_payload(payload: bytes) -> Tuple[int, dict]:
     r = wire.Reader(payload)
-    op = r.u8()
+    return r.u8(), _read_system_body(r)
+
+
+def encode_system_reply(body: dict) -> bytes:
+    """A SYSTEM body, 4-byte length then sorted-key JSON; a request puts its op byte first."""
+    raw = json.dumps(body, sort_keys=True).encode("utf-8")
+    return len(raw).to_bytes(4, "big") + raw
+
+
+def _read_system_body(r: wire.Reader) -> dict:
     raw = r.take(r.u32())
     r.expect_done()
     try:
@@ -432,12 +423,7 @@ def decode_system_payload(payload: bytes) -> Tuple[int, dict]:
         raise wire.MalformedEncoding(f"bad system payload: {e}") from None
     if not isinstance(body, dict):
         raise wire.MalformedEncoding("system payload must be a JSON object")
-    return op, body
-
-
-def encode_system_reply(body: dict) -> bytes:
-    raw = json.dumps(body, sort_keys=True).encode("utf-8")
-    return len(raw).to_bytes(4, "big") + raw
+    return body
 
 
 def dispatch_system_request(ops: dict, msg_type: MsgType, payload: bytes) -> Tuple[MsgType, bytes]:

@@ -286,7 +286,7 @@ class TestEventLog:
         assert report["tiers"][old.tier_id]["state"] == "STOPPED"
         assert report["tiers"][new.tier_id]["node_id"] == n2
 
-    def test_torn_tail_stops_replay(self, tmp_path):
+    def test_torn_tail_stops_replay(self, tmp_path, caplog):
         log = str(tmp_path / "gmt.jsonl")
         mgr, _ = make_mgr(log_path=log)
         mgr.register_node("n:1", agent=LocalNodeAgent())
@@ -298,7 +298,26 @@ class TestEventLog:
             f.write(data[:-5])  # tear the second record
         mgr2 = Manager(heartbeat_ms=1000, clock=FakeClock(), log_path=log)
         assert [n["address"] for n in mgr2.status_report()["nodes"].values()] == ["n:1"]
+        assert "dropping" in caplog.text
+        # the torn record is cut off, so the next event starts a line of its own
+        assert mgr2.register_node("n:3", agent=LocalNodeAgent()) == 2
         mgr2.close()
+        mgr3 = Manager(heartbeat_ms=1000, clock=FakeClock(), log_path=log)
+        assert [n["address"] for n in mgr3.status_report()["nodes"].values()] == ["n:1", "n:3"]
+        assert mgr3.register_node("n:4", agent=LocalNodeAgent()) == 3
+        mgr3.close()
+
+    def test_corrupt_record_ends_the_log(self, tmp_path):
+        log = tmp_path / "gmt.jsonl"
+        mgr, _ = make_mgr(log_path=str(log))
+        mgr.register_node("n:1", agent=LocalNodeAgent())
+        mgr.close()
+        first = log.read_bytes()
+        log.write_bytes(first + b'{"ev": "register"}\n' + first.replace(b"n:1", b"n:2"))
+        mgr2 = Manager(heartbeat_ms=1000, clock=FakeClock(), log_path=str(log))
+        assert [n["address"] for n in mgr2.status_report()["nodes"].values()] == ["n:1"]
+        mgr2.close()
+        assert log.read_bytes() == first
 
 
 class TestRemoteSurface:

@@ -427,6 +427,68 @@ class TestServerStop:
         agent.close()
         assert store.stats().deposits == 1
 
+    def test_stop_leaves_no_connection_thread(self, store):
+        srv = serve_store(store)
+        agents = [TcpAgent("127.0.0.1", srv.port) for _ in range(3)]
+        for agent in agents:
+            StoreClient(agent).stats()
+        agents[0].close()  # one the client ended before the stop
+        srv.stop()
+        srv.stop()  # a second stop finds nothing left to do
+        for t in threading.enumerate():
+            if t.name == f"frame-conn-{srv.port}":
+                t.join(2)
+                assert not t.is_alive()
+        for agent in agents:
+            agent.close()
+
+
+class TestFraming:
+    def test_bad_header_gets_one_err_then_eof(self, store):
+        srv = serve_store(store)
+        try:
+            with socket.create_connection(("127.0.0.1", srv.port), timeout=5) as sock:
+                sock.sendall(b"XXXX" + bytes(wire.HEADER_SIZE - 4))
+                mt, body = transport.read_frame(sock)
+                assert mt is MsgType.ERR
+                assert wire.read_value(wire.Reader(body)) == "ProtocolError"
+                assert sock.recv(1) == b""
+        finally:
+            srv.stop()
+
+
+class TestReplyCheck:
+    """Both clients read a reply through one check: ERR raises, any other wrong type is a ProtocolError."""
+
+    @staticmethod
+    def replying(msg_type, body=b""):
+        return InProcAgent(lambda t, p: (msg_type, body))
+
+    def test_wrong_reply_type_store_client(self):
+        with pytest.raises(wire.ProtocolError, match="expected OK reply, got CLAIM_REPLY"):
+            StoreClient(self.replying(MsgType.CLAIM_REPLY)).stats()
+
+    def test_wrong_reply_type_system_request(self):
+        with pytest.raises(wire.ProtocolError, match="expected OK reply, got FETCH_REPLY"):
+            system_request(self.replying(MsgType.FETCH_REPLY), 4, {})
+
+    def test_short_stats_reply_rejected(self):
+        with pytest.raises(wire.ProtocolError, match="bad stats reply"):
+            StoreClient(self.replying(MsgType.OK, bytes(55))).stats()
+
+    @pytest.mark.parametrize("raw", [b"{not json", b"[1, 2]", b"\xff"], ids=["bad-json", "list", "bad-utf8"])
+    def test_malformed_system_reply(self, raw):
+        reply = len(raw).to_bytes(4, "big") + raw
+        with pytest.raises(wire.MalformedEncoding):
+            system_request(self.replying(MsgType.OK, reply), 4, {})
+
+
+class TestSplitHostPort:
+    @pytest.mark.parametrize("address", ["nohost", "h:x"])
+    def test_rejects(self, address):
+        with pytest.raises(ValueError, match="store address must be host:port"):
+            transport.split_host_port(address, ValueError, "store")
+
 
 class TestRetry:
     def test_unreachable_after_retries(self):
