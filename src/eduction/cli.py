@@ -8,6 +8,7 @@ sample); diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -143,57 +144,44 @@ def _cmd_node_start(args) -> int:
     if unknown:
         raise _UsageError(f"unknown tier kinds: {','.join(unknown)}")
 
-    agent = LocalNodeAgent()
-    server = serve_node_agent(agent, args.host, args.port)
-    address = f"{server.host}:{server.port}"
-    mgr_server = None
-    heartbeater = None
-    client = None
-    try:
-        gmt_address = args.gmt
+    with contextlib.ExitStack() as stack:  # stops all of it in reverse start order
+        agent = LocalNodeAgent()
+        server = serve_node_agent(agent, args.host, args.port)
+        stack.callback(server.stop)
+        address = f"{server.host}:{server.port}"
+        started, client, gmt_address = [], None, args.gmt
         if "GMT" in kinds:
             mgr = Manager(heartbeat_ms=cfg.heartbeat_ms, log_path=args.log)
+            stack.callback(mgr.close)
             mgr_server = serve_manager(mgr, args.host, args.gmt_port if args.gmt_port is not None else cfg.gmt_port)
+            stack.callback(mgr_server.stop)
             gmt_address = f"{mgr_server.host}:{mgr_server.port}"
+            started.append(f"gmt:{gmt_address}")
+        if gmt_address:
+            client = stack.enter_context(contextlib.closing(connect_manager(gmt_address)))
+            node_id = client.register_node(address)
+            stack.callback(Heartbeater(client, node_id, cfg.heartbeat_ms).start().stop)
 
-        started = []
         store_address = args.store
         order = [k for k in ("DST", "DWT", "DGT") if k in kinds]  # store first
-        if gmt_address:
-            client = connect_manager(gmt_address)
-            node_id = client.register_node(address)
-            heartbeater = Heartbeater(client, node_id, cfg.heartbeat_ms).start()
-            for kind in order:
-                reply = client.allocate(node_id, kind, _tier_config(kind, args, cfg, store_address))
-                if kind == "DST":
-                    store_address = reply["details"]["address"]
-                started.append(f"{reply['tier_id']}:{kind}")
-        else:
-            for i, kind in enumerate(order, start=1):
-                tier_id = f"local-{i}"
-                details = agent.start_tier(tier_id, kind, _tier_config(kind, args, cfg, store_address))
-                if kind == "DST":
-                    store_address = details["address"]
-                started.append(f"{tier_id}:{kind}")
-        if "GMT" in kinds:
-            started.insert(0, f"gmt:{gmt_address}")
+        stack.callback(agent.close)
+        for i, kind in enumerate(order, start=1):
+            config = _tier_config(kind, args, cfg, store_address)
+            if client is None:
+                tier_id, details = f"local-{i}", agent.start_tier(f"local-{i}", kind, config)
+            else:
+                reply = client.allocate(node_id, kind, config)
+                tier_id, details = reply["tier_id"], reply["details"]
+            if kind == "DST":
+                store_address = details["address"]
+            started.append(f"{tier_id}:{kind}")
 
         print(f"node {address} tiers={','.join(started) or 'none'}", flush=True)
-        stop = threading.Event()
         try:
-            stop.wait(args.run_ms / 1000.0 if args.run_ms else None)
+            threading.Event().wait(args.run_ms / 1000.0 if args.run_ms else None)
         except KeyboardInterrupt:
             pass
         return 0
-    finally:
-        if heartbeater is not None:
-            heartbeater.stop()
-        if client is not None:
-            client.close()
-        agent.close()
-        server.stop()
-        if mgr_server is not None:
-            mgr_server.stop()
 
 
 # --- mgr -----------------------------------------------------------------------

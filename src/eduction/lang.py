@@ -33,23 +33,37 @@ negative literal; on anything else it becomes ``0 - operand``.
 Integers are 64-bit two's complement: arithmetic wraps, division truncates
 toward zero, and ``%`` takes the sign of the dividend.  There are no string
 or boolean literals; booleans arise only from comparisons.
+
+Source is ASCII outside ``//`` comments.  An identifier is a letter or
+``_`` followed by letters, digits and ``_`` (``model.IDENTIFIER``, the rule
+contexts and the wire decoders check names against too); any other
+character is a ``LexError``.  A literal must fit its wire kind, else it is a
+``ParseError``: an INT is at most 2**63 - 1 (``-9223372036854775808``
+folds its minus first), and a FLOAT is finite.
 """
 from __future__ import annotations
 
 import hashlib
+import math
+import re
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import NamedTuple, Sequence, Tuple, Union
 
 from .errors import EductionError
-from .model import Value, wrap64
+from .model import IDENTIFIER, INT64_MAX, Value, wrap64
 
 KEYWORDS = frozenset({"where", "end", "dimension", "if", "then", "else", "call"})
 
 # Binary operators in canonical order; the index doubles as the wire op code.
 BINARY_OPS = ("+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=", "&&", "||")
 
-_TWO_CHAR = {"==", "!=", "<=", ">=", "&&", "||"}
-_ONE_CHAR = set("+-*/%<>@#.,;()=")
+# One scan of the source; the first alternative that matches wins.  All of it
+# is ASCII, so a non-ASCII letter or digit outside a comment is a LexError.
+_TOKEN_RE = re.compile(
+    r"(?P<newline>\n)|(?P<blank>[ \t\r]+)|(?P<comment>//[^\n]*)"
+    r"|(?P<float>[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))|(?P<int>[0-9]+)"
+    rf"|(?P<ident>{IDENTIFIER})|(?P<op>==|!=|<=|>=|&&|\|\||[-+*/%<>@#.,;()=])|(?P<bad>.)"
+)
 
 
 class LexError(EductionError):
@@ -83,8 +97,7 @@ class MalformedGeer(EductionError):
     pass
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int" | "float" | "ident" | keyword | operator lexeme | "eof"
     lexeme: str
     line: int
@@ -93,67 +106,18 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit():
-            start, start_col = i, col
-            while i < n and source[i].isdigit():
-                i += 1
-            is_float = False
-            if i < n and source[i] == "." and i + 1 < n and source[i + 1].isdigit():
-                is_float = True
-                i += 1
-                while i < n and source[i].isdigit():
-                    i += 1
-            if i < n and source[i] in "eE":
-                j = i + 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                if j < n and source[j].isdigit():
-                    is_float = True
-                    i = j
-                    while i < n and source[i].isdigit():
-                        i += 1
-            lex = source[start:i]
-            toks.append(Token("float" if is_float else "int", lex, line, start_col))
-            col += i - start
-            continue
-        if c.isalpha() or c == "_":
-            start, start_col = i, col
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            lex = source[start:i]
-            toks.append(Token(lex if lex in KEYWORDS else "ident", lex, line, start_col))
-            col += i - start
-            continue
-        two = source[i : i + 2]
-        if two in _TWO_CHAR:
-            toks.append(Token(two, two, line, col))
-            i += 2
-            col += 2
-            continue
-        if c in _ONE_CHAR:
-            toks.append(Token(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise LexError(line, col, c)
-    toks.append(Token("eof", "", line, col))
+    line, line_start, m = 1, 0, None
+    for m in _TOKEN_RE.finditer(source):
+        kind, lex, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise LexError(line, col, lex)
+        elif kind not in ("blank", "comment"):
+            toks.append(Token(lex if kind == "op" or lex in KEYWORDS else kind, lex, line, col))
+    # a trailing comment leaves the end of input where the comment starts
+    end = m.start() if m is not None and m.lastgroup == "comment" else len(source)
+    toks.append(Token("eof", "", line, end - line_start + 1))
     return toks
 
 
@@ -212,6 +176,7 @@ class _Parser:
     def __init__(self, tokens: Sequence[Token]):
         self.toks = tokens
         self.pos = 0
+        self.negated = -1  # index of the token just after the latest unary minus
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -248,7 +213,8 @@ class _Parser:
 
     def unary(self) -> AstNode:
         if self.at("-"):
-            t = self.advance()
+            self.advance()
+            self.negated = self.pos
             operand = self.unary()
             if isinstance(operand, Literal):
                 return Literal(wrap64(-operand.value) if isinstance(operand.value, int) else -operand.value)
@@ -269,9 +235,16 @@ class _Parser:
         t = self.peek()
         if t.kind == "int":
             self.advance()
-            return Literal(int(t.lexeme))
+            # 2**63 fits only as the operand of a unary minus, which folds it to INT64_MIN
+            limit = INT64_MAX + (self.negated == self.pos - 1 and not self.at("@"))
+            digits = t.lexeme.lstrip("0") or "0"
+            if len(digits) > 19 or int(digits) > limit:
+                raise ParseError(t.line, t.col, "an Int of 64 bits", repr(t.lexeme))
+            return Literal(int(digits))
         if t.kind == "float":
             self.advance()
+            if not math.isfinite(float(t.lexeme)):
+                raise ParseError(t.line, t.col, "a finite Float", repr(t.lexeme))
             return Literal(float(t.lexeme))
         if t.kind == "ident":
             self.advance()
@@ -447,14 +420,13 @@ def pretty(node: AstNode) -> str:
     if isinstance(node, If):
         return f"(if {pretty(node.cond)} then {pretty(node.then_expr)} else {pretty(node.else_expr)})"
     if isinstance(node, At):
-        tag = pretty(node.tag_expr)
-        if not isinstance(node.tag_expr, (Literal, Ident, HashDim)) or (
-            isinstance(node.tag_expr, Literal)
-            and isinstance(node.tag_expr.value, (int, float))
-            and node.tag_expr.value < 0
-        ):
+        # a negative literal prints with a "-", which binds looser than "@"
+        expr, tag = pretty(node.expr), pretty(node.tag_expr)
+        if expr.startswith("-"):
+            expr = f"({expr})"
+        if tag.startswith("-") or not isinstance(node.tag_expr, (Literal, Ident, HashDim)):
             tag = f"({tag})"
-        return f"({pretty(node.expr)} @.{node.dim} {tag})"
+        return f"({expr} @.{node.dim} {tag})"
     if isinstance(node, HashDim):
         return f"#.{node.dim}"
     if isinstance(node, Call):

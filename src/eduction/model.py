@@ -43,7 +43,11 @@ def wrap64(n: int) -> int:
     return (n + (1 << 63)) % (1 << 64) - (1 << 63)
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# The one identifier rule of the package.  The lexer, ``make_context`` and the
+# wire decoders of contexts and GEER dimensions all check names against it,
+# so the compiler never emits a dimension that the runtime refuses.
+IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(IDENTIFIER)
 
 
 class DuplicateDimension(EductionError):
@@ -63,7 +67,7 @@ class MalformedDemand(EductionError):
 
 
 def is_identifier(name: str) -> bool:
-    return bool(_IDENT_RE.match(name))
+    return _IDENT_RE.fullmatch(name) is not None
 
 
 def value_kind(v: Value) -> str:

@@ -1,4 +1,6 @@
 """The eduction executable, driven through main()."""
+import json
+import re
 import threading
 
 import pytest
@@ -50,6 +52,25 @@ class TestCompile:
         src.write_text("if 1 then 2\n")
         assert main(["compile", str(src)]) == 2
         assert "else" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "source, where",
+        [("2 + 3\u00b2\n", "1:6"), ("x where dimension \u00e9; x = #.\u00e9; end\n", "1:19")],
+        ids=["superscript-digit", "accented-dimension"],
+    )
+    def test_non_ascii_is_lex_error(self, tmp_path, capsys, source, where):
+        src = tmp_path / "p.ipl"
+        src.write_text(source, encoding="utf-8")
+        assert main(["compile", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("LexError: unexpected character") and where in err
+        assert not (tmp_path / "p.geer").exists()
+
+    def test_int_past_64_bits_is_parse_error(self, tmp_path, capsys):
+        src = tmp_path / "p.ipl"
+        src.write_text("x where x = 9223372036854775808; y = x + 0; end\n")
+        assert main(["compile", str(src)]) == 2
+        assert "ParseError: expected an Int of 64 bits at 1:13" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         assert main(["compile", str(tmp_path / "ghost.ipl")]) == 2
@@ -179,6 +200,15 @@ class TestNodeCommand:
         out = capsys.readouterr().out
         assert out.startswith("node 127.0.0.1:")
         assert ":DST" in out and ":DWT" in out
+
+    def test_manager_allocates_the_tiers(self, tmp_path, capsys):
+        log = tmp_path / "gmt.jsonl"
+        args = ["node", "start", "--tiers", "gmt,dst,dwt", "--gmt-port", "0", "--dst-port", "0", "--run-ms", "50"]
+        assert main(args + ["--log", str(log)]) == 0
+        out = capsys.readouterr().out
+        assert re.fullmatch(r"node 127\.0\.0\.1:\d+ tiers=gmt:127\.0\.0\.1:\d+,t1:DST,t2:DWT\n", out), out
+        events = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [(e["ev"], e.get("kind")) for e in events] == [("register", None), ("alloc", "DST"), ("alloc", "DWT")]
 
     def test_config_log_path_reaches_the_store(self, tmp_path, capsys):
         log = tmp_path / "store.log"

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from eduction import lang
+from eduction.model import INT64_MAX, INT64_MIN
 
 FACT_SRC = (
     "fact where dimension d; "
@@ -26,7 +27,7 @@ class TestTokenize:
         assert e.value.line == 1 and e.value.col == 3 and e.value.char == "$"
 
     def test_comments_skipped(self):
-        toks = lang.tokenize("1 // trailing words $ % ^\n+ 2")
+        toks = lang.tokenize("1 // trailing words $ % ^ é ²\n+ 2")
         assert [t.lexeme for t in toks[:-1]] == ["1", "+", "2"]
 
     def test_float_forms(self):
@@ -40,6 +41,29 @@ class TestTokenize:
     def test_two_char_operators(self):
         kinds = [t.kind for t in lang.tokenize("== != <= >= && ||")[:-1]]
         assert kinds == ["==", "!=", "<=", ">=", "&&", "||"]
+
+    @pytest.mark.parametrize(
+        "src, col, char",
+        [("x²", 2, "²"), ("é", 1, "é"), ("1 + aé", 6, "é"), ("\u0663", 1, "\u0663")],
+        ids=["superscript-two", "accented-letter", "inside-identifier", "arabic-indic-three"],
+    )
+    def test_non_ascii_is_lex_error(self, src, col, char):
+        # isalpha/isdigit would let these through, and no wire decoder takes them
+        with pytest.raises(lang.LexError) as e:
+            lang.tokenize(src)
+        assert (e.value.line, e.value.col, e.value.char) == (1, col, char)
+
+    def test_eof_after_trailing_comment_sits_at_the_comment(self):
+        for src, where in (("x\n  ab // tail", (2, 6)), ("x  ", (1, 4)), ("// only", (1, 1))):
+            eof = lang.tokenize(src)[-1]
+            assert (eof.kind, eof.line, eof.col) == ("eof", *where)
+
+    def test_number_edges(self):
+        toks = lang.tokenize("1. 2e 3e+ 4.5e 6e-7")
+        assert [(t.kind, t.lexeme) for t in toks[:-1]] == [
+            ("int", "1"), (".", "."), ("int", "2"), ("ident", "e"), ("int", "3"), ("ident", "e"), ("+", "+"),
+            ("float", "4.5"), ("ident", "e"), ("float", "6e-7"),
+        ]
 
 
 class TestParse:
@@ -100,6 +124,58 @@ class TestParse:
         with pytest.raises(lang.ParseError):
             self.parse("1 2")
 
+    @pytest.mark.parametrize(
+        "src, where, expected",
+        [(")", (1, 1), "an expression"), ("x where 1; end", (1, 9), "a declaration or 'end'")],
+        ids=["no-expression", "no-declaration"],
+    )
+    def test_parse_error_position(self, src, where, expected):
+        with pytest.raises(lang.ParseError) as e:
+            self.parse(src)
+        assert (e.value.line, e.value.col) == where and e.value.expected == expected
+
+
+class TestLiteralRanges:
+    """A literal must fit its wire kind: a 64-bit Int or a finite Float."""
+
+    def parse(self, src):
+        return lang.parse_program(lang.tokenize(src))[0]
+
+    def test_int64_bounds(self):
+        assert self.parse("9223372036854775807") == lang.Literal(INT64_MAX)
+        assert self.parse("-9223372036854775808") == lang.Literal(INT64_MIN)
+        assert self.parse("(-9223372036854775808)") == lang.Literal(INT64_MIN)
+        assert self.parse("- -9223372036854775808") == lang.Literal(INT64_MIN)  # wraps, as arithmetic does
+
+    @pytest.mark.parametrize(
+        "src, col",
+        [
+            ("9223372036854775808", 1),
+            ("x where x = 9223372036854775808; y = x + 0; end", 13),
+            ("1 - 9223372036854775808", 5),
+            ("-(9223372036854775808)", 3),
+            ("x where dimension d; x = -9223372036854775808 @.d 1; end", 27),
+            ("18446744073709551616", 1),
+            pytest.param("9" * 5000, 1, id="5000-digits"),  # past int()'s digit limit
+        ],
+    )
+    def test_int_past_64_bits(self, src, col):
+        with pytest.raises(lang.ParseError) as e:
+            lang.compile_source(src, "p")
+        assert (e.value.line, e.value.col) == (1, col) and "64 bits" in str(e.value)
+
+    def test_leading_zeros(self):
+        assert self.parse("0" * 5000 + "7") == lang.Literal(7)
+
+    @pytest.mark.parametrize("src, col", [("1e999", 1), ("-1e999", 2), ("x where x = 1.5E+400; end", 13)])
+    def test_float_not_finite(self, src, col):
+        with pytest.raises(lang.ParseError) as e:
+            lang.compile_source(src, "p")
+        assert (e.value.line, e.value.col) == (1, col) and "finite" in str(e.value)
+
+    def test_float_underflow_is_zero(self):
+        assert self.parse("1e-999") == lang.Literal(0.0)
+
 
 class TestAnalyze:
     def test_fact_geer(self):
@@ -117,6 +193,11 @@ class TestAnalyze:
             lang.compile_source("#.q", "p")
         with pytest.raises(lang.UndeclaredDimension):
             lang.compile_source("x where x = 1 @.q 2; end", "p")
+
+    def test_non_ascii_dimension_refused_at_compile_time(self):
+        with pytest.raises(lang.LexError) as e:
+            lang.compile_source("x where dimension é; x = #.é; end", "p")
+        assert (e.value.col, e.value.char) == (19, "é")
 
     def test_duplicate_definition(self):
         with pytest.raises(lang.DuplicateDefinition):
@@ -157,6 +238,13 @@ class TestPretty:
         assert set(third.dictionary) == set(geer.dictionary)
         assert third.dimensions == geer.dimensions
         assert third.source_digest == again.source_digest
+
+    @pytest.mark.parametrize("value", [-5, -2.5, INT64_MIN])
+    def test_negative_literal_under_at_roundtrips(self, value):
+        for node in (lang.At(lang.Literal(value), "d", lang.Literal(1)),
+                     lang.At(lang.Ident("x"), "d", lang.Literal(value))):
+            src = f"y where dimension d; x = 1; y = {lang.pretty(node)}; end"
+            assert lang.compile_source(src, "p").dictionary["y"] == node
 
     def test_negative_tag_parenthesized(self):
         src = "x where dimension d; x = 1 @.d (0 - 2); end"

@@ -56,18 +56,36 @@ def make_mgr(**kw):
     return mgr, clock
 
 
+@pytest.fixture
+def new_agent():
+    """Make LocalNodeAgents and close them all, newest first, when the test ends.
+
+    Tests register a worker's node after its store's node, so newest first
+    stops every worker before the store it claims from.
+    """
+    made = []
+
+    def make():
+        made.append(LocalNodeAgent())
+        return made[-1]
+
+    yield make
+    for agent in reversed(made):
+        agent.close()
+
+
 class TestRegistration:
-    def test_ids_assigned_in_order(self):
+    def test_ids_assigned_in_order(self, new_agent):
         mgr, _ = make_mgr()
-        assert mgr.register_node("n1:1", agent=LocalNodeAgent()) == 1
-        assert mgr.register_node("n2:1", agent=LocalNodeAgent()) == 2
+        assert mgr.register_node("n1:1", agent=new_agent()) == 1
+        assert mgr.register_node("n2:1", agent=new_agent()) == 2
         mgr.close()
 
-    def test_duplicate_address(self):
+    def test_duplicate_address(self, new_agent):
         mgr, _ = make_mgr()
-        mgr.register_node("n1:1", agent=LocalNodeAgent())
+        mgr.register_node("n1:1", agent=new_agent())
         with pytest.raises(DuplicateAddress):
-            mgr.register_node("n1:1", agent=LocalNodeAgent())
+            mgr.register_node("n1:1", agent=new_agent())
         mgr.close()
 
     def test_unknown_node(self):
@@ -80,9 +98,9 @@ class TestRegistration:
 
 
 class TestLiveness:
-    def test_threshold_boundaries(self):
+    def test_threshold_boundaries(self, new_agent):
         mgr, clock = make_mgr()
-        nid = mgr.register_node("n:1", agent=LocalNodeAgent())
+        nid = mgr.register_node("n:1", agent=new_agent())
         assert mgr.node_status(nid) is NodeStatus.ALIVE
         clock.advance(1999)
         assert mgr.node_status(nid) is NodeStatus.ALIVE
@@ -94,9 +112,9 @@ class TestLiveness:
         assert mgr.node_status(nid) is NodeStatus.DEAD
         mgr.close()
 
-    def test_heartbeat_revives(self):
+    def test_heartbeat_revives(self, new_agent):
         mgr, clock = make_mgr()
-        nid = mgr.register_node("n:1", agent=LocalNodeAgent())
+        nid = mgr.register_node("n:1", agent=new_agent())
         clock.advance(10000)
         assert mgr.node_status(nid) is NodeStatus.DEAD
         assert mgr.heartbeat(nid) is NodeStatus.ALIVE
@@ -105,11 +123,11 @@ class TestLiveness:
 
 
 class TestAllocation:
-    def setup_method(self):
+    @pytest.fixture(autouse=True)
+    def node(self, new_agent):
         self.mgr, self.clock = make_mgr()
-        self.nid = self.mgr.register_node("n:1", agent=LocalNodeAgent())
-
-    def teardown_method(self):
+        self.nid = self.mgr.register_node("n:1", agent=new_agent())
+        yield
         self.mgr.close()
 
     def test_allocate_dst(self):
@@ -173,12 +191,12 @@ class TestAllocation:
 
 
 class TestMove:
-    def setup_method(self):
+    @pytest.fixture(autouse=True)
+    def nodes(self, new_agent):
         self.mgr, self.clock = make_mgr()
-        self.n1 = self.mgr.register_node("n:1", agent=LocalNodeAgent())
-        self.n2 = self.mgr.register_node("n:2", agent=LocalNodeAgent())
-
-    def teardown_method(self):
+        self.n1 = self.mgr.register_node("n:1", agent=new_agent())
+        self.n2 = self.mgr.register_node("n:2", agent=new_agent())
+        yield
         self.mgr.close()
 
     def test_move_preserves_kind_and_config(self):
@@ -220,10 +238,10 @@ class TestMove:
 
 
 class TestEventLog:
-    def test_replay_restores_records(self, tmp_path):
+    def test_replay_restores_records(self, new_agent, tmp_path):
         log = str(tmp_path / "gmt.jsonl")
         mgr, clock = make_mgr(log_path=log)
-        nid = mgr.register_node("n:1", agent=LocalNodeAgent())
+        nid = mgr.register_node("n:1", agent=new_agent())
         dst = mgr.allocate(nid, "DST", {})
         dwt = mgr.allocate(
             nid, "DWT", {"store": dst.details["address"], "registry": "demo"}
@@ -238,14 +256,14 @@ class TestEventLog:
         assert report["tiers"][dwt.tier_id]["state"] == "STOPPED"
         assert dst.tier_id in report["tiers"]
         # new ids continue past replayed ones
-        nid2 = mgr2.register_node("n:2", agent=LocalNodeAgent())
+        nid2 = mgr2.register_node("n:2", agent=new_agent())
         assert nid2 == 2
         mgr2.close()
 
-    def test_log_lines_are_json(self, tmp_path):
+    def test_log_lines_are_json(self, new_agent, tmp_path):
         log = str(tmp_path / "gmt.jsonl")
         mgr, _ = make_mgr(log_path=log)
-        nid = mgr.register_node("n:1", agent=LocalNodeAgent())
+        nid = mgr.register_node("n:1", agent=new_agent())
         mgr.allocate(nid, "DST", {})
         mgr.close()
         with open(log) as f:
@@ -258,11 +276,11 @@ class TestEventLog:
                 obj = json.loads(line)
                 assert list(obj) == sorted(obj)
 
-    def test_move_is_logged_as_its_dealloc_and_alloc(self, tmp_path):
+    def test_move_is_logged_as_its_dealloc_and_alloc(self, new_agent, tmp_path):
         log = str(tmp_path / "gmt.jsonl")
         mgr, _ = make_mgr(log_path=log)
-        n1 = mgr.register_node("n:1", agent=LocalNodeAgent())
-        n2 = mgr.register_node("n:2", agent=LocalNodeAgent())
+        n1 = mgr.register_node("n:1", agent=new_agent())
+        n2 = mgr.register_node("n:2", agent=new_agent())
         old = mgr.allocate(n1, "DST", {})
         new = mgr.move(old.tier_id, n2)
         mgr.close()
@@ -286,11 +304,11 @@ class TestEventLog:
         assert report["tiers"][old.tier_id]["state"] == "STOPPED"
         assert report["tiers"][new.tier_id]["node_id"] == n2
 
-    def test_torn_tail_stops_replay(self, tmp_path, caplog):
+    def test_torn_tail_stops_replay(self, new_agent, tmp_path, caplog):
         log = str(tmp_path / "gmt.jsonl")
         mgr, _ = make_mgr(log_path=log)
-        mgr.register_node("n:1", agent=LocalNodeAgent())
-        mgr.register_node("n:2", agent=LocalNodeAgent())
+        mgr.register_node("n:1", agent=new_agent())
+        mgr.register_node("n:2", agent=new_agent())
         mgr.close()
         with open(log, "rb") as f:
             data = f.read()
@@ -300,17 +318,17 @@ class TestEventLog:
         assert [n["address"] for n in mgr2.status_report()["nodes"].values()] == ["n:1"]
         assert "dropping" in caplog.text
         # the torn record is cut off, so the next event starts a line of its own
-        assert mgr2.register_node("n:3", agent=LocalNodeAgent()) == 2
+        assert mgr2.register_node("n:3", agent=new_agent()) == 2
         mgr2.close()
         mgr3 = Manager(heartbeat_ms=1000, clock=FakeClock(), log_path=log)
         assert [n["address"] for n in mgr3.status_report()["nodes"].values()] == ["n:1", "n:3"]
-        assert mgr3.register_node("n:4", agent=LocalNodeAgent()) == 3
+        assert mgr3.register_node("n:4", agent=new_agent()) == 3
         mgr3.close()
 
-    def test_corrupt_record_ends_the_log(self, tmp_path):
+    def test_corrupt_record_ends_the_log(self, new_agent, tmp_path):
         log = tmp_path / "gmt.jsonl"
         mgr, _ = make_mgr(log_path=str(log))
-        mgr.register_node("n:1", agent=LocalNodeAgent())
+        mgr.register_node("n:1", agent=new_agent())
         mgr.close()
         first = log.read_bytes()
         log.write_bytes(first + b'{"ev": "register"}\n' + first.replace(b"n:1", b"n:2"))

@@ -18,6 +18,7 @@ from eduction.model import (
     DemandSignature,
     DemandState,
     Fault,
+    MalformedDemand,
     as_float_array,
     make_context,
     pending_demand,
@@ -168,6 +169,12 @@ class TestLifecycle:
         st.fulfill(sig, 0.0, "w")
         with pytest.raises(ConflictingResult):
             st.fulfill(sig, -0.0, "w")
+
+    def test_unencodable_argument_is_malformed_demand(self, st):
+        # an Int argument past 64 bits has no wire encoding, so no key
+        with pytest.raises(MalformedDemand):
+            st.deposit(pending_demand(psig("add2", (1 << 70, 0))))
+        assert st.stats().deposits == 0 and st.stats().pending == 0
 
 
 class TestIntensional:

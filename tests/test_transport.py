@@ -9,6 +9,7 @@ from eduction import transport, wire
 from eduction.lang import compile_source
 from eduction.model import (
     EMPTY_CONTEXT,
+    Demand,
     DemandKind,
     DemandSignature,
     DemandState,
@@ -96,6 +97,22 @@ class TestDispatch:
         code, message = wire.read_value(r), wire.read_value(r)
         assert code == "NotFound" and "d=42" in message
         assert isinstance(transport.error_for_code(code, message), NotFound)
+
+    @pytest.mark.parametrize(
+        "msg_type, payload",
+        [
+            (MsgType.DEPOSIT, wire.encode_demand(Demand(qsig(), DemandState.IN_PROCESS))),
+            (MsgType.CLAIM, wire.encode_value("w") + wire.encode_value(0) + wire.encode_value(0)),
+        ],
+        ids=["deposit-in-process", "claim-lease-0"],
+    )
+    def test_store_refuses_malformed_demand(self, store, msg_type, payload):
+        store.deposit(pending_demand(qsig(2)))
+        mt, body = dispatch_store_request(store, msg_type, payload)
+        assert mt is MsgType.ERR
+        assert wire.read_value(wire.Reader(body)) == "MalformedDemand"
+        assert store.stats().pending == 1  # nothing queued, nothing leased
+        assert store.stats().in_process == 0
 
     def test_unknown_code_is_named_in_the_message(self):
         def crash(target, msg_type, payload):

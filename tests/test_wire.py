@@ -379,6 +379,40 @@ class TestGeerCodec:
             wire.decode_geer(wire.encode_geer(bad))
 
 
+def geer_bytes(dims=(), entries=(), root=b"\x00" + wire.encode_value(1)) -> bytes:
+    """A GEER blob built field by field, so a test can put in what no compiler emits."""
+    out = [wire.GEER_MAGIC, wire.encode_value("p"), (0).to_bytes(4, "big"), len(dims).to_bytes(4, "big")]
+    out.extend(wire.encode_value(d) for d in dims)
+    out.append(len(entries).to_bytes(4, "big"))
+    for name, ast in entries:
+        out += [wire.encode_value(name), ast]
+    return b"".join(out + [root])
+
+
+class TestGeerDecodeRejects:
+    ONE = b"\x00" + wire.encode_value(1)
+
+    def test_hand_built_geer_decodes(self):
+        geer = wire.decode_geer(geer_bytes(("d",), (("x", self.ONE),), b"\x01" + wire.encode_value("x")))
+        assert geer.dimensions == {"d"} and geer.dictionary == {"x": lang.Literal(1)}
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (geer_bytes(root=b"\x00" + wire.encode_value("s")), "literals are Int or Float"),
+            (geer_bytes(root=bytes([2, len(lang.BINARY_OPS)]) + ONE + ONE), "unknown operator code 13"),
+            (geer_bytes(root=b"\x07"), "unknown AST tag 0x07"),
+            (geer_bytes(dims=("é",)), "bad dimension name 'é'"),
+            (geer_bytes(entries=(("x", ONE), ("x", ONE))), "duplicate dictionary entry 'x'"),
+        ],
+        ids=["str-literal", "operator-code", "ast-tag", "dimension-name", "duplicate-entry"],
+    )
+    def test_rejected(self, data, message):
+        with pytest.raises(lang.MalformedGeer) as e:
+            wire.decode_geer(data)
+        assert message in str(e.value)
+
+
 class TestFraming:
     def test_header_layout(self):
         frame = wire.encode_frame(wire.MsgType.DEPOSIT, b"abc")
