@@ -100,6 +100,9 @@ class DepositOutcome:
     value: Optional[Value] = None
 
 
+ENQUEUED = DepositOutcome(DepositStatus.ENQUEUED)  # one for every miss: an outcome is immutable
+
+
 @dataclass(frozen=True)
 class Lease:
     worker_id: str
@@ -176,14 +179,14 @@ class DemandStore:
                 return DepositOutcome(DepositStatus.ALREADY_COMPUTED, value)
             self._misses += 1
             if d.signature.kind is DemandKind.INTENSIONAL:
-                return DepositOutcome(DepositStatus.ENQUEUED)
+                return ENQUEUED
             if key in self._work:
                 return DepositOutcome(DepositStatus.DUPLICATE_PENDING)
             self._work[key] = (d.signature, self.now())
             self._enqueue(key)
             if self._log is not None:
                 self._append_log(MsgType.DEPOSIT, wire.encode_demand(d))
-            return DepositOutcome(DepositStatus.ENQUEUED)
+            return ENQUEUED
 
     def claim(self, worker_id: str, lease_ms: float, wait_ms: float = 0) -> Optional[Demand]:
         """Lease the oldest pending demand, waiting up to ``wait_ms`` for one.

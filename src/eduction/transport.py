@@ -42,13 +42,14 @@ from typing import Callable, Optional, Tuple
 from .errors import EductionError, error_for_code
 from . import wire
 from .model import Demand, DemandSignature, DemandState, Value
-from .store import DemandStore, DepositOutcome, DepositStatus, StoreStats
+from .store import ENQUEUED, DemandStore, DepositOutcome, DepositStatus, StoreStats
 from .wire import MsgType, ProtocolError
 
 RETRY_BASE_MS = 100
 RETRY_TRIES = 5
 SOCKET_TIMEOUT_S = 30.0
 MAX_CLAIM_WAIT_MS = int(SOCKET_TIMEOUT_S * 1000)  # bounds how long one claim holds a server thread
+RECV_BYTES = 65536
 
 DEFAULT_DST_PORT = 4747
 DEFAULT_GMT_PORT = 4748
@@ -89,15 +90,13 @@ def dispatch_store_request(store: DemandStore, msg_type: MsgType, payload: bytes
 
 
 def _store_request(store: DemandStore, msg_type: MsgType, payload: bytes) -> Tuple[MsgType, bytes]:
-    r = wire.Reader(payload)
     if msg_type is MsgType.DEPOSIT:
-        d = wire.read_demand(r)
-        r.expect_done()
-        out = store.deposit(d)
-        body = bytes([out.status.value])
+        out = store.deposit(wire.decode_demand(payload))
+        body = bytes((out.status.value,))
         if out.status is DepositStatus.ALREADY_COMPUTED:
             body += wire.encode_value(out.value)
         return MsgType.OK, body
+    r = wire.Reader(payload)
     if msg_type is MsgType.CLAIM:
         worker = wire.read_str(r)
         lease_ms = wire.read_int(r)
@@ -117,9 +116,7 @@ def _store_request(store: DemandStore, msg_type: MsgType, payload: bytes) -> Tup
         store.fulfill(sig, value, worker)
         return MsgType.OK, b""
     if msg_type is MsgType.FETCH:
-        sig = wire.read_signature(r)
-        r.expect_done()
-        state, value = store.fetch(sig)
+        state, value = store.fetch(wire.decode_signature(payload))
         body = bytes([int(state)])
         body += b"\x01" + wire.encode_value(value) if value is not None else b"\x00"
         return MsgType.FETCH_REPLY, body
@@ -165,22 +162,34 @@ class InProcAgent:
         pass
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    while n > 0:
-        chunk = sock.recv(n)
-        if not chunk:
-            raise ConnectionError("connection closed mid-frame")
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
+def _recv(sock: socket.socket, n: int) -> bytes:
+    chunk = sock.recv(n)
+    if not chunk:
+        raise ConnectionError("connection closed mid-frame")
+    return chunk
 
 
-def read_frame(sock: socket.socket) -> Tuple[MsgType, bytes]:
-    header = _recv_exact(sock, wire.HEADER_SIZE)
-    msg_type, length = wire.parse_header(header)
-    payload = _recv_exact(sock, length) if length else b""
-    return msg_type, payload
+def read_frame(sock: socket.socket, buffered: bytes = b"") -> Tuple[MsgType, bytes, bytes]:
+    """Read one frame: ``(msg_type, payload, rest)``.
+
+    ``buffered`` is what the connection's last read took past the end of its
+    frame, and ``rest`` is what this one did: the caller keeps it for the
+    next.  Each ``recv`` asks for up to ``RECV_BYTES``, so a frame that
+    arrived whole costs one call, and frames that arrived together are
+    split here.
+    """
+    while len(buffered) < wire.HEADER_SIZE:
+        buffered += _recv(sock, RECV_BYTES)
+    msg_type, length = wire.parse_header(buffered[: wire.HEADER_SIZE])
+    end = wire.HEADER_SIZE + length
+    if len(buffered) < end:
+        chunks, have = [buffered], len(buffered)
+        while have < end:
+            chunk = _recv(sock, max(end - have, RECV_BYTES))
+            chunks.append(chunk)
+            have += len(chunk)
+        buffered = b"".join(chunks)
+    return msg_type, buffered[wire.HEADER_SIZE : end], buffered[end:]
 
 
 class TcpAgent:
@@ -192,6 +201,8 @@ class TcpAgent:
         self.retry_base_ms = retry_base_ms
         self.tries = tries
         self._sock: Optional[socket.socket] = None
+        self._timeout: Optional[float] = None  # the socket's, set only when a request needs another
+        self._buffered = b""  # read past the last reply's frame
         self._lock = threading.Lock()
 
     def _connect(self) -> socket.socket:
@@ -209,9 +220,13 @@ class TcpAgent:
                 try:
                     if self._sock is None:
                         self._sock = self._connect()
-                    self._sock.settimeout(timeout_s if timeout_s is not None else SOCKET_TIMEOUT_S)
+                    timeout = timeout_s if timeout_s is not None else SOCKET_TIMEOUT_S
+                    if timeout != self._timeout:
+                        self._sock.settimeout(timeout)
+                        self._timeout = timeout
                     self._sock.sendall(frame)
-                    return read_frame(self._sock)
+                    msg_type, reply, self._buffered = read_frame(self._sock, self._buffered)
+                    return msg_type, reply
                 except ProtocolError:
                     self._drop()
                     raise
@@ -229,6 +244,8 @@ class TcpAgent:
             except OSError:
                 pass
             self._sock = None
+            self._timeout = None
+            self._buffered = b""
 
     def close(self):
         with self._lock:
@@ -268,10 +285,11 @@ class TcpServer:
             threading.Thread(target=self._serve, args=(conn,), name=f"frame-conn-{self.port}", daemon=True).start()
 
     def _serve(self, conn: socket.socket):
+        buffered = b""
         try:
             while True:
                 try:
-                    msg_type, payload = read_frame(conn)
+                    msg_type, payload, buffered = read_frame(conn, buffered)
                 except EductionError as e:  # framing is broken; the stream cannot be trusted
                     conn.sendall(wire.encode_frame(*_err_reply(e.code, str(e))))
                     return
@@ -309,6 +327,8 @@ def serve_store(store: DemandStore, host: str = "127.0.0.1", port: int = 0) -> T
 
 # --- client ----------------------------------------------------------------------
 
+_DEPOSIT_STATUS = {bytes((s.value,)): s for s in DepositStatus}  # a DEPOSIT reply's first byte
+
 
 def _reply(agent, msg_type: MsgType, payload: bytes, expect: MsgType, timeout_s: Optional[float] = None) -> bytes:
     """One round trip; an ERR reply raises its error, any other type but ``expect`` a ``ProtocolError``."""
@@ -328,11 +348,12 @@ class StoreClient:
 
     def deposit(self, d: Demand) -> DepositOutcome:
         reply = _reply(self.agent, MsgType.DEPOSIT, wire.encode_demand(d), MsgType.OK)
-        r = wire.Reader(reply)
-        status = DepositStatus(r.u8())
-        value = wire.read_value(r) if status is DepositStatus.ALREADY_COMPUTED else None
-        r.expect_done()
-        return DepositOutcome(status, value)
+        status = _DEPOSIT_STATUS.get(reply[:1])
+        if status is DepositStatus.ALREADY_COMPUTED:
+            return DepositOutcome(status, wire.decode_value(reply[1:]))
+        if status is None or len(reply) != 1:
+            raise wire.MalformedEncoding(f"bad deposit reply {reply[:16]!r}")
+        return ENQUEUED if status is DepositStatus.ENQUEUED else DepositOutcome(status)
 
     def claim(self, worker_id: str, lease_ms: float, wait_ms: float = 0) -> Optional[Demand]:
         payload = b"".join(map(wire.encode_value, (worker_id, int(lease_ms), int(wait_ms))))

@@ -14,6 +14,19 @@ it was read from as its key, so a server never re-encodes what it received.
 That is sound only because decoding is canonical: the decoders accept no
 input that the encoder would not have produced byte for byte.
 
+Each shape has one encoder and one decoder.  The decoder of a value,
+context, signature or demand is a ``_<shape>_at(data, pos)`` that reads at
+offsets into its input and returns what it read and the offset past it:
+fixed-width fields come out of precompiled ``struct`` formats through
+``unpack_from``, and kind, state and message-type bytes are looked up in
+tables built once.  ``read_<shape>`` runs it from a ``Reader``'s position,
+``decode_<shape>`` over a whole input.  Every check above still holds at
+every offset, and each raises the class it always has: truncation, a
+value of the wrong kind and a bad kind, state or presence byte
+``MalformedEncoding``; an unknown tag, a bad bool byte and invalid UTF-8
+``MalformedValue``.  Encoders dispatch on the value's type; a subclass
+(an ``IntEnum``, say) goes through ``value_kind``, bool ahead of int.
+
 Value encoding: one tag byte, then the payload.
 
     0x00  Int         8-byte signed
@@ -40,8 +53,6 @@ from typing import Tuple
 from .errors import EductionError
 from . import lang
 from .model import (
-    INT64_MAX,
-    INT64_MIN,
     Context,
     Demand,
     DemandKind,
@@ -96,7 +107,7 @@ class ProtocolError(EductionError):
 
 
 class Reader:
-    """Strict cursor over a byte string."""
+    """Strict cursor over a byte string: the ``read_*`` functions move ``pos``."""
 
     __slots__ = ("data", "pos")
 
@@ -117,79 +128,172 @@ class Reader:
     def u32(self) -> int:
         return int.from_bytes(self.take(4), "big")
 
-    def done(self) -> bool:
-        return self.pos == len(self.data)
-
     def expect_done(self):
-        if not self.done():
-            raise TrailingBytes(f"{len(self.data) - self.pos} trailing bytes")
+        _expect_end(self.data, self.pos)
+
+
+_U32 = struct.Struct(">I")
+_TAG_U32 = struct.Struct(">BI")  # a Str or FloatArray tag and its length
+_TAG_I64 = struct.Struct(">Bq")
+_TAG_F64 = struct.Struct(">Bd")
+_HEADER = struct.Struct(">4sBBI")
+
+_KINDS = {int(k): k for k in DemandKind}
+_STATES = {int(s): s for s in DemandState}
+
+
+def _expect_end(data: bytes, end: int):
+    if end != len(data):
+        raise TrailingBytes(f"{len(data) - end} trailing bytes")
+
+
+def _decode(at, data: bytes):
+    """``at(data, 0)``, which must read all of ``data``.
+
+    The ``_*_at`` readers index and ``unpack_from`` with no bounds check of
+    their own: running off the end raises ``IndexError`` or ``struct.error``,
+    and here and in ``_cursor`` both become the one truncation error.
+    """
+    try:
+        out, end = at(data, 0)
+    except (IndexError, struct.error):
+        raise MalformedEncoding("truncated input") from None
+    _expect_end(data, end)
+    return out
+
+
+def _cursor(at, r: Reader):
+    """``at`` from the cursor's position, which moves past what it read."""
+    try:
+        out, r.pos = at(r.data, r.pos)
+    except (IndexError, struct.error):
+        raise MalformedEncoding("truncated input") from None
+    return out
 
 
 # --- values --------------------------------------------------------------
 
 
-def encode_value(v: Value) -> bytes:
-    if isinstance(v, list):
-        v = tuple(v)
-    kind = value_kind(v)
-    if kind == "int":
-        if not INT64_MIN <= v <= INT64_MAX:
-            raise MalformedValue(f"int out of 64-bit range: {v}")
-        return b"\x00" + v.to_bytes(8, "big", signed=True)
-    if kind == "float":
-        return b"\x01" + struct.pack(">d", v)
-    if kind == "bool":
-        return b"\x02" + (b"\x01" if v else b"\x00")
-    if kind == "str":
-        try:
-            raw = v.encode("utf-8")
-        except UnicodeEncodeError as e:
-            raise MalformedValue(str(e)) from None
-        if len(raw) > 0xFFFFFFFF:
-            raise MalformedValue("string too long")
-        return b"\x03" + len(raw).to_bytes(4, "big") + raw
-    if kind == "fault":
-        if not (isinstance(v.code, str) and isinstance(v.message, str)):
-            raise MalformedValue(f"a Fault holds a Str code and a Str message: {v!r}")
-        return b"\x05" + encode_value(v.code) + encode_value(v.message)
+def _encode_int(v: int) -> bytes:
     try:
-        body = struct.pack(f">{len(v)}d", *map(float, v))
+        return _TAG_I64.pack(0, v)
+    except struct.error:
+        raise MalformedValue(f"int out of 64-bit range: {v}") from None
+
+
+def _encode_float(v: float) -> bytes:
+    return _TAG_F64.pack(1, v)
+
+
+def _encode_bool(v: bool) -> bytes:
+    return b"\x02\x01" if v else b"\x02\x00"
+
+
+def _encode_str(v: str) -> bytes:
+    try:
+        raw = v.encode("utf-8")
+        return _TAG_U32.pack(3, len(raw)) + raw
+    except UnicodeEncodeError as e:
+        raise MalformedValue(str(e)) from None
+    except struct.error:
+        raise MalformedValue("string too long") from None
+
+
+def _encode_floats(v) -> bytes:
+    try:
+        return _TAG_U32.pack(4, len(v)) + struct.pack(f">{len(v)}d", *map(float, v))
     except (TypeError, ValueError, OverflowError) as e:
         raise MalformedValue(f"bad float array element: {e}") from None
-    return b"\x04" + len(v).to_bytes(4, "big") + body
 
 
-def read_value(r: Reader) -> Value:
-    tag = r.u8()
+def _encode_fault(v: Fault) -> bytes:
+    if not (isinstance(v.code, str) and isinstance(v.message, str)):
+        raise MalformedValue(f"a Fault holds a Str code and a Str message: {v!r}")
+    return b"\x05" + encode_value(v.code) + encode_value(v.message)
+
+
+_ENCODE_KIND = {
+    "int": _encode_int,
+    "float": _encode_float,
+    "bool": _encode_bool,
+    "str": _encode_str,
+    "floats": _encode_floats,
+    "fault": _encode_fault,
+}
+_ENCODE_TYPE = {
+    int: _encode_int,
+    float: _encode_float,
+    bool: _encode_bool,
+    str: _encode_str,
+    tuple: _encode_floats,
+    list: _encode_floats,
+    Fault: _encode_fault,
+}
+
+
+def encode_value(v: Value) -> bytes:
+    encode = _ENCODE_TYPE.get(type(v))
+    if encode is None:  # a subclass: ``value_kind`` decides, bool ahead of int
+        encode = _ENCODE_KIND[value_kind(tuple(v) if isinstance(v, list) else v)]
+    return encode(v)
+
+
+def _value_at(data: bytes, pos: int):
+    """The value at ``pos`` and the offset past it."""
+    tag = data[pos]
     if tag == 0x00:
-        return int.from_bytes(r.take(8), "big", signed=True)
-    if tag == 0x01:
-        return struct.unpack(">d", r.take(8))[0]
-    if tag == 0x02:
-        b = r.u8()
-        if b not in (0, 1):
-            raise MalformedValue(f"bad bool byte {b:#04x}")
-        return b == 1
+        return _TAG_I64.unpack_from(data, pos)[1], pos + 9
     if tag == 0x03:
-        n = r.u32()
-        try:
-            return r.take(n).decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise MalformedValue(str(e)) from None
+        return _str_at(data, pos)
+    if tag == 0x01:
+        return _TAG_F64.unpack_from(data, pos)[1], pos + 9
+    if tag == 0x02:
+        b = data[pos + 1]
+        if b > 1:
+            raise MalformedValue(f"bad bool byte {b:#04x}")
+        return b == 1, pos + 2
     if tag == 0x04:
-        n = r.u32()
-        raw = r.take(8 * n)
-        return tuple(struct.unpack(f">{n}d", raw)) if n else ()
+        n = _TAG_U32.unpack_from(data, pos)[1]
+        end = pos + 5 + 8 * n
+        if end > len(data):  # checked before a format for n floats is built
+            raise MalformedEncoding("truncated input")
+        return struct.unpack_from(f">{n}d", data, pos + 5), end
     if tag == 0x05:
-        return Fault(read_str(r), read_str(r))
+        code, pos = _str_at(data, pos + 1)
+        message, pos = _str_at(data, pos)
+        return Fault(code, message), pos
     raise MalformedValue(f"unknown value tag {tag:#04x}")
 
 
+def _str_at(data: bytes, pos: int):
+    """The Str at ``pos`` and the offset past it; any other value is refused."""
+    if data[pos] != 0x03:
+        _value_at(data, pos)  # a malformed value raises its own error first
+        raise MalformedEncoding("expected a Str value")
+    start = pos + 5
+    end = start + _TAG_U32.unpack_from(data, pos)[1]
+    if end > len(data):
+        raise MalformedEncoding("truncated input")
+    try:
+        return data[start:end].decode("utf-8"), end
+    except UnicodeDecodeError as e:
+        raise MalformedValue(str(e)) from None
+
+
+def _int_at(data: bytes, pos: int):
+    """The Int at ``pos`` and the offset past it; any other value is refused."""
+    if data[pos] != 0x00:
+        _value_at(data, pos)
+        raise MalformedEncoding("expected an Int value")
+    return _TAG_I64.unpack_from(data, pos)[1], pos + 9
+
+
+def read_value(r: Reader) -> Value:
+    return _cursor(_value_at, r)
+
+
 def decode_value(data: bytes) -> Value:
-    r = Reader(data)
-    v = read_value(r)
-    r.expect_done()
-    return v
+    return _decode(_value_at, data)
 
 
 def values_equal(a: Value, b: Value) -> bool:
@@ -198,51 +302,47 @@ def values_equal(a: Value, b: Value) -> bool:
 
 
 def read_str(r: Reader) -> str:
-    v = read_value(r)
-    if value_kind(v) != "str":
-        raise MalformedEncoding("expected a Str value")
-    return v
+    return _cursor(_str_at, r)
 
 
 def read_int(r: Reader) -> int:
-    v = read_value(r)
-    if value_kind(v) != "int":
-        raise MalformedEncoding("expected an Int value")
-    return v
+    return _cursor(_int_at, r)
 
 
 # --- contexts, signatures, demands ---------------------------------------
 
 
 def encode_context(ctx: Context) -> bytes:
-    out = [len(ctx.pairs).to_bytes(4, "big")]
+    out = [_U32.pack(len(ctx.pairs))]
     for dim, tag in ctx.pairs:
         out.append(encode_value(dim))
-        out.append(encode_value(int(tag)))
+        out.append(_encode_int(int(tag)))
     return b"".join(out)
 
 
-def read_context(r: Reader) -> Context:
-    count = r.u32()
+def _context_at(data: bytes, pos: int):
+    count = _U32.unpack_from(data, pos)[0]
+    pos += 4
     pairs = []
-    prev = None
+    prev = ""  # below every identifier
     for _ in range(count):
-        dim = read_str(r)
-        tag = read_int(r)
+        dim, pos = _str_at(data, pos)
+        tag, pos = _int_at(data, pos)
         if not is_identifier(dim):
             raise MalformedEncoding(f"bad dimension name {dim!r}")
-        if prev is not None and dim <= prev:
+        if dim <= prev:
             raise NonCanonicalOrder(f"dimension {dim!r} after {prev!r}")
         prev = dim
         pairs.append((dim, tag))
-    return Context(tuple(pairs))
+    return Context(tuple(pairs)), pos
+
+
+def read_context(r: Reader) -> Context:
+    return _cursor(_context_at, r)
 
 
 def decode_context(data: bytes) -> Context:
-    r = Reader(data)
-    ctx = read_context(r)
-    r.expect_done()
-    return ctx
+    return _decode(_context_at, data)
 
 
 def encode_signature(sig: DemandSignature) -> bytes:
@@ -255,74 +355,75 @@ def _encode_signature(sig: DemandSignature) -> bytes:
     out = [
         encode_value(sig.program_id),
         encode_value(sig.name),
-        bytes([int(sig.kind)]),
+        bytes((sig.kind,)),
         encode_context(sig.context),
-        len(sig.args).to_bytes(4, "big"),
+        _U32.pack(len(sig.args)),
     ]
-    out.extend(encode_value(a) for a in sig.args)
+    out.extend(map(encode_value, sig.args))
     return b"".join(out)
 
 
-def read_signature(r: Reader) -> DemandSignature:
-    start = r.pos
-    program_id = read_str(r)
-    name = read_str(r)
-    kind_byte = r.u8()
-    try:
-        kind = DemandKind(kind_byte)
-    except ValueError:
-        raise MalformedEncoding(f"unknown demand kind {kind_byte:#04x}") from None
-    ctx = read_context(r)
-    argc = r.u32()
-    args = tuple(read_value(r) for _ in range(argc))
+def _signature_at(data: bytes, pos: int):
+    start = pos
+    program_id, pos = _str_at(data, pos)
+    name, pos = _str_at(data, pos)
+    kind = _KINDS.get(data[pos])
+    if kind is None:
+        raise MalformedEncoding(f"unknown demand kind {data[pos]:#04x}")
+    ctx, pos = _context_at(data, pos + 1)
+    argc = _U32.unpack_from(data, pos)[0]
+    pos += 4
+    args = []
+    for _ in range(argc):
+        arg, pos = _value_at(data, pos)
+        args.append(arg)
     try:
         sig = DemandSignature(program_id, name, ctx, kind, args)
     except MalformedDemand as e:
         raise MalformedEncoding(str(e)) from None
     # the bytes just read are canonical, so they are the key: no re-encoding
-    object.__setattr__(sig, "_key", bytes(r.data[start : r.pos]))
-    return sig
+    object.__setattr__(sig, "_key", bytes(data[start:pos]))
+    return sig, pos
+
+
+def read_signature(r: Reader) -> DemandSignature:
+    return _cursor(_signature_at, r)
 
 
 def decode_signature(data: bytes) -> DemandSignature:
-    r = Reader(data)
-    sig = read_signature(r)
-    r.expect_done()
-    return sig
+    return _decode(_signature_at, data)
 
 
 def encode_demand(d: Demand) -> bytes:
-    out = [encode_signature(d.signature), bytes([int(d.state)])]
     if d.result is None:
-        out.append(b"\x00")
-    else:
-        out.append(b"\x01")
-        out.append(encode_value(d.result))
-    return b"".join(out)
+        return d.signature.key() + bytes((d.state, 0))
+    return d.signature.key() + bytes((d.state, 1)) + encode_value(d.result)
 
 
-def read_demand(r: Reader) -> Demand:
-    sig = read_signature(r)
-    state_byte = r.u8()
-    try:
-        state = DemandState(state_byte)
-    except ValueError:
-        raise MalformedEncoding(f"unknown demand state {state_byte:#04x}") from None
-    presence = r.u8()
-    if presence not in (0, 1):
+def _demand_at(data: bytes, pos: int):
+    sig, pos = _signature_at(data, pos)
+    state = _STATES.get(data[pos])
+    if state is None:
+        raise MalformedEncoding(f"unknown demand state {data[pos]:#04x}")
+    presence = data[pos + 1]
+    if presence > 1:
         raise MalformedEncoding(f"bad result presence byte {presence:#04x}")
-    result = read_value(r) if presence else None
+    result = None
+    pos += 2
+    if presence:
+        result, pos = _value_at(data, pos)
     try:
-        return Demand(sig, state, result)
+        return Demand(sig, state, result), pos
     except MalformedDemand as e:
         raise MalformedEncoding(str(e)) from None
 
 
+def read_demand(r: Reader) -> Demand:
+    return _cursor(_demand_at, r)
+
+
 def decode_demand(data: bytes) -> Demand:
-    r = Reader(data)
-    d = read_demand(r)
-    r.expect_done()
-    return d
+    return _decode(_demand_at, data)
 
 
 # --- compiled programs ----------------------------------------------------
@@ -429,21 +530,23 @@ def decode_geer(data: bytes) -> lang.Geer:
 def encode_frame(msg_type: MsgType, payload: bytes) -> bytes:
     if len(payload) > MAX_PAYLOAD:
         raise MalformedEncoding(f"payload of {len(payload)} bytes exceeds the 16 MiB cap")
-    return MAGIC + bytes([VERSION, int(msg_type)]) + len(payload).to_bytes(4, "big") + payload
+    return _HEADER.pack(MAGIC, VERSION, msg_type, len(payload)) + payload
+
+
+_MSG_TYPES = {int(t): t for t in MsgType}
 
 
 def parse_header(header: bytes) -> Tuple[MsgType, int]:
     if len(header) != HEADER_SIZE:
         raise ProtocolError("short frame header")
-    if header[:4] != MAGIC:
-        raise ProtocolError(f"bad magic {header[:4]!r}")
-    if header[4] != VERSION:
-        raise ProtocolError(f"unsupported version {header[4]}")
-    try:
-        msg_type = MsgType(header[5])
-    except ValueError:
-        raise ProtocolError(f"unknown message type {header[5]:#04x}") from None
-    length = int.from_bytes(header[6:10], "big")
+    magic, version, type_byte, length = _HEADER.unpack(header)
+    if magic != MAGIC:
+        raise ProtocolError(f"bad magic {magic!r}")
+    if version != VERSION:
+        raise ProtocolError(f"unsupported version {version}")
+    msg_type = _MSG_TYPES.get(type_byte)
+    if msg_type is None:
+        raise ProtocolError(f"unknown message type {type_byte:#04x}")
     if length > MAX_PAYLOAD:
         raise MalformedEncoding(f"declared payload of {length} bytes exceeds the 16 MiB cap")
     return msg_type, length

@@ -440,8 +440,9 @@ def test_criterion_7_move_tier_and_death_detection():
     _, baseline = P.run_pipeline_local(unlabeled, P.CLASSIFY_MODE, ts=ts)
 
     mgr = Manager(heartbeat_ms=60000)  # nodes stay alive for this part
-    n1 = mgr.register_node("node-a:0", agent=LocalNodeAgent())
-    n2 = mgr.register_node("node-b:0", agent=LocalNodeAgent())
+    agent_a, agent_b = LocalNodeAgent(), LocalNodeAgent()
+    n1 = mgr.register_node("node-a:0", agent=agent_a)
+    n2 = mgr.register_node("node-b:0", agent=agent_b)
     dst = mgr.allocate(n1, "DST", {})
     dwt = mgr.allocate(
         n1,
@@ -473,6 +474,8 @@ def test_criterion_7_move_tier_and_death_detection():
     finally:
         client.close()
         mgr.close()
+        agent_b.close()  # the worker's node (moved there), before the store's node it claims from
+        agent_a.close()
 
     hits, total = P.top1_accuracy(moved, labels)
     equal = _results_close(moved, baseline)

@@ -1,5 +1,6 @@
 """Carriers, dispatch, retry behavior."""
 import socket
+import struct
 import threading
 import time
 
@@ -16,7 +17,7 @@ from eduction.model import (
     make_context,
     pending_demand,
 )
-from eduction.store import ConflictingResult, DemandStore, DepositStatus, NotFound
+from eduction.store import ENQUEUED, ConflictingResult, DemandStore, DepositOutcome, DepositStatus, NotFound, StoreStats
 from eduction.transport import (
     InProcAgent,
     StoreClient,
@@ -466,12 +467,135 @@ class TestFraming:
         try:
             with socket.create_connection(("127.0.0.1", srv.port), timeout=5) as sock:
                 sock.sendall(b"XXXX" + bytes(wire.HEADER_SIZE - 4))
-                mt, body = transport.read_frame(sock)
-                assert mt is MsgType.ERR
+                mt, body, rest = transport.read_frame(sock)
+                assert mt is MsgType.ERR and rest == b""
                 assert wire.read_value(wire.Reader(body)) == "ProtocolError"
                 assert sock.recv(1) == b""
         finally:
             srv.stop()
+
+
+def frame_conn_threads(srv):
+    return [t for t in threading.enumerate() if t.name == f"frame-conn-{srv.port}" and t.is_alive()]
+
+
+class TestBufferedFrames:
+    """Each side reads frames through one buffer per connection: split or
+    merged segments must still give each request exactly its reply, in order."""
+
+    SIG = isig(5)
+    REQUESTS = [
+        (MsgType.DEPOSIT, wire.encode_demand(pending_demand(SIG))),
+        (MsgType.FULFILL, SIG.key() + wire.encode_value(8) + wire.encode_value("g")),
+        (MsgType.DEPOSIT, wire.encode_demand(pending_demand(SIG))),
+        (MsgType.STATS, b""),
+    ]
+    REPLIES = [
+        (MsgType.OK, b"\x00"),
+        (MsgType.OK, b""),
+        (MsgType.OK, b"\x01" + wire.encode_value(8)),
+        (MsgType.OK, struct.pack(">7Q", 2, 1, 1, 1, 0, 0, 0)),
+    ]
+
+    def talk(self, store, send):
+        """Write the requests with ``send(sock, frames)``; read the replies, then EOF."""
+        srv = serve_store(store)
+        try:
+            with socket.create_connection(("127.0.0.1", srv.port), timeout=5) as sock:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                send(sock, [wire.encode_frame(*req) for req in self.REQUESTS])
+                got, rest = [], b""
+                for _ in self.REPLIES:
+                    mt, body, rest = transport.read_frame(sock, rest)
+                    got.append((mt, body))
+                sock.shutdown(socket.SHUT_WR)
+                assert rest == b"" and sock.recv(1) == b""  # no reply more
+        finally:
+            srv.stop()
+        assert got == self.REPLIES
+
+    def test_one_byte_at_a_time(self, store):
+        def send(sock, frames):
+            for byte in b"".join(frames):
+                sock.sendall(bytes((byte,)))
+                time.sleep(0.0005)
+
+        self.talk(store, send)
+
+    def test_every_request_in_one_sendall(self, store):
+        self.talk(store, lambda sock, frames: sock.sendall(b"".join(frames)))
+
+    def test_header_and_payload_in_separate_segments(self, store):
+        def send(sock, frames):
+            for frame in frames:
+                for part in (frame[:3], frame[3 : wire.HEADER_SIZE], frame[wire.HEADER_SIZE :]):
+                    sock.sendall(part)
+                    time.sleep(0.02)
+
+        self.talk(store, send)
+
+    def test_peer_closing_mid_frame_ends_its_thread(self, store):
+        srv = serve_store(store)
+        try:
+            frame = wire.encode_frame(*self.REQUESTS[0])
+            with socket.create_connection(("127.0.0.1", srv.port), timeout=5) as sock:
+                sock.sendall(frame[: wire.HEADER_SIZE + 4])
+                deadline = time.monotonic() + 5
+                while not frame_conn_threads(srv) and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                assert frame_conn_threads(srv)  # serving, mid-frame
+            deadline = time.monotonic() + 5
+            while frame_conn_threads(srv) and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert not frame_conn_threads(srv)
+            assert store.stats().deposits == 0  # the torn request was never served
+            client = StoreClient(TcpAgent("127.0.0.1", srv.port))
+            assert client.deposit(pending_demand(self.SIG)).status is DepositStatus.ENQUEUED  # still serving
+            client.close()
+        finally:
+            srv.stop()
+
+    def test_frames_read_in_one_recv_are_split_from_the_buffer(self):
+        a, b = socket.socketpair()
+        with a, b:
+            first, second = wire.encode_frame(MsgType.OK, b"x"), wire.encode_frame(MsgType.ERR, b"yz")
+            a.sendall(first + second)
+            a.close()  # from here on every recv sees EOF
+            assert transport.read_frame(b) == (MsgType.OK, b"x", second)
+            assert transport.read_frame(b, second) == (MsgType.ERR, b"yz", b"")
+            with pytest.raises(ConnectionError):
+                transport.read_frame(b)
+
+    def test_client_drops_a_connection_that_replies_bad_magic(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(5)
+        stats = struct.pack(">7Q", *range(7))
+        held = []
+
+        def fake_server():
+            # the first connection gets a bad magic and stays open; the next is answered properly
+            for reply in (b"XXXX" + bytes(wire.HEADER_SIZE - 4), wire.encode_frame(MsgType.OK, stats)):
+                conn, _ = listener.accept()
+                held.append(conn)
+                conn.settimeout(5)
+                transport.read_frame(conn)
+                conn.sendall(reply)
+
+        server = threading.Thread(target=fake_server)
+        server.start()
+        agent = TcpAgent("127.0.0.1", listener.getsockname()[1])
+        try:
+            client = StoreClient(agent)
+            with pytest.raises(wire.ProtocolError, match="bad magic"):
+                client.stats()
+            assert client.stats() == StoreStats(*range(7))  # over a new connection
+        finally:
+            agent.close()
+            server.join(10)
+            for conn in held:
+                conn.close()
+            listener.close()
+        assert not server.is_alive() and len(held) == 2
 
 
 class TestReplyCheck:
@@ -484,6 +608,22 @@ class TestReplyCheck:
     def test_wrong_reply_type_store_client(self):
         with pytest.raises(wire.ProtocolError, match="expected OK reply, got CLAIM_REPLY"):
             StoreClient(self.replying(MsgType.CLAIM_REPLY)).stats()
+
+    def test_deposit_replies(self, store):
+        miss = StoreClient(self.replying(MsgType.OK, b"\x00")).deposit(pending_demand(isig()))
+        assert miss is ENQUEUED  # one shared outcome, as the store's own miss is
+        assert store.deposit(pending_demand(isig(1))) is store.deposit(pending_demand(isig(2))) is ENQUEUED
+        dup = StoreClient(self.replying(MsgType.OK, b"\x02")).deposit(pending_demand(qsig()))
+        assert dup == DepositOutcome(DepositStatus.DUPLICATE_PENDING)
+        hit = StoreClient(self.replying(MsgType.OK, b"\x01" + wire.encode_value(-0.0))).deposit(pending_demand(isig()))
+        assert hit.status is DepositStatus.ALREADY_COMPUTED and wire.values_equal(hit.value, -0.0)
+
+    @pytest.mark.parametrize(
+        "body", [b"", b"\x07", b"\x00\x00", b"\x02\x01", b"\x01"], ids=["empty", "unknown", "trailing", "trailing-dup", "no-value"]
+    )
+    def test_malformed_deposit_reply(self, body):
+        with pytest.raises(wire.MalformedEncoding):
+            StoreClient(self.replying(MsgType.OK, body)).deposit(pending_demand(isig()))
 
     def test_wrong_reply_type_system_request(self):
         with pytest.raises(wire.ProtocolError, match="expected OK reply, got FETCH_REPLY"):

@@ -1,4 +1,6 @@
 """Canonical encodings, framing, and their strictness."""
+import dataclasses
+import enum
 import math
 import struct
 
@@ -8,14 +10,20 @@ from hypothesis import given, settings, strategies as st
 from eduction import lang, wire
 from eduction.errors import EductionError
 from eduction.model import (
+    INT64_MAX,
+    INT64_MIN,
+    Context,
     Demand,
     DemandKind,
     DemandSignature,
     DemandState,
     EMPTY_CONTEXT,
     Fault,
+    MalformedDemand,
     MalformedValue,
+    is_identifier,
     make_context,
+    value_kind,
 )
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
@@ -476,3 +484,491 @@ class TestFraming:
         torn = wire.encode_frame(wire.MsgType.FULFILL, b"bb")[:-1]
         out = list(wire.iter_frames(good + torn))
         assert len(out) == 1 and out[0][2] == len(good)
+
+
+# --- the Reader-chain codec, kept as the reference -------------------------
+# A copy of the decoders and field-by-field encoders that read through
+# ``Reader.take``/``u8``/``u32`` before the codec read at offsets.  The
+# offset-reading codec must accept exactly what these accept, give equal
+# values with byte-equal keys, raise the same error classes, and encode the
+# same bytes.
+
+
+class ChainReader:
+    def __init__(self, data):
+        self.data = data
+        self.pos = 0
+
+    def take(self, n):
+        if n < 0 or self.pos + n > len(self.data):
+            raise wire.MalformedEncoding("truncated input")
+        out = self.data[self.pos : self.pos + n]
+        self.pos += n
+        return out
+
+    def u8(self):
+        return self.take(1)[0]
+
+    def u32(self):
+        return int.from_bytes(self.take(4), "big")
+
+    def expect_done(self):
+        if self.pos != len(self.data):
+            raise wire.TrailingBytes(f"{len(self.data) - self.pos} trailing bytes")
+
+
+def chain_encode_value(v):
+    if isinstance(v, list):
+        v = tuple(v)
+    kind = value_kind(v)
+    if kind == "int":
+        if not INT64_MIN <= v <= INT64_MAX:
+            raise MalformedValue(f"int out of 64-bit range: {v}")
+        return b"\x00" + v.to_bytes(8, "big", signed=True)
+    if kind == "float":
+        return b"\x01" + struct.pack(">d", v)
+    if kind == "bool":
+        return b"\x02" + (b"\x01" if v else b"\x00")
+    if kind == "str":
+        try:
+            raw = v.encode("utf-8")
+        except UnicodeEncodeError as e:
+            raise MalformedValue(str(e)) from None
+        if len(raw) > 0xFFFFFFFF:
+            raise MalformedValue("string too long")
+        return b"\x03" + len(raw).to_bytes(4, "big") + raw
+    if kind == "fault":
+        if not (isinstance(v.code, str) and isinstance(v.message, str)):
+            raise MalformedValue(f"a Fault holds a Str code and a Str message: {v!r}")
+        return b"\x05" + chain_encode_value(v.code) + chain_encode_value(v.message)
+    try:
+        body = struct.pack(f">{len(v)}d", *map(float, v))
+    except (TypeError, ValueError, OverflowError) as e:
+        raise MalformedValue(f"bad float array element: {e}") from None
+    return b"\x04" + len(v).to_bytes(4, "big") + body
+
+
+def chain_read_value(r):
+    tag = r.u8()
+    if tag == 0x00:
+        return int.from_bytes(r.take(8), "big", signed=True)
+    if tag == 0x01:
+        return struct.unpack(">d", r.take(8))[0]
+    if tag == 0x02:
+        b = r.u8()
+        if b not in (0, 1):
+            raise MalformedValue(f"bad bool byte {b:#04x}")
+        return b == 1
+    if tag == 0x03:
+        n = r.u32()
+        try:
+            return r.take(n).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise MalformedValue(str(e)) from None
+    if tag == 0x04:
+        n = r.u32()
+        raw = r.take(8 * n)
+        return tuple(struct.unpack(f">{n}d", raw)) if n else ()
+    if tag == 0x05:
+        return Fault(chain_read_str(r), chain_read_str(r))
+    raise MalformedValue(f"unknown value tag {tag:#04x}")
+
+
+def chain_read_str(r):
+    v = chain_read_value(r)
+    if value_kind(v) != "str":
+        raise wire.MalformedEncoding("expected a Str value")
+    return v
+
+
+def chain_read_int(r):
+    v = chain_read_value(r)
+    if value_kind(v) != "int":
+        raise wire.MalformedEncoding("expected an Int value")
+    return v
+
+
+def chain_encode_context(ctx):
+    out = [len(ctx.pairs).to_bytes(4, "big")]
+    for dim, tag in ctx.pairs:
+        out.append(chain_encode_value(dim))
+        out.append(chain_encode_value(int(tag)))
+    return b"".join(out)
+
+
+def chain_read_context(r):
+    count = r.u32()
+    pairs = []
+    prev = None
+    for _ in range(count):
+        dim = chain_read_str(r)
+        tag = chain_read_int(r)
+        if not is_identifier(dim):
+            raise wire.MalformedEncoding(f"bad dimension name {dim!r}")
+        if prev is not None and dim <= prev:
+            raise wire.NonCanonicalOrder(f"dimension {dim!r} after {prev!r}")
+        prev = dim
+        pairs.append((dim, tag))
+    return Context(tuple(pairs))
+
+
+def chain_encode_signature(sig):
+    out = [
+        chain_encode_value(sig.program_id),
+        chain_encode_value(sig.name),
+        bytes([int(sig.kind)]),
+        chain_encode_context(sig.context),
+        len(sig.args).to_bytes(4, "big"),
+    ]
+    out.extend(chain_encode_value(a) for a in sig.args)
+    return b"".join(out)
+
+
+def chain_read_signature(r):
+    start = r.pos
+    program_id = chain_read_str(r)
+    name = chain_read_str(r)
+    kind_byte = r.u8()
+    try:
+        kind = DemandKind(kind_byte)
+    except ValueError:
+        raise wire.MalformedEncoding(f"unknown demand kind {kind_byte:#04x}") from None
+    ctx = chain_read_context(r)
+    argc = r.u32()
+    args = tuple(chain_read_value(r) for _ in range(argc))
+    try:
+        sig = DemandSignature(program_id, name, ctx, kind, args)
+    except MalformedDemand as e:
+        raise wire.MalformedEncoding(str(e)) from None
+    object.__setattr__(sig, "_key", bytes(r.data[start : r.pos]))
+    return sig
+
+
+def chain_encode_demand(d):
+    out = [chain_encode_signature(d.signature), bytes([int(d.state)])]
+    if d.result is None:
+        out.append(b"\x00")
+    else:
+        out.append(b"\x01")
+        out.append(chain_encode_value(d.result))
+    return b"".join(out)
+
+
+def chain_read_demand(r):
+    sig = chain_read_signature(r)
+    state_byte = r.u8()
+    try:
+        state = DemandState(state_byte)
+    except ValueError:
+        raise wire.MalformedEncoding(f"unknown demand state {state_byte:#04x}") from None
+    presence = r.u8()
+    if presence not in (0, 1):
+        raise wire.MalformedEncoding(f"bad result presence byte {presence:#04x}")
+    result = chain_read_value(r) if presence else None
+    try:
+        return Demand(sig, state, result)
+    except MalformedDemand as e:
+        raise wire.MalformedEncoding(str(e)) from None
+
+
+def chain_encode_frame(msg_type, payload):
+    if len(payload) > wire.MAX_PAYLOAD:
+        raise wire.MalformedEncoding(f"payload of {len(payload)} bytes exceeds the 16 MiB cap")
+    return wire.MAGIC + bytes([wire.VERSION, int(msg_type)]) + len(payload).to_bytes(4, "big") + payload
+
+
+def chain_parse_header(header):
+    if len(header) != wire.HEADER_SIZE:
+        raise wire.ProtocolError("short frame header")
+    if header[:4] != wire.MAGIC:
+        raise wire.ProtocolError(f"bad magic {header[:4]!r}")
+    if header[4] != wire.VERSION:
+        raise wire.ProtocolError(f"unsupported version {header[4]}")
+    try:
+        msg_type = wire.MsgType(header[5])
+    except ValueError:
+        raise wire.ProtocolError(f"unknown message type {header[5]:#04x}") from None
+    length = int.from_bytes(header[6:10], "big")
+    if length > wire.MAX_PAYLOAD:
+        raise wire.MalformedEncoding(f"declared payload of {length} bytes exceeds the 16 MiB cap")
+    return msg_type, length
+
+
+def chain_decode(read, data):
+    r = ChainReader(data)
+    out = read(r)
+    r.expect_done()
+    return out
+
+
+def outcome(fn, *args):
+    """``("ok", result)``, or ``("err", class)`` for whatever ``fn`` raised."""
+    try:
+        return "ok", fn(*args)
+    except Exception as e:  # the class is what the two codecs must agree on
+        return "err", type(e)
+
+
+def same_value(a, b) -> bool:
+    """Equal values, NaN payloads and -0.0 included: same type, same bytes."""
+    floats_inside = type(a) is not tuple or all(type(x) is float for x in a + b)
+    return type(a) is type(b) and floats_inside and chain_encode_value(a) == chain_encode_value(b)
+
+
+def same_signature(a, b) -> bool:
+    return (
+        a.key() == b.key()
+        and type(a.key()) is bytes
+        and (a.program_id, a.name, a.kind, a.context.pairs) == (b.program_id, b.name, b.kind, b.context.pairs)
+        and len(a.args) == len(b.args)
+        and all(same_value(x, y) for x, y in zip(a.args, b.args))
+    )
+
+
+def same_demand(a, b) -> bool:
+    if not (same_signature(a.signature, b.signature) and a.state is b.state):
+        return False
+    return a.result is b.result is None or (b.result is not None and same_value(a.result, b.result))
+
+
+SHAPES = {  # shape -> (offset-reading decoder, reference decoder, equality)
+    "value": (wire.decode_value, lambda d: chain_decode(chain_read_value, d), same_value),
+    "context": (wire.decode_context, lambda d: chain_decode(chain_read_context, d), lambda a, b: a.pairs == b.pairs),
+    "signature": (wire.decode_signature, lambda d: chain_decode(chain_read_signature, d), same_signature),
+    "demand": (wire.decode_demand, lambda d: chain_decode(chain_read_demand, d), same_demand),
+}
+
+
+def assert_decoders_agree(shape: str, data: bytes):
+    new, ref, equal = SHAPES[shape]
+    got, want = outcome(new, data), outcome(ref, data)
+    assert got[0] == want[0], (data, got, want)
+    if got[0] == "err":
+        assert got[1] is want[1], (data, got, want)
+    else:
+        assert equal(got[1], want[1]), (data, got, want)
+
+
+class Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 1 << 40
+
+
+class Name(str):
+    pass
+
+
+class Weight(float):
+    pass
+
+
+class Floats(tuple):
+    pass
+
+
+class FloatList(list):
+    pass
+
+
+class Failure(Fault):
+    pass
+
+
+# every value shape: raw floats carry NaN payloads, infinities and -0.0
+shaped_values = st.one_of(
+    raw_values,
+    st.sampled_from([Level.LOW, Level.HIGH, DemandKind.PROCEDURAL, DemandState.COMPUTED, True, False, -0.0]),
+    st.builds(Fault, st.text(max_size=8), st.text(max_size=8)),
+    st.text(alphabet=st.characters(codec="utf-8"), max_size=12),
+)
+# encoder inputs, the refused ones included
+encoder_inputs = st.one_of(
+    shaped_values,
+    st.lists(st.one_of(raw_floats, int64s, st.booleans()), max_size=5),
+    st.sampled_from(
+        [2**63, -(2**63) - 1, "\ud800", "a\udfffb", Fault(1, "m"), Fault("E", None), ("x",), (None,), (10**400,), None, {}, b"x"]
+    ),
+    st.sampled_from([Name("dé"), Weight(-0.0), Floats((1.0, 2)), FloatList([0.5, True]), Failure("E", Name("m"))]),
+)
+
+
+@st.composite
+def shaped_signatures(draw):
+    if draw(st.booleans()):
+        args = tuple(draw(st.lists(shaped_values, max_size=3)))
+        return DemandSignature(draw(st.text(max_size=6)), draw(idents), kind=DemandKind.PROCEDURAL, args=args)
+    return DemandSignature(draw(st.text(max_size=6)), draw(idents), draw(contexts), DemandKind.INTENSIONAL)
+
+
+@st.composite
+def shaped_demands(draw):
+    sig = draw(shaped_signatures())
+    if draw(st.booleans()):
+        return Demand(sig, DemandState.COMPUTED, draw(shaped_values))
+    return Demand(sig, draw(st.sampled_from([DemandState.PENDING, DemandState.IN_PROCESS])))
+
+
+@st.composite
+def corruptions(draw, data: bytes):
+    """``data`` truncated, or with a few bytes overwritten, inserted or deleted."""
+    if draw(st.booleans()):
+        return data[: draw(st.integers(0, max(len(data) - 1, 0)))]
+    return draw(mutations(data))
+
+
+class TestOffsetCodecMatchesChain:
+    """The offset-reading codec against the Reader-chain reference above."""
+
+    @settings(max_examples=300)
+    @given(encoder_inputs)
+    def test_value_encoder(self, v):
+        got, want = outcome(wire.encode_value, v), outcome(chain_encode_value, v)
+        assert got == want
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_values(self, data):
+        encoded = chain_encode_value(data.draw(shaped_values))
+        assert_decoders_agree("value", encoded)
+        for _ in range(6):
+            assert_decoders_agree("value", data.draw(corruptions(encoded)))
+
+    @given(st.data())
+    def test_contexts(self, data):
+        ctx = data.draw(contexts)
+        encoded = chain_encode_context(ctx)
+        assert wire.encode_context(ctx) == encoded
+        assert_decoders_agree("context", encoded)
+        for _ in range(6):
+            assert_decoders_agree("context", data.draw(corruptions(encoded)))
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_signatures(self, data):
+        sig = data.draw(shaped_signatures())
+        encoded = chain_encode_signature(sig)
+        assert wire._encode_signature(sig) == encoded
+        assert_decoders_agree("signature", encoded)
+        for _ in range(6):
+            assert_decoders_agree("signature", data.draw(corruptions(encoded)))
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_demands(self, data):
+        d = data.draw(shaped_demands())
+        encoded = chain_encode_demand(d)
+        assert wire.encode_demand(d) == encoded
+        assert_decoders_agree("demand", encoded)
+        for _ in range(6):
+            assert_decoders_agree("demand", data.draw(corruptions(encoded)))
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(list(SHAPES)), st.binary(max_size=48))
+    def test_arbitrary_bytes(self, shape, data):
+        assert_decoders_agree(shape, data)
+
+    def test_a_512_float_signature_and_demand(self):
+        floats = struct.unpack(">512d", bytes(range(256)) * 16)  # NaNs, subnormals and all
+        sig = DemandSignature("p", "fe", kind=DemandKind.PROCEDURAL, args=(floats, Level.HIGH, Fault("E", "m")))
+        d = Demand(sig, DemandState.COMPUTED, floats)
+        assert wire._encode_signature(sig) == chain_encode_signature(sig)
+        assert wire.encode_demand(d) == chain_encode_demand(d)
+        encoded = chain_encode_demand(d)
+        for cut in range(0, len(encoded), 97):
+            assert_decoders_agree("demand", encoded[:cut])
+        assert_decoders_agree("demand", encoded)
+
+    SWEPT = {  # one encoding per shape, every value kind among them
+        "value": [Fault("E", "m"), (0.5, -0.0), True],
+        "context": [make_context([("d", 3), ("e", -1), ("t0", 1 << 40)])],
+        "signature": [
+            DemandSignature("p", "x", make_context([("d", 3), ("e", -1)])),
+            DemandSignature("pé", "f", kind=DemandKind.PROCEDURAL, args=(True, -7, 2.5, "ü!", (0.0, -1.5), Fault("E", "m"))),
+        ],
+        "demand": [
+            Demand(DemandSignature("p", "x", make_context([("d", 3)])), DemandState.COMPUTED, (1.5, 2.0)),
+            Demand(DemandSignature("p", "x", make_context([("d", 3)])), DemandState.IN_PROCESS),
+            Demand(DemandSignature("p", "g", kind=DemandKind.PROCEDURAL, args=(False,)), DemandState.COMPUTED, "r"),
+        ],
+    }
+    ENCODERS = {
+        "value": chain_encode_value,
+        "context": chain_encode_context,
+        "signature": chain_encode_signature,
+        "demand": chain_encode_demand,
+    }
+
+    @pytest.mark.parametrize("shape", list(SWEPT))
+    def test_every_byte_changed_inserted_or_deleted(self, shape):
+        """Each position: all 255 other bytes, an insertion of 0x00, 0x01, 0x02, 0x03, 0xff, a deletion, a truncation."""
+        for item in self.SWEPT[shape]:
+            encoded = self.ENCODERS[shape](item)
+            assert_decoders_agree(shape, encoded)
+            for at in range(len(encoded) + 1):
+                head, tail = encoded[:at], encoded[at:]
+                assert_decoders_agree(shape, head)
+                assert_decoders_agree(shape, head + tail[1:])
+                for b in (0x00, 0x01, 0x02, 0x03, 0xFF):
+                    assert_decoders_agree(shape, head + bytes((b,)) + tail)
+                if tail:
+                    for b in range(256):
+                        assert_decoders_agree(shape, head + bytes((b,)) + tail[1:])
+
+    @given(st.sampled_from(list(wire.MsgType)), st.binary(max_size=64))
+    def test_frames(self, msg_type, payload):
+        frame = wire.encode_frame(msg_type, payload)
+        assert frame == chain_encode_frame(msg_type, payload)
+        assert wire.parse_header(frame[: wire.HEADER_SIZE]) == chain_parse_header(frame[: wire.HEADER_SIZE])
+
+    @settings(max_examples=300)
+    @given(st.one_of(st.binary(min_size=10, max_size=10), st.binary(max_size=12).map(lambda b: b"GDMF\x01" + b)))
+    def test_headers(self, header):
+        assert outcome(wire.parse_header, header) == outcome(chain_parse_header, header)
+
+
+class HugeUtf8(str):
+    """A Str whose UTF-8 form claims more bytes than a 4-byte length holds."""
+
+    class Bytes(bytes):
+        def __len__(self):
+            return 1 << 32
+
+    def encode(self, *args):
+        return self.Bytes()
+
+
+class TestRefusals:
+    """Branches of the codec that no other test takes, each with its error class."""
+
+    def test_unencodable_str(self):
+        with pytest.raises(MalformedValue):
+            wire.encode_value("\ud800")
+        with pytest.raises(MalformedValue):
+            DemandSignature("p", "\ud800").key()
+
+    def test_str_longer_than_its_length_field(self):
+        with pytest.raises(MalformedValue, match="too long"):
+            wire.encode_value(HugeUtf8("x"))
+
+    def test_frame_payload_cap(self):
+        at_cap = bytes(wire.MAX_PAYLOAD)
+        assert len(wire.encode_frame(wire.MsgType.OK, at_cap)) == wire.HEADER_SIZE + wire.MAX_PAYLOAD
+        with pytest.raises(wire.MalformedEncoding, match="16 MiB"):
+            wire.encode_frame(wire.MsgType.OK, at_cap + b"\x00")
+        header = b"GDMF\x01\x7e" + wire.MAX_PAYLOAD.to_bytes(4, "big")
+        assert wire.parse_header(header) == (wire.MsgType.OK, wire.MAX_PAYLOAD)
+
+    @pytest.mark.parametrize("header", [b"", b"GDMF\x01", b"GDMF\x01\x7e\x00\x00\x00\x00\x00"], ids=["empty", "5", "11"])
+    def test_header_of_the_wrong_size(self, header):
+        with pytest.raises(wire.ProtocolError, match="short frame header"):
+            wire.parse_header(header)
+
+    def test_iter_frames_stops_at_a_torn_header(self):
+        good = wire.encode_frame(wire.MsgType.DEPOSIT, b"a")
+        out = list(wire.iter_frames(good + good[:5]))
+        assert [(t, p, end) for t, p, end in out] == [(wire.MsgType.DEPOSIT, b"a", len(good))]
+
+    def test_encode_geer_refuses_what_is_not_a_node(self):
+        geer = lang.compile_source("x where x = 1; end", "p")
+        with pytest.raises(wire.MalformedEncoding, match="not an AST node"):
+            wire.encode_geer(dataclasses.replace(geer, root_expr="x"))
