@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Time the layers a demand crosses, one call at a time.
 
-    python3 scripts/bench.py OUT.json [--repeat R]
+    python3 scripts/bench.py OUT.json
 
 Stdlib only; the package is imported from ``src/``.  Each row is the median,
-over R rounds (default 9), of the process CPU time of one call, averaged
-over a batch of calls, in µs; each round times every row once.  CPU time, not wall time: on a shared host a
-process that waits for a CPU would count its neighbours' work.  The TCP
+over ``REPEAT`` rounds, of the process CPU time of one call, averaged over
+a batch of calls, in µs; each round times every row once.  CPU time, not
+wall time: on a shared host a process that waits for a CPU would count its
+neighbours' work.  The TCP
 server runs in this process, so ``tcp.deposit`` is the CPU of both ends.
 The inputs are the ones a cold ``fib@d`` query sends: one-dimension
 intensional signatures of a program ``q7-fib``, plus a procedural signature
@@ -42,21 +43,22 @@ from eduction.transport import InProcAgent, StoreClient, TcpAgent, dispatch_stor
 from eduction.wire import MsgType  # noqa: E402
 
 BATCH = 2000
+REPEAT = 9
 
 
 def fib_sig(n: int) -> DemandSignature:
     return DemandSignature("q7-fib", "fib", make_context([("d", n)]), DemandKind.INTENSIONAL)
 
 
-def timed(batches: dict, repeat: int) -> dict:
-    """Median over ``repeat`` rounds of each row's µs per call.
+def timed(batches: dict) -> dict:
+    """Median over ``REPEAT`` rounds of each row's µs per call.
 
     ``batches`` maps a row to a function that gives one batch of calls.  A
     round times one batch of every row, so a spell of a slower host falls
     on all the rows alike rather than on the few timed during it.
     """
     per_call: dict = {name: [] for name in batches}
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         for name, setup in batches.items():
             calls = setup()
             t0 = time.process_time_ns()
@@ -71,7 +73,7 @@ def same(fn, *args):
     return lambda: [lambda: fn(*args)] * BATCH
 
 
-def rows(repeat: int) -> dict:
+def rows() -> dict:
     sig = fib_sig(30)
     key = sig.key()
     demand = pending_demand(sig)
@@ -114,7 +116,7 @@ def rows(repeat: int) -> dict:
             "inproc.deposit_us": same(inproc.deposit, demand),
             "tcp.deposit_us": same(tcp.deposit, demand),
         }
-        return timed(batches, repeat)
+        return timed(batches)
     finally:
         tcp.close()
         server.stop()
@@ -123,14 +125,13 @@ def rows(repeat: int) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("out", help="where to write the JSON result")
-    ap.add_argument("--repeat", type=int, default=9)
     args = ap.parse_args(argv)
     result = {
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "batch": BATCH,
-        "repeat": args.repeat,
-        "median_us_per_call": {name: round(us, 3) for name, us in rows(args.repeat).items()},
+        "repeat": REPEAT,
+        "median_us_per_call": {name: round(us, 3) for name, us in rows().items()},
     }
     for name, us in result["median_us_per_call"].items():
         print(f"{name:32s} {us:9.3f}")

@@ -202,7 +202,6 @@ class TcpAgent:
         self.tries = tries
         self._sock: Optional[socket.socket] = None
         self._timeout: Optional[float] = None  # the socket's, set only when a request needs another
-        self._buffered = b""  # read past the last reply's frame
         self._lock = threading.Lock()
 
     def _connect(self) -> socket.socket:
@@ -225,7 +224,9 @@ class TcpAgent:
                         self._sock.settimeout(timeout)
                         self._timeout = timeout
                     self._sock.sendall(frame)
-                    msg_type, reply, self._buffered = read_frame(self._sock, self._buffered)
+                    msg_type, reply, rest = read_frame(self._sock)
+                    if rest:
+                        raise ProtocolError(f"{len(rest)} bytes after the reply")
                     return msg_type, reply
                 except ProtocolError:
                     self._drop()
@@ -245,7 +246,6 @@ class TcpAgent:
                 pass
             self._sock = None
             self._timeout = None
-            self._buffered = b""
 
     def close(self):
         with self._lock:
@@ -350,10 +350,13 @@ class StoreClient:
         reply = _reply(self.agent, MsgType.DEPOSIT, wire.encode_demand(d), MsgType.OK)
         status = _DEPOSIT_STATUS.get(reply[:1])
         if status is DepositStatus.ALREADY_COMPUTED:
-            return DepositOutcome(status, wire.decode_value(reply[1:]))
-        if status is None or len(reply) != 1:
-            raise wire.MalformedEncoding(f"bad deposit reply {reply[:16]!r}")
-        return ENQUEUED if status is DepositStatus.ENQUEUED else DepositOutcome(status)
+            try:
+                return DepositOutcome(status, wire.decode_value(reply[1:]))
+            except wire.TrailingBytes:
+                pass
+        elif status is not None and len(reply) == 1:
+            return ENQUEUED if status is DepositStatus.ENQUEUED else DepositOutcome(status)
+        raise wire.MalformedEncoding(f"bad deposit reply {reply[:16]!r}")
 
     def claim(self, worker_id: str, lease_ms: float, wait_ms: float = 0) -> Optional[Demand]:
         payload = b"".join(map(wire.encode_value, (worker_id, int(lease_ms), int(wait_ms))))

@@ -566,15 +566,24 @@ class TestBufferedFrames:
             with pytest.raises(ConnectionError):
                 transport.read_frame(b)
 
-    def test_client_drops_a_connection_that_replies_bad_magic(self):
+    STATS = struct.pack(">7Q", *range(7))
+
+    @pytest.mark.parametrize(
+        "bad_reply, error",
+        [
+            (b"XXXX" + bytes(wire.HEADER_SIZE - 4), "bad magic"),
+            (wire.encode_frame(MsgType.OK, STATS) * 2, "bytes after the reply"),
+        ],
+        ids=["bad-magic", "two-replies"],
+    )
+    def test_client_drops_a_connection_whose_reply_is_bad(self, bad_reply, error):
         listener = socket.create_server(("127.0.0.1", 0))
         listener.settimeout(5)
-        stats = struct.pack(">7Q", *range(7))
         held = []
 
         def fake_server():
-            # the first connection gets a bad magic and stays open; the next is answered properly
-            for reply in (b"XXXX" + bytes(wire.HEADER_SIZE - 4), wire.encode_frame(MsgType.OK, stats)):
+            # the first connection gets the bad reply and stays open; the next is answered properly
+            for reply in (bad_reply, wire.encode_frame(MsgType.OK, self.STATS)):
                 conn, _ = listener.accept()
                 held.append(conn)
                 conn.settimeout(5)
@@ -586,7 +595,7 @@ class TestBufferedFrames:
         agent = TcpAgent("127.0.0.1", listener.getsockname()[1])
         try:
             client = StoreClient(agent)
-            with pytest.raises(wire.ProtocolError, match="bad magic"):
+            with pytest.raises(wire.ProtocolError, match=error):
                 client.stats()
             assert client.stats() == StoreStats(*range(7))  # over a new connection
         finally:
@@ -619,7 +628,9 @@ class TestReplyCheck:
         assert hit.status is DepositStatus.ALREADY_COMPUTED and wire.values_equal(hit.value, -0.0)
 
     @pytest.mark.parametrize(
-        "body", [b"", b"\x07", b"\x00\x00", b"\x02\x01", b"\x01"], ids=["empty", "unknown", "trailing", "trailing-dup", "no-value"]
+        "body",
+        [b"", b"\x07", b"\x00\x00", b"\x02\x01", b"\x01", b"\x01" + wire.encode_value(8) + b"\x00"],
+        ids=["empty", "unknown", "trailing", "trailing-dup", "no-value", "trailing-value"],
     )
     def test_malformed_deposit_reply(self, body):
         with pytest.raises(wire.MalformedEncoding):
