@@ -21,22 +21,29 @@ carrying a 512-float FloatArray, the largest value the pipeline moves.
     inproc.deposit   one deposit round trip through the in-process carrier
     tcp.deposit      one deposit round trip over TCP to a ``serve_store``
                      running in this process
+    tcp.fib30_query  one cold ``fib@30`` query through ``Evaluator`` over
+                     that TCP store, per demand (31 a query): a deposit, and
+                     a fulfil written behind, each
 
 The rows, the CPU count and the Python version are printed and written to
 OUT.json.
 """
 import argparse
+import itertools
 import json
 import os
 import platform
 import statistics
 import sys
 import time
+from dataclasses import replace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from eduction import wire  # noqa: E402
+from eduction.evaluator import Evaluator  # noqa: E402
+from eduction.lang import compile_source  # noqa: E402
 from eduction.model import DemandKind, DemandSignature, make_context, pending_demand  # noqa: E402
 from eduction.store import DemandStore  # noqa: E402
 from eduction.transport import InProcAgent, StoreClient, TcpAgent, dispatch_store_request, serve_store  # noqa: E402
@@ -44,6 +51,11 @@ from eduction.wire import MsgType  # noqa: E402
 
 BATCH = 2000
 REPEAT = 9
+FIB_QUERIES = 20  # a batch of cold fib@30 queries, 620 demands
+FIB = compile_source(
+    "fib where dimension d; fib = if #.d <= 1 then #.d else (fib @.d (#.d - 1)) + (fib @.d (#.d - 2)); end", "fib"
+)
+FIB30_DEMANDS = 31
 
 
 def fib_sig(n: int) -> DemandSignature:
@@ -97,6 +109,13 @@ def rows() -> dict:
         payloads = [s.key() + wire.encode_value(832040) + wire.encode_value("generator") for s in fresh_sigs()]
         return [lambda p=p: dispatch_store_request(store, MsgType.FULFILL, p) for p in payloads]
 
+    def fib30_queries():
+        # a fresh program id per query keeps every one of them cold
+        geers = [replace(FIB, program_id=f"q{next(query_ids)}-fib") for _ in range(FIB_QUERIES)]
+        return [lambda g=g: Evaluator(g, tcp).eval_demand("fib", fib30) for g in geers]
+
+    query_ids = itertools.count()
+    fib30 = make_context([("d", 30)])
     store = DemandStore()
     inproc = StoreClient(InProcAgent(lambda t, p: dispatch_store_request(store, t, p)))
     server = serve_store(store)
@@ -115,8 +134,11 @@ def rows() -> dict:
             "dispatch.fulfill_us": dispatch_fulfills,
             "inproc.deposit_us": same(inproc.deposit, demand),
             "tcp.deposit_us": same(tcp.deposit, demand),
+            "tcp.fib30_query_us": fib30_queries,
         }
-        return timed(batches)
+        out = timed(batches)
+        out["tcp.fib30_query_us"] /= FIB30_DEMANDS
+        return out
     finally:
         tcp.close()
         server.stop()

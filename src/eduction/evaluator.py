@@ -21,6 +21,16 @@ generators that compute the same demand concurrently both fulfil it;
 determinism makes the values agree, and the store accepts the second
 fulfil as an idempotent completion.
 
+Over a ``StoreClient`` the fulfill is written behind: the client owes its
+reply and sends it with the next request, so a cold demand costs one round
+trip, its deposit.  ``eval_demand`` settles what it owes (``store.sync()``)
+before it returns or raises.  An owed fulfil's error wins over the error
+that ended the evaluation, because it came first in program order; an
+error of the carrier itself drops what is owed and is raised as it is.
+Until an owed error is settled the evaluation goes on, so a demand after a
+refused fulfil may still reach the store; a ``call`` deposited then is
+computed by a worker and memoized.
+
 ``reference_eval`` is an independent oracle: a direct recursive interpreter
 with no caches and no store, executing procedure calls inline through the
 same registry.  The two paths must agree on values and on error classes.
@@ -197,6 +207,8 @@ class Evaluator:
             raise DepthExceeded(f"expressions nest too deep within {self.cfg.max_depth} demands") from None
         finally:
             self._chain.clear()
+            if self.store is not None:
+                self.store.sync()  # an owed fulfil's error raises here, in place of a later one
 
     def _drive(self, name: str, ctx: Context) -> Value:
         """Run a demand and all its sub-demands on one explicit stack.

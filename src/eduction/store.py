@@ -241,6 +241,9 @@ class DemandStore:
             if queued:  # only queued work can be awaited
                 self._cond.notify_all()
 
+    def sync(self) -> None:
+        """Nothing to settle: every operation here is done when it returns (``StoreClient.sync`` has work)."""
+
     def fetch(self, sig: DemandSignature) -> Tuple[DemandState, Optional[Value]]:
         key = sig.key()
         with self._cond:

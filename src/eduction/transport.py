@@ -24,11 +24,30 @@ Errors come back as ERR frames carrying two Str values: the error code
 (a class name from the store's error family) and a human-readable message.
 A read of a demand whose procedure failed (a DEPOSIT that hits it, FETCH,
 AWAIT) is answered ERR ``ProcedureFault``.  Every request gets exactly one
-reply frame: each server runs its handler through ``answer``.  A store is
-addressed as ``[tcp://]host:port``; there is no ``inproc://`` address.
+reply frame, in order: each server runs its handler through ``answer``, and
+the replies to frames that arrived in one read leave in one write.  A store
+is addressed as ``[tcp://]host:port``; there is no ``inproc://`` address.
+
+Owed replies.  ``StoreClient.fulfill`` of an intensional signature posts
+its frame and owes the reply: a generator needs nothing from it but its
+error.  Over TCP the owed frames go out in one write with the next request
+and their replies are read first, so a cold intensional demand costs one
+round trip, its deposit.  Owed frames past ``RECV_BYTES`` are sent and
+settled at once, so neither side blocks on a full socket buffer; ``sync``
+settles them with no request.  An owed ERR raises from the call that
+settles it, after every reply of that exchange is read.  The in-process
+carrier dispatches a posted request at once and keeps its reply for the
+next call, so both carriers raise at the same point.  Owed replies belong
+to the client, not to a thread.  ``close`` and a carrier's own failure
+(``TransportUnreachable``, ``ProtocolError``) drop them; a retry after a
+dropped connection sends them again, which an idempotent fulfil allows.
+Procedural fulfils stay a full round trip: a worker acts on their
+``NotClaimed`` and ``ConflictingResult``.
 
 A TCP client retries connection failures with exponential backoff: base
-100 ms, doubling, at most 5 tries, then ``TransportUnreachable``.
+100 ms, doubling, at most 5 tries, then ``TransportUnreachable``.  Its
+socket blocks, and the kernel bounds each send and receive by the request's
+timeout (``SO_SNDTIMEO``, ``SO_RCVTIMEO``), so no ``poll`` precedes them.
 """
 from __future__ import annotations
 
@@ -41,7 +60,7 @@ from typing import Callable, Optional, Tuple
 
 from .errors import EductionError, error_for_code
 from . import wire
-from .model import Demand, DemandSignature, DemandState, Value
+from .model import Demand, DemandKind, DemandSignature, DemandState, Value
 from .store import ENQUEUED, DemandStore, DepositOutcome, DepositStatus, StoreStats
 from .wire import MsgType, ProtocolError
 
@@ -149,17 +168,51 @@ def _store_request(store: DemandStore, msg_type: MsgType, payload: bytes) -> Tup
 # --- carriers ------------------------------------------------------------------
 
 
+def _settle(replies) -> None:
+    """Raise the first owed reply that is not a plain OK: an ERR as its error."""
+    for reply_type, reply in replies:
+        if reply_type is MsgType.ERR:
+            raise _decode_err(reply)
+        if reply_type is not MsgType.OK:
+            raise ProtocolError(f"expected OK reply, got {reply_type.name}")
+
+
 class InProcAgent:
-    """Carrier that dispatches requests in-process, no sockets involved."""
+    """Carrier that dispatches requests in-process, no sockets involved.
+
+    A posted request is dispatched at once; its reply is settled by the next
+    call, or once the owed frames pass ``RECV_BYTES``, as over TCP.
+    """
 
     def __init__(self, handler: Callable[[MsgType, bytes], Tuple[MsgType, bytes]]):
         self._handler = handler
+        self._owed: list = []  # replies to posted requests
+        self._owed_bytes = 0
+        self._lock = threading.Lock()
 
     def request(self, msg_type: MsgType, payload: bytes, timeout_s: Optional[float] = None):
-        return self._handler(msg_type, payload)
+        reply = self._handler(msg_type, payload)
+        if self._owed:
+            self.sync()
+        return reply
+
+    def post(self, msg_type: MsgType, payload: bytes) -> None:
+        reply = self._handler(msg_type, payload)
+        with self._lock:
+            self._owed.append(reply)
+            self._owed_bytes += wire.HEADER_SIZE + len(payload)
+            if self._owed_bytes <= RECV_BYTES:
+                return
+        self.sync()
+
+    def sync(self) -> None:
+        with self._lock:
+            owed, self._owed, self._owed_bytes = self._owed, [], 0
+        _settle(owed)
 
     def close(self):
-        pass
+        with self._lock:
+            self._owed, self._owed_bytes = [], 0
 
 
 def _recv(sock: socket.socket, n: int) -> bytes:
@@ -192,6 +245,19 @@ def read_frame(sock: socket.socket, buffered: bytes = b"") -> Tuple[MsgType, byt
     return msg_type, buffered[wire.HEADER_SIZE : end], buffered[end:]
 
 
+def _holds_frame(buffered: bytes) -> bool:
+    """Whether ``buffered`` starts with a whole frame, by its header's length field."""
+    if len(buffered) < wire.HEADER_SIZE:
+        return False
+    length = int.from_bytes(buffered[wire.HEADER_SIZE - 4 : wire.HEADER_SIZE], "big")  # the header ends with it
+    return len(buffered) >= wire.HEADER_SIZE + length
+
+
+def _timeval(seconds: float) -> bytes:
+    """``seconds`` as a ``struct timeval``, at least 1 µs: a zero would mean no timeout."""
+    return struct.pack("@ll", *divmod(max(1, round(seconds * 1e6)), 1_000_000))
+
+
 class TcpAgent:
     """Carrier that frames requests over TCP, reconnecting with backoff."""
 
@@ -202,41 +268,78 @@ class TcpAgent:
         self.tries = tries
         self._sock: Optional[socket.socket] = None
         self._timeout: Optional[float] = None  # the socket's, set only when a request needs another
+        self._owed: list = []  # posted frames, sent with the next exchange
+        self._owed_bytes = 0
         self._lock = threading.Lock()
 
     def _connect(self) -> socket.socket:
         sock = socket.create_connection((self.host, self.port), timeout=10.0)
+        sock.settimeout(None)  # blocking: the kernel times sends and receives, see _exchange
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return sock
 
     def request(self, msg_type: MsgType, payload: bytes, timeout_s: Optional[float] = None):
         frame = wire.encode_frame(msg_type, payload)
-        last_error: Optional[Exception] = None
         with self._lock:
-            for attempt in range(self.tries):
-                if attempt:
-                    time.sleep(self.retry_base_ms * (2 ** (attempt - 1)) / 1000.0)
-                try:
-                    if self._sock is None:
-                        self._sock = self._connect()
-                    timeout = timeout_s if timeout_s is not None else SOCKET_TIMEOUT_S
-                    if timeout != self._timeout:
-                        self._sock.settimeout(timeout)
-                        self._timeout = timeout
-                    self._sock.sendall(frame)
-                    msg_type, reply, rest = read_frame(self._sock)
-                    if rest:
-                        raise ProtocolError(f"{len(rest)} bytes after the reply")
-                    return msg_type, reply
-                except ProtocolError:
-                    self._drop()
-                    raise
-                except (OSError, ConnectionError) as e:
-                    last_error = e
-                    self._drop()
-            raise TransportUnreachable(
-                f"{self.host}:{self.port} after {self.tries} tries: {last_error}"
-            )
+            owed = self._owed
+            if not owed:
+                return self._exchange(frame, 1, timeout_s)[0]
+            self._owed, self._owed_bytes = [], 0
+            owed.append(frame)
+            replies = self._exchange(b"".join(owed), len(owed), timeout_s)
+        _settle(replies[:-1])
+        return replies[-1]
+
+    def post(self, msg_type: MsgType, payload: bytes) -> None:
+        frame = wire.encode_frame(msg_type, payload)
+        with self._lock:
+            self._owed.append(frame)
+            self._owed_bytes += len(frame)
+            if self._owed_bytes <= RECV_BYTES:
+                return
+        self.sync()
+
+    def sync(self) -> None:
+        if not self._owed:  # what another thread posts meanwhile is its own to settle
+            return
+        with self._lock:
+            owed = self._owed
+            if not owed:
+                return
+            self._owed, self._owed_bytes = [], 0
+            replies = self._exchange(b"".join(owed), len(owed), None)
+        _settle(replies)
+
+    def _exchange(self, frames: bytes, n: int, timeout_s: Optional[float]) -> list:
+        """Send ``frames`` in one write and read their ``n`` replies, retrying on a dropped connection."""
+        last_error: Optional[Exception] = None
+        for attempt in range(self.tries):
+            if attempt:
+                time.sleep(self.retry_base_ms * (2 ** (attempt - 1)) / 1000.0)
+            try:
+                if self._sock is None:
+                    self._sock = self._connect()
+                timeout = timeout_s if timeout_s is not None else SOCKET_TIMEOUT_S
+                if timeout != self._timeout:
+                    tv = _timeval(timeout)
+                    self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, tv)
+                    self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, tv)
+                    self._timeout = timeout
+                self._sock.sendall(frames)
+                replies, rest = [], b""
+                for _ in range(n):
+                    msg_type, reply, rest = read_frame(self._sock, rest)
+                    replies.append((msg_type, reply))
+                if rest:
+                    raise ProtocolError(f"{len(rest)} bytes after the reply")
+                return replies
+            except ProtocolError:
+                self._drop()
+                raise
+            except (OSError, ConnectionError) as e:  # a timeout too: a blocking socket raises EAGAIN
+                last_error = e
+                self._drop()
+        raise TransportUnreachable(f"{self.host}:{self.port} after {self.tries} tries: {last_error}")
 
     def _drop(self):
         if self._sock is not None:
@@ -250,6 +353,7 @@ class TcpAgent:
     def close(self):
         with self._lock:
             self._drop()
+            self._owed, self._owed_bytes = [], 0
 
 
 class TcpServer:
@@ -287,13 +391,21 @@ class TcpServer:
     def _serve(self, conn: socket.socket):
         buffered = b""
         try:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # or a second small reply waits on the first's ACK
             while True:
+                # serve the next frame and every later one already whole in the buffer, then send their replies at once
+                replies = []
                 try:
-                    msg_type, payload, buffered = read_frame(conn, buffered)
+                    while True:
+                        msg_type, payload, buffered = read_frame(conn, buffered)
+                        replies.append(wire.encode_frame(*self._handler(msg_type, payload)))
+                        if not _holds_frame(buffered):
+                            break
                 except EductionError as e:  # framing is broken; the stream cannot be trusted
-                    conn.sendall(wire.encode_frame(*_err_reply(e.code, str(e))))
+                    replies.append(wire.encode_frame(*_err_reply(e.code, str(e))))
+                    conn.sendall(b"".join(replies))
                     return
-                conn.sendall(wire.encode_frame(*self._handler(msg_type, payload)))
+                conn.sendall(replies[0] if len(replies) == 1 else b"".join(replies))
         except OSError:  # the peer went away, or stop() shut the connection down
             pass
         finally:
@@ -328,6 +440,7 @@ def serve_store(store: DemandStore, host: str = "127.0.0.1", port: int = 0) -> T
 # --- client ----------------------------------------------------------------------
 
 _DEPOSIT_STATUS = {bytes((s.value,)): s for s in DepositStatus}  # a DEPOSIT reply's first byte
+_FETCH_STATE = {bytes((s,)): s for s in DemandState}  # a FETCH_REPLY's first byte
 
 
 def _reply(agent, msg_type: MsgType, payload: bytes, expect: MsgType, timeout_s: Optional[float] = None) -> bytes:
@@ -361,25 +474,38 @@ class StoreClient:
     def claim(self, worker_id: str, lease_ms: float, wait_ms: float = 0) -> Optional[Demand]:
         payload = b"".join(map(wire.encode_value, (worker_id, int(lease_ms), int(wait_ms))))
         reply = _reply(self.agent, MsgType.CLAIM, payload, MsgType.CLAIM_REPLY, SOCKET_TIMEOUT_S + wait_ms / 1000.0)
-        r = wire.Reader(reply)
-        if not r.u8():
-            r.expect_done()
+        if reply == b"\x00":
             return None
-        d = wire.read_demand(r)
-        r.expect_done()
-        return d
+        if reply[:1] == b"\x01":
+            try:
+                return wire.decode_demand(reply[1:])
+            except wire.TrailingBytes:
+                pass
+        raise wire.MalformedEncoding(f"bad claim reply {reply[:16]!r}")
 
     def fulfill(self, sig: DemandSignature, value: Value, worker_id: str) -> None:
+        """Store ``value``; an intensional fulfil is written behind (see the module docstring)."""
         payload = wire.encode_signature(sig) + wire.encode_value(value) + wire.encode_value(worker_id)
-        _reply(self.agent, MsgType.FULFILL, payload, MsgType.OK)
+        if sig.kind is DemandKind.INTENSIONAL:
+            self.agent.post(MsgType.FULFILL, payload)
+        else:
+            _reply(self.agent, MsgType.FULFILL, payload, MsgType.OK)
+
+    def sync(self) -> None:
+        """Settle every owed reply; an owed ERR raises here."""
+        self.agent.sync()
 
     def fetch(self, sig: DemandSignature):
         reply = _reply(self.agent, MsgType.FETCH, wire.encode_signature(sig), MsgType.FETCH_REPLY)
-        r = wire.Reader(reply)
-        state = DemandState(r.u8())
-        value = wire.read_value(r) if r.u8() else None
-        r.expect_done()
-        return state, value
+        state = _FETCH_STATE.get(reply[:1])
+        if state is DemandState.COMPUTED and reply[1:2] == b"\x01":  # a value, and only a computed one has one
+            try:
+                return state, wire.decode_value(reply[2:])
+            except wire.TrailingBytes:
+                pass
+        elif state is not None and state is not DemandState.COMPUTED and reply[1:] == b"\x00":
+            return state, None
+        raise wire.MalformedEncoding(f"bad fetch reply {reply[:16]!r}")
 
     def await_result(self, sig: DemandSignature, timeout_ms: float) -> Value:
         payload = wire.encode_signature(sig) + wire.encode_value(int(timeout_ms))

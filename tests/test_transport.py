@@ -1,8 +1,11 @@
 """Carriers, dispatch, retry behavior."""
+import hashlib
 import socket
 import struct
+import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -17,11 +20,22 @@ from eduction.model import (
     make_context,
     pending_demand,
 )
-from eduction.store import ENQUEUED, ConflictingResult, DemandStore, DepositOutcome, DepositStatus, NotFound, StoreStats
+from eduction.evaluator import DivisionByZero, Evaluator
+from eduction.store import (
+    ENQUEUED,
+    ConflictingResult,
+    DemandStore,
+    DepositOutcome,
+    DepositStatus,
+    NonFiniteValue,
+    NotFound,
+    StoreStats,
+)
 from eduction.transport import (
     InProcAgent,
     StoreClient,
     TcpAgent,
+    TcpServer,
     TransportUnreachable,
     connect_store,
     dispatch_store_request,
@@ -261,6 +275,7 @@ class TestOneEncodingPerSignature:
         sig = isig(5)
         assert generator.deposit(pending_demand(sig)).status is DepositStatus.ENQUEUED
         generator.fulfill(sig, 120, "g")
+        generator.sync()  # an intensional fulfil is written behind: its reply is owed until settled
         assert store.stats().computed == 1
         assert len(fresh_encodes) == 1 and fresh_encodes[0] is sig
 
@@ -636,6 +651,47 @@ class TestReplyCheck:
         with pytest.raises(wire.MalformedEncoding):
             StoreClient(self.replying(MsgType.OK, body)).deposit(pending_demand(isig()))
 
+    def test_fetch_and_claim_replies(self):
+        computed = StoreClient(self.replying(MsgType.FETCH_REPLY, b"\x02\x01" + wire.encode_value(-0.0))).fetch(isig())
+        assert computed[0] is DemandState.COMPUTED and wire.values_equal(computed[1], -0.0)
+        assert StoreClient(self.replying(MsgType.FETCH_REPLY, b"\x01\x00")).fetch(qsig()) == (DemandState.IN_PROCESS, None)
+        assert StoreClient(self.replying(MsgType.CLAIM_REPLY, b"\x00")).claim("w", 5000) is None
+        demand = Demand(qsig(), DemandState.IN_PROCESS)
+        claimed = StoreClient(self.replying(MsgType.CLAIM_REPLY, b"\x01" + wire.encode_demand(demand))).claim("w", 5000)
+        assert claimed.signature == qsig() and claimed.state is DemandState.IN_PROCESS
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"\x07\x00",
+            b"\x02\x05" + wire.encode_value(8),
+            b"\x00\x01" + wire.encode_value(3),
+            b"\x02\x00",
+            b"\x02\x01" + wire.encode_value(8) + b"\x00",
+            b"\x00",
+            b"\x00\x00\x00",
+        ],
+        ids=["unknown-state", "presence-5", "pending-with-value", "computed-without-value", "trailing-value",
+             "no-presence", "trailing"],
+    )
+    def test_malformed_fetch_reply(self, body):
+        with pytest.raises(wire.MalformedEncoding):
+            StoreClient(self.replying(MsgType.FETCH_REPLY, body)).fetch(isig())
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"\x02" + wire.encode_demand(Demand(qsig(), DemandState.IN_PROCESS)),
+            b"",
+            b"\x00\x00",
+            b"\x01" + wire.encode_demand(Demand(qsig(), DemandState.IN_PROCESS)) + b"\x00",
+        ],
+        ids=["first-byte-2", "empty", "trailing-none", "trailing-demand"],
+    )
+    def test_malformed_claim_reply(self, body):
+        with pytest.raises(wire.MalformedEncoding):
+            StoreClient(self.replying(MsgType.CLAIM_REPLY, body)).claim("w", 5000)
+
     def test_wrong_reply_type_system_request(self):
         with pytest.raises(wire.ProtocolError, match="expected OK reply, got FETCH_REPLY"):
             system_request(self.replying(MsgType.FETCH_REPLY), 4, {})
@@ -674,6 +730,30 @@ class TestRetry:
         # two backoff sleeps: 1ms + 2ms, far under a second
         assert elapsed < 2.0
 
+    def test_server_that_never_replies_is_unreachable(self):
+        # the kernel times the receive (SO_RCVTIMEO): a blocking socket gives up too
+        listener = socket.create_server(("127.0.0.1", 0))
+        held = []
+
+        def accept():
+            for _ in range(2):
+                held.append(listener.accept()[0])
+
+        server = threading.Thread(target=accept, daemon=True)
+        server.start()
+        agent = TcpAgent("127.0.0.1", listener.getsockname()[1], retry_base_ms=1, tries=2)
+        started = time.monotonic()
+        try:
+            with pytest.raises(TransportUnreachable):
+                agent.request(MsgType.STATS, b"", timeout_s=0.2)
+            assert 0.35 <= time.monotonic() - started < 3.0
+        finally:
+            agent.close()
+            server.join(5)
+            for conn in held:
+                conn.close()
+            listener.close()
+
     def test_backoff_doubles(self, monkeypatch):
         waits = []
         monkeypatch.setattr(transport.time, "sleep", waits.append)
@@ -701,3 +781,231 @@ class TestSystemChannel:
     def test_malformed_system_payload(self, store):
         mt, body = dispatch_store_request(store, MsgType.SYSTEM, b"\x04\x00")
         assert mt is MsgType.ERR
+
+
+FIB = compile_source(
+    "fib where dimension d; "
+    "fib = if #.d <= 1 then #.d else (fib @.d (#.d - 1)) + (fib @.d (#.d - 2)); end",
+    "fibs",
+)
+
+
+class CountingSocket:
+    """A client socket that keeps every ``sendall``: one per exchange."""
+
+    def __init__(self, sock, sent):
+        self._sock, self._sent = sock, sent
+
+    def sendall(self, data):
+        self._sent.append(data)
+        return self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class CountingAgent(TcpAgent):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sent = []
+
+    def _connect(self):
+        return CountingSocket(super()._connect(), self.sent)
+
+
+@pytest.fixture
+def logged_dst(tmp_path):
+    """A DST with its log on; ``start(handler)`` serves it through ``handler(store, t, p)``."""
+    store = DemandStore(log_path=str(tmp_path / "store.log"))
+    servers, agents = [], []
+
+    def start(handler=dispatch_store_request):
+        servers.append(TcpServer(lambda t, p: handler(store, t, p)).start())
+        agents.append(CountingAgent("127.0.0.1", servers[-1].port, retry_base_ms=1))
+        return store, agents[-1]
+
+    yield start
+    for agent in agents:
+        agent.close()
+    for srv in servers:
+        srv.stop()
+    store.close()
+
+
+def carrier_for(carrier, store, agent):
+    if carrier == "inproc":
+        return InProcAgent(lambda t, p: dispatch_store_request(store, t, p))
+    return agent
+
+
+class TestWriteBehind:
+    """An intensional fulfil is written behind: its frame rides with the next request."""
+
+    # every frame a DST receives for stats, a cold fib@30 and a warm fib@30, as
+    # sent before fulfils were written behind
+    FRAMES_SHA256 = "e8ac446626b6bf610855d35e2afa0a3df02c4134965a6b1737845826d7143fbe"
+
+    def test_cold_fib30_is_one_exchange_per_demand(self, logged_dst):
+        store, agent = logged_dst()
+        client = StoreClient(agent)
+        client.stats()
+        before = len(agent.sent)
+        assert Evaluator(FIB, client).eval_demand("fib", make_context([("d", 30)])) == 832040
+        # 31 deposits, then the last 30 fulfils in one closing exchange; it was 62
+        assert len(agent.sent) - before == 32
+        assert store.stats().computed == 31
+
+    def test_frames_the_server_receives_are_unchanged(self, logged_dst):
+        received = []
+
+        def recording(store, t, p):
+            received.append(wire.encode_frame(t, p))
+            return dispatch_store_request(store, t, p)
+
+        _, agent = logged_dst(recording)
+        client = StoreClient(agent)
+        client.stats()
+        for _ in range(2):
+            assert Evaluator(FIB, client).eval_demand("fib", make_context([("d", 30)])) == 832040
+        assert len(received) == 1 + 62 + 1
+        assert hashlib.sha256(b"".join(received)).hexdigest() == self.FRAMES_SHA256
+
+    @pytest.mark.parametrize("carrier", ["inproc", "tcp"])
+    def test_an_owed_error_wins_and_does_not_leak(self, logged_dst, carrier):
+        # y's fulfil is refused before x divides by zero: the refusal came first
+        geer = compile_source("x where dimension d; x = y + (1 / #.d); y = 1e308 * 10.0; end", "p")
+        store, agent = logged_dst()
+        client = StoreClient(carrier_for(carrier, store, agent))
+        with pytest.raises(NonFiniteValue) as info:
+            Evaluator(geer, client).eval_demand("x", make_context([("d", 0)]))
+        assert isinstance(info.value.__context__, DivisionByZero)
+        assert client.stats() == StoreStats(2, 0, 2, 0, 0, 0, 0)  # nothing owed was left over
+
+    @pytest.mark.parametrize("carrier", ["inproc", "tcp"])
+    def test_an_owed_error_raises_from_the_next_request(self, logged_dst, carrier):
+        store, agent = logged_dst()
+        client = StoreClient(carrier_for(carrier, store, agent))
+        client.fulfill(isig(0), float("inf"), "g")  # owed: nothing raises yet
+        with pytest.raises(NonFiniteValue):
+            client.deposit(pending_demand(isig(1)))
+        # the deposit was served, and its reply read: the stream is still in step
+        assert client.stats() == StoreStats(1, 0, 1, 0, 0, 0, 0)
+        client.fulfill(isig(1), 2, "g")
+        assert client.deposit(pending_demand(isig(1))) == DepositOutcome(DepositStatus.ALREADY_COMPUTED, 2)
+
+    def test_an_owed_error_waits_for_every_reply_of_its_exchange(self):
+        # the owed ERR and the request's reply arrive in two reads: both are read before the raise
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(5)
+        stats = struct.pack(">7Q", *range(7))
+
+        def fake_server():
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(5)
+                _, _, rest = transport.read_frame(conn)
+                transport.read_frame(conn, rest)
+                conn.sendall(wire.encode_frame(MsgType.ERR, wire.encode_value("NonFiniteValue") + wire.encode_value("inf")))
+                time.sleep(0.05)
+                conn.sendall(wire.encode_frame(MsgType.OK, b"\x00"))
+                transport.read_frame(conn)
+                conn.sendall(wire.encode_frame(MsgType.OK, stats))
+
+        server = threading.Thread(target=fake_server)
+        server.start()
+        agent = TcpAgent("127.0.0.1", listener.getsockname()[1])
+        try:
+            client = StoreClient(agent)
+            client.fulfill(isig(0), float("inf"), "g")
+            with pytest.raises(NonFiniteValue):
+                client.deposit(pending_demand(isig(1)))
+            assert client.stats() == StoreStats(*range(7))
+        finally:
+            agent.close()
+            server.join(10)
+            listener.close()
+        assert not server.is_alive()
+
+    @pytest.mark.parametrize("carrier", ["inproc", "tcp"])
+    def test_owed_frames_settle_once_past_the_read_size(self, logged_dst, carrier):
+        store, agent = logged_dst()
+        client = StoreClient(carrier_for(carrier, store, agent))
+
+        def frame_size(sig, value):
+            return wire.HEADER_SIZE + len(wire.encode_signature(sig) + wire.encode_value(value) + wire.encode_value("g"))
+
+        client.fulfill(isig(0), float("inf"), "g")
+        owed, d = frame_size(isig(0), float("inf")), 1
+        while owed + frame_size(isig(d), d) <= transport.RECV_BYTES:
+            client.fulfill(isig(d), d, "g")  # still owed: nothing raises
+            owed += frame_size(isig(d), d)
+            d += 1
+        with pytest.raises(NonFiniteValue):
+            client.fulfill(isig(d), d, "g")  # passes the read size: everything owed is settled
+        assert store.stats().computed == d
+        client.sync()  # nothing is owed now
+
+    def test_a_deep_chain_settles_in_bounded_batches(self, logged_dst):
+        chain = compile_source("c where dimension d; c = if #.d <= 0 then 0 else 1 + (c @.d (#.d - 1)); end", "chain")
+        store, agent = logged_dst()
+        client = StoreClient(agent)
+        assert Evaluator(chain, client).eval_demand("c", make_context([("d", 9999)])) == 9999
+        assert store.stats().computed == 10000
+        assert max(map(len, agent.sent)) < transport.RECV_BYTES + 1024
+        assert 10000 < len(agent.sent) < 10000 + 20
+
+    @pytest.mark.parametrize("drop_at", [33, 40], ids=["deposit-after-a-fulfil", "closing-fulfils"])
+    def test_a_dropped_connection_resends_what_is_owed(self, logged_dst, tmp_path, drop_at):
+        # the server serves frame `drop_at`, then drops the connection before replying
+        seen = []
+
+        def dropping(store, t, p):
+            reply = dispatch_store_request(store, t, p)
+            seen.append(t)
+            if len(seen) == drop_at:
+                raise ConnectionResetError("dropped on purpose")
+            return reply
+
+        store, agent = logged_dst(dropping)
+        client = StoreClient(agent)
+        client.stats()
+        ev = Evaluator(FIB, client)
+        assert ev.eval_demand("fib", make_context([("d", 30)])) == 832040
+        assert ev.computation_counter() == 31
+        assert len(seen) > 1 + 62  # frames were sent again
+        s = store.stats()
+        assert (s.computed, s.pending, s.in_process) == (31, 0, 0)
+        with open(tmp_path / "store.log", "rb") as f:
+            assert [t for t, _, _ in wire.iter_frames(f.read())] == [MsgType.FULFILL] * 31
+
+    def test_threads_sharing_a_client_lose_no_fulfil(self, logged_dst):
+        # owed frames belong to the client: any thread's exchange may carry and settle them
+        store, agent = logged_dst()
+        client = StoreClient(agent)
+        fibs = [0, 1]
+        while len(fibs) <= 60:
+            fibs.append(fibs[-1] + fibs[-2])
+        errors = []
+
+        def generate(geer):
+            try:
+                ev = Evaluator(geer, client)
+                for n in range(0, 61, 3):
+                    assert ev.eval_demand("fib", make_context([("d", n)])) == fibs[n]
+            except Exception as e:
+                errors.append(e)
+
+        threads = [threading.Thread(target=generate, args=(replace(FIB, program_id=f"fib{i}"),)) for i in range(6)]
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(saved)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        s = store.stats()
+        assert (s.computed, s.pending, s.in_process) == (6 * 61, 0, 0)
