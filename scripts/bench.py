@@ -24,6 +24,10 @@ carrying a 512-float FloatArray, the largest value the pipeline moves.
     tcp.fib30_query  one cold ``fib@30`` query through ``Evaluator`` over
                      that TCP store, per demand (31 a query): a deposit, and
                      a fulfil written behind, each
+    tcp.gather160_deposit
+                     one ``store.gather`` of 160 ``cls.classify`` signatures
+                     over that TCP store, per demand; each is a warehouse
+                     hit, so the gather is its deposits and awaits nothing
 
 The rows, the CPU count and the Python version are printed and written to
 OUT.json.
@@ -45,7 +49,8 @@ from eduction import wire  # noqa: E402
 from eduction.evaluator import Evaluator  # noqa: E402
 from eduction.lang import compile_source  # noqa: E402
 from eduction.model import DemandKind, DemandSignature, make_context, pending_demand  # noqa: E402
-from eduction.store import DemandStore  # noqa: E402
+from eduction.pipeline import CLASSIFY_PROC, DEFAULT_WINDOWS, PROGRAM_ID  # noqa: E402
+from eduction.store import DemandStore, gather  # noqa: E402
 from eduction.transport import InProcAgent, StoreClient, TcpAgent, dispatch_store_request, serve_store  # noqa: E402
 from eduction.wire import MsgType  # noqa: E402
 
@@ -56,6 +61,8 @@ FIB = compile_source(
     "fib where dimension d; fib = if #.d <= 1 then #.d else (fib @.d (#.d - 1)) + (fib @.d (#.d - 2)); end", "fib"
 )
 FIB30_DEMANDS = 31
+GATHER_DEMANDS = 160
+GATHERS = 20  # a batch of gathers, 3200 deposits
 
 
 def fib_sig(n: int) -> DemandSignature:
@@ -117,6 +124,15 @@ def rows() -> dict:
     query_ids = itertools.count()
     fib30 = make_context([("d", 30)])
     store = DemandStore()
+    digest = "0" * 64  # a classify round's signatures: one model digest, a feature vector each
+    classify_sigs = [
+        DemandSignature(PROGRAM_ID, CLASSIFY_PROC, kind=DemandKind.PROCEDURAL,
+                        args=(digest, tuple(float(k + i) for i in range(DEFAULT_WINDOWS))))
+        for k in range(GATHER_DEMANDS)
+    ]
+    for c in classify_sigs:  # computed, so that a gather only deposits
+        store.deposit(pending_demand(c))
+        store.fulfill(store.claim("bench", 60000).signature, (1.0, 0.5), "bench")
     inproc = StoreClient(InProcAgent(lambda t, p: dispatch_store_request(store, t, p)))
     server = serve_store(store)
     tcp = StoreClient(TcpAgent("127.0.0.1", server.port))
@@ -135,9 +151,11 @@ def rows() -> dict:
             "inproc.deposit_us": same(inproc.deposit, demand),
             "tcp.deposit_us": same(tcp.deposit, demand),
             "tcp.fib30_query_us": fib30_queries,
+            "tcp.gather160_deposit_us": lambda: [lambda: gather(tcp, classify_sigs, 10000)] * GATHERS,
         }
         out = timed(batches)
         out["tcp.fib30_query_us"] /= FIB30_DEMANDS
+        out["tcp.gather160_deposit_us"] /= GATHER_DEMANDS
         return out
     finally:
         tcp.close()

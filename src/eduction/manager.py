@@ -164,9 +164,21 @@ REGISTRY_PRESETS["pipeline"] = _pipeline_preset
 
 
 class DwtTier(_TierBase):
-    """One worker thread claiming procedural demands from a store."""
+    """One worker thread claiming procedural demands from a store.
+
+    ``local_store`` is the ``DemandStore`` of a DST that the same node agent
+    runs at the ``store`` address: the worker claims and fulfils on it
+    in-process, with no connection and no codec.  Any other worker connects
+    to its ``store`` over TCP.  ``stop`` closes only a client the tier
+    opened; the DST owns its store and its log, and stops this worker
+    before it closes them.
+    """
 
     kind = "DWT"
+
+    def __init__(self, tier_id: str, config: dict, local_store: Optional[DemandStore] = None):
+        super().__init__(tier_id, config)
+        self.local_store = local_store
 
     def _start(self) -> dict:
         address = self.config.get("store")
@@ -175,15 +187,17 @@ class DwtTier(_TierBase):
         preset = self.config.get("registry", "demo")
         if preset not in REGISTRY_PRESETS:
             raise BadTierConfig(f"unknown registry preset {preset!r}")
-        self._client = connect_store(address)
-        registry = REGISTRY_PRESETS[preset](self._client)
+        self._client = connect_store(address) if self.local_store is None else None
+        store = self._client or self.local_store
+        registry = REGISTRY_PRESETS[preset](store)
         cfg = WorkerConfig(worker_id=self.tier_id, lease_ms=self.config.get("lease_ms", 5000))
-        self.worker = Worker(cfg, self._client, registry).start()
+        self.worker = Worker(cfg, store, registry).start()
         return {"worker_id": self.tier_id, "procedures": registry.names()}
 
     def stop(self) -> None:
         self.worker.stop()
-        self._client.close()
+        if self._client is not None:
+            self._client.close()
 
 
 class DgtTier(_TierBase):
@@ -217,7 +231,11 @@ TIERS = {"DST": DstTier, "DWT": DwtTier, "DGT": DgtTier}
 
 
 class LocalNodeAgent:
-    """Runs tier instances as threads inside this process."""
+    """Runs tier instances as threads inside this process.
+
+    A DWT whose ``store`` names a DST this agent runs gets that DST's
+    store in-process (see ``DwtTier``).
+    """
 
     def __init__(self):
         self._tiers: dict[str, _TierBase] = {}
@@ -226,17 +244,36 @@ class LocalNodeAgent:
     def start_tier(self, tier_id: str, kind: str, config: dict) -> dict:
         if kind not in TIERS:
             raise UnknownTierKind(str(kind))
-        tier = TIERS[kind](tier_id, config)
+        if kind == "DWT":
+            tier = DwtTier(tier_id, config, self._store_at(config.get("store")))
+        else:
+            tier = TIERS[kind](tier_id, config)
         details = tier.start()
         with self._lock:
             self._tiers[tier_id] = tier
         return details
 
+    def _store_at(self, address) -> Optional[DemandStore]:
+        """The store of the DST this agent runs at ``address``, ``tcp://`` stripped from both; else None."""
+        if not isinstance(address, str):
+            return None
+        address = address.removeprefix("tcp://")
+        with self._lock:
+            for t in self._tiers.values():
+                if isinstance(t, DstTier) and t.details["address"].removeprefix("tcp://") == address:
+                    return t.store
+        return None
+
     def stop_tier(self, tier_id: str) -> bool:
         with self._lock:
             tier = self._tiers.pop(tier_id, None)
+            bound = []  # the workers that claim on a DST's store in-process end before it closes
+            if isinstance(tier, DstTier):
+                bound = [t for t in self._tiers.values() if isinstance(t, DwtTier) and t.local_store is tier.store]
         if tier is None:
             return False
+        for t in bound:
+            t.worker.stop()
         tier.stop()
         return True
 

@@ -188,6 +188,10 @@ class DemandStore:
                 self._append_log(MsgType.DEPOSIT, wire.encode_demand(d))
             return ENQUEUED
 
+    def deposit_many(self, demands) -> list:
+        """``deposit`` each demand in order; the first error raises, and no later demand is deposited."""
+        return [self.deposit(d) for d in demands]
+
     def claim(self, worker_id: str, lease_ms: float, wait_ms: float = 0) -> Optional[Demand]:
         """Lease the oldest pending demand, waiting up to ``wait_ms`` for one.
 
@@ -401,8 +405,15 @@ def gather(store, sigs, timeout_ms: float) -> list:
     its value at once; anything else is awaited.  Every deposit goes out
     before the first wait, so the demands run on as many workers as there
     are.  This is the one place that reads a procedural deposit's outcome.
+
+    ``deposit_many`` makes the deposits: a client sends them in one write
+    per ``RECV_BYTES`` of frames.  A deposit that hits a ``Fault`` raises
+    ``ProcedureFault`` only once every reply of its write is read, so the
+    deposits after it in that write are still queued and computed, though
+    nothing reads them; no later write is sent.  A ``DemandStore`` stops at
+    the fault, as deposits made one round trip each would.
     """
-    outs = [store.deposit(pending_demand(sig)) for sig in sigs]
+    outs = store.deposit_many([pending_demand(sig) for sig in sigs])
     return [
         out.value if out.status is DepositStatus.ALREADY_COMPUTED else store.await_result(sig, timeout_ms)
         for sig, out in zip(sigs, outs)

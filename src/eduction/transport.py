@@ -28,14 +28,22 @@ reply frame, in order: each server runs its handler through ``answer``, and
 the replies to frames that arrived in one read leave in one write.  A store
 is addressed as ``[tcp://]host:port``; there is no ``inproc://`` address.
 
+Batched requests.  ``request_many`` sends requests of one type in writes
+that close once they pass ``RECV_BYTES``, and reads one reply per request,
+in order; ``request`` is its one-request case.  A write whose replies hold
+an ERR is the last one sent, and every reply of it is read first, so the
+stream stays in step.  ``StoreClient.deposit_many`` is how ``store.gather``
+deposits a batch of procedural demands.
+
 Owed replies.  ``StoreClient.fulfill`` of an intensional signature posts
 its frame and owes the reply: a generator needs nothing from it but its
 error.  Over TCP the owed frames go out in one write with the next request
-and their replies are read first, so a cold intensional demand costs one
-round trip, its deposit.  Owed frames past ``RECV_BYTES`` are sent and
-settled at once, so neither side blocks on a full socket buffer; ``sync``
-settles them with no request.  An owed ERR raises from the call that
-settles it, after every reply of that exchange is read.  The in-process
+(the first write of a batch) and their replies are read first, so a cold
+intensional demand costs one round trip, its deposit.  Owed frames past
+``RECV_BYTES`` are sent and settled at once, so neither side blocks on a
+full socket buffer; ``sync`` settles them with no request.  An owed ERR
+raises from the call that settles it, after every reply of that exchange
+is read.  The in-process
 carrier dispatches a posted request at once and keeps its reply for the
 next call, so both carriers raise at the same point.  Owed replies belong
 to the client, not to a thread.  ``close`` and a carrier's own failure
@@ -168,13 +176,45 @@ def _store_request(store: DemandStore, msg_type: MsgType, payload: bytes) -> Tup
 # --- carriers ------------------------------------------------------------------
 
 
+def _check(reply: Tuple[MsgType, bytes], expect: MsgType) -> bytes:
+    """A reply's body; an ERR raises its error, any other type but ``expect`` a ``ProtocolError``."""
+    reply_type, body = reply
+    if reply_type is MsgType.ERR:
+        raise _decode_err(body)
+    if reply_type is not expect:
+        raise ProtocolError(f"expected {expect.name} reply, got {reply_type.name}")
+    return body
+
+
 def _settle(replies) -> None:
     """Raise the first owed reply that is not a plain OK: an ERR as its error."""
-    for reply_type, reply in replies:
+    for reply in replies:
+        _check(reply, MsgType.OK)
+
+
+def _holds_err(replies) -> bool:
+    for reply_type, _ in replies:
         if reply_type is MsgType.ERR:
-            raise _decode_err(reply)
-        if reply_type is not MsgType.OK:
-            raise ProtocolError(f"expected OK reply, got {reply_type.name}")
+            return True
+    return False
+
+
+def _writes(sizes, first: int = 0):
+    """Cut requests of these frame sizes into writes, as ``(start, end)`` ranges.
+
+    A write closes once its bytes pass ``RECV_BYTES``, as owed frames do;
+    ``first`` bytes already ride in the first write.
+    """
+    start = end = 0
+    total = first
+    for size in sizes:
+        end += 1
+        total += size
+        if total > RECV_BYTES:
+            yield start, end
+            start, total = end, 0
+    if start < end:
+        yield start, end
 
 
 class InProcAgent:
@@ -191,10 +231,21 @@ class InProcAgent:
         self._lock = threading.Lock()
 
     def request(self, msg_type: MsgType, payload: bytes, timeout_s: Optional[float] = None):
-        reply = self._handler(msg_type, payload)
-        if self._owed:
-            self.sync()
-        return reply
+        return self.request_many(msg_type, (payload,), timeout_s)[0]
+
+    def request_many(self, msg_type: MsgType, payloads, timeout_s: Optional[float] = None) -> list:
+        """One reply per payload, cut into writes as ``TcpAgent.request_many`` cuts them."""
+        with self._lock:
+            replies, first = self._owed, self._owed_bytes  # the owed replies come first
+            self._owed, self._owed_bytes = [], 0
+        owed, read = len(replies), 0
+        for start, end in _writes([wire.HEADER_SIZE + len(p) for p in payloads], first):
+            replies += [self._handler(msg_type, p) for p in payloads[start:end]]
+            if _holds_err(replies[read:]):
+                break  # no later write
+            read = len(replies)
+        _settle(replies[:owed])
+        return replies[owed:]
 
     def post(self, msg_type: MsgType, payload: bytes) -> None:
         reply = self._handler(msg_type, payload)
@@ -279,16 +330,31 @@ class TcpAgent:
         return sock
 
     def request(self, msg_type: MsgType, payload: bytes, timeout_s: Optional[float] = None):
-        frame = wire.encode_frame(msg_type, payload)
+        return self.request_many(msg_type, (payload,), timeout_s)[0]
+
+    def request_many(self, msg_type: MsgType, payloads, timeout_s: Optional[float] = None) -> list:
+        """Send a request per payload and give one reply per request, in order.
+
+        The frames go in writes that close once they pass ``RECV_BYTES``, and
+        the owed frames ride in the first.  Every reply of a write is read;
+        a write whose replies hold an ERR is the last one sent, so the
+        replies end with it.  An owed ERR raises here.
+        """
+        frames = [wire.encode_frame(msg_type, p) for p in payloads]
         with self._lock:
-            owed = self._owed
-            if not owed:
-                return self._exchange(frame, 1, timeout_s)[0]
+            owed = len(self._owed)
+            if not owed and len(frames) == 1:  # a lone request: one write, nothing to cut
+                return self._exchange(frames[0], 1, timeout_s)
+            frames[:0] = self._owed
             self._owed, self._owed_bytes = [], 0
-            owed.append(frame)
-            replies = self._exchange(b"".join(owed), len(owed), timeout_s)
-        _settle(replies[:-1])
-        return replies[-1]
+            replies: list = []
+            for start, end in _writes(map(len, frames)):
+                written = self._exchange(b"".join(frames[start:end]), end - start, timeout_s)
+                replies += written
+                if _holds_err(written):
+                    break  # no later write
+        _settle(replies[:owed])
+        return replies[owed:]
 
     def post(self, msg_type: MsgType, payload: bytes) -> None:
         frame = wire.encode_frame(msg_type, payload)
@@ -444,13 +510,20 @@ _FETCH_STATE = {bytes((s,)): s for s in DemandState}  # a FETCH_REPLY's first by
 
 
 def _reply(agent, msg_type: MsgType, payload: bytes, expect: MsgType, timeout_s: Optional[float] = None) -> bytes:
-    """One round trip; an ERR reply raises its error, any other type but ``expect`` a ``ProtocolError``."""
-    reply_type, reply = agent.request(msg_type, payload, timeout_s)
-    if reply_type is MsgType.ERR:
-        raise _decode_err(reply)
-    if reply_type is not expect:
-        raise ProtocolError(f"expected {expect.name} reply, got {reply_type.name}")
-    return reply
+    """One round trip; the reply's body, checked by ``_check``."""
+    return _check(agent.request(msg_type, payload, timeout_s), expect)
+
+
+def _deposit_outcome(reply: bytes) -> DepositOutcome:
+    status = _DEPOSIT_STATUS.get(reply[:1])
+    if status is DepositStatus.ALREADY_COMPUTED:
+        try:
+            return DepositOutcome(status, wire.decode_value(reply[1:]))
+        except wire.TrailingBytes:
+            pass
+    elif status is not None and len(reply) == 1:
+        return ENQUEUED if status is DepositStatus.ENQUEUED else DepositOutcome(status)
+    raise wire.MalformedEncoding(f"bad deposit reply {reply[:16]!r}")
 
 
 class StoreClient:
@@ -460,16 +533,16 @@ class StoreClient:
         self.agent = agent
 
     def deposit(self, d: Demand) -> DepositOutcome:
-        reply = _reply(self.agent, MsgType.DEPOSIT, wire.encode_demand(d), MsgType.OK)
-        status = _DEPOSIT_STATUS.get(reply[:1])
-        if status is DepositStatus.ALREADY_COMPUTED:
-            try:
-                return DepositOutcome(status, wire.decode_value(reply[1:]))
-            except wire.TrailingBytes:
-                pass
-        elif status is not None and len(reply) == 1:
-            return ENQUEUED if status is DepositStatus.ENQUEUED else DepositOutcome(status)
-        raise wire.MalformedEncoding(f"bad deposit reply {reply[:16]!r}")
+        return _deposit_outcome(_reply(self.agent, MsgType.DEPOSIT, wire.encode_demand(d), MsgType.OK))
+
+    def deposit_many(self, demands) -> list:
+        """``deposit`` each demand, in one write per ``RECV_BYTES`` of frames.
+
+        Every reply of a write is read before the first ERR in order raises,
+        and no later write is sent.
+        """
+        replies = self.agent.request_many(MsgType.DEPOSIT, [wire.encode_demand(d) for d in demands])
+        return [_deposit_outcome(_check(reply, MsgType.OK)) for reply in replies]
 
     def claim(self, worker_id: str, lease_ms: float, wait_ms: float = 0) -> Optional[Demand]:
         payload = b"".join(map(wire.encode_value, (worker_id, int(lease_ms), int(wait_ms))))

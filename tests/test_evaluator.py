@@ -490,6 +490,9 @@ class DepositLog:
         self.signatures.append(d.signature)
         return self.store.deposit(d)
 
+    def deposit_many(self, demands):
+        return [self.deposit(d) for d in demands]
+
 
 class TestProceduralMemo:
     """One evaluation deposits each distinct call once, and calls are told

@@ -509,6 +509,99 @@ class TestLocalNodeAgent:
             agent.close()
 
 
+def add2(n):
+    return DemandSignature("p", "add2", EMPTY_CONTEXT, DemandKind.PROCEDURAL, (n, 0))
+
+
+@pytest.fixture
+def connects(monkeypatch):
+    """Every address a tier passes to ``connect_store``, in order."""
+    from eduction import manager
+
+    made = []
+
+    def counting(address):
+        made.append(address)
+        return connect_store(address)
+
+    monkeypatch.setattr(manager, "connect_store", counting)
+    return made
+
+
+def serves_a_demand(address, n=19):
+    cl = connect_store(address)
+    try:
+        cl.deposit(pending_demand(add2(n)))
+        return cl.await_result(add2(n), 10000) == n
+    finally:
+        cl.close()
+
+
+def dwt_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("dwt-") and t.is_alive()]
+
+
+class TestCoLocatedWorker:
+    """A DWT whose node agent runs its store's DST claims on that store in-process."""
+
+    @pytest.mark.parametrize("strip", [False, True], ids=["tcp-address", "bare-address"])
+    def test_opens_no_connection_to_its_dst(self, new_agent, connects, strip):
+        agent = new_agent()
+        address = agent.start_tier("dst-1", "DST", {})["address"]
+        store = address.removeprefix("tcp://") if strip else address
+        agent.start_tier("dwt-1", "DWT", {"store": store})
+        assert connects == []  # not even one, to its own DST
+        assert agent.tier("dwt-1").local_store is agent.tier("dst-1").store
+        assert serves_a_demand(address)
+
+    def test_another_agents_dst_is_reached_over_tcp(self, new_agent, connects):
+        a, b = new_agent(), new_agent()
+        address = a.start_tier("dst-1", "DST", {})["address"]
+        b.start_tier("dwt-1", "DWT", {"store": address})
+        assert connects == [address]
+        assert b.tier("dwt-1").local_store is None
+        assert serves_a_demand(address)
+
+    def test_another_host_string_is_reached_over_tcp(self, new_agent, connects):
+        agent = new_agent()
+        address = agent.start_tier("dst-1", "DST", {})["address"]
+        other = "tcp://localhost:" + address.rpartition(":")[2]
+        agent.start_tier("dwt-1", "DWT", {"store": other})
+        assert connects == [other]
+        assert serves_a_demand(address)
+
+    def test_stopping_the_worker_leaves_the_dst_log_open(self, new_agent, tmp_path):
+        log = tmp_path / "store.log"
+        agent = new_agent()
+        address = agent.start_tier("dst-1", "DST", {"log_path": str(log)})["address"]
+        agent.start_tier("dwt-1", "DWT", {"store": address})
+        assert serves_a_demand(address, 1)
+        assert agent.stop_tier("dwt-1")
+        size = log.stat().st_size
+        cl = connect_store(address)
+        try:
+            cl.deposit(pending_demand(add2(2)))
+        finally:
+            cl.close()
+        assert log.stat().st_size > size  # the store still appends: its log is not closed
+
+    def test_stopping_the_dst_first_ends_its_workers(self, new_agent):
+        agent = new_agent()
+        before = dwt_threads()
+        address = agent.start_tier("dst-1", "DST", {})["address"]
+        agent.start_tier("dwt-1", "DWT", {"store": address})
+        worker = agent.tier("dwt-1").worker
+        assert len(dwt_threads()) == len(before) + 1
+        started = time.monotonic()
+        assert agent.stop_tier("dst-1")
+        while dwt_threads() != before and time.monotonic() - started < 1.0:
+            time.sleep(0.01)
+        # over TCP the worker would claim on for 1.5 s after its store stopped, then die
+        assert dwt_threads() == before
+        assert worker.summary is not None
+        assert agent.stop_tier("dwt-1")  # still this agent's tier, and stops again quietly
+
+
 class TestGeneratorTier:
     def test_preload_checks_program(self):
         from eduction import wire

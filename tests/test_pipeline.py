@@ -354,6 +354,9 @@ class RecordingStore:
         self.deposited.append(d.signature.name)
         return self.store.deposit(d)
 
+    def deposit_many(self, demands):
+        return [self.deposit(d) for d in demands]
+
 
 class TestOnePathToAModel:
     def test_classify_fetches_the_model_once_per_worker(self):

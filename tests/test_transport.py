@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import pytest
 
+from eduction import pipeline as P
 from eduction import transport, wire
 from eduction.lang import compile_source
 from eduction.model import (
@@ -17,6 +18,7 @@ from eduction.model import (
     DemandKind,
     DemandSignature,
     DemandState,
+    Fault,
     make_context,
     pending_demand,
 )
@@ -29,7 +31,9 @@ from eduction.store import (
     DepositStatus,
     NonFiniteValue,
     NotFound,
+    ProcedureFault,
     StoreStats,
+    gather,
 )
 from eduction.transport import (
     InProcAgent,
@@ -43,6 +47,7 @@ from eduction.transport import (
     system_request,
 )
 from eduction.wire import MsgType
+from eduction.worker import ProcedureRegistry, Worker, WorkerConfig
 
 
 def isig(d=1):
@@ -1009,3 +1014,135 @@ class TestWriteBehind:
         assert errors == []
         s = store.stats()
         assert (s.computed, s.pending, s.in_process) == (6 * 61, 0, 0)
+
+
+def proc_sigs(name, n):
+    """``n`` distinct pipeline signatures of ``name``: classify ones, or feature ones of 512 floats."""
+    digest = hashlib.sha256(b"model").hexdigest()
+    if name == P.CLASSIFY_PROC:
+        args = [(digest, tuple(float(i + k) for i in range(P.DEFAULT_WINDOWS))) for k in range(n)]
+    else:
+        args = [(tuple(i * k / 7 for i in range(512)), P.DEFAULT_WINDOWS) for k in range(n)]
+    return [DemandSignature(P.PROGRAM_ID, name, kind=DemandKind.PROCEDURAL, args=a) for a in args]
+
+
+def answer_of(sig):
+    return (float(len(sig.args[1])), 0.5) if sig.name == P.CLASSIFY_PROC else (float(sig.args[1]),)
+
+
+def answering_worker(store):
+    """A worker claiming on ``store`` in-process; its answer to each signature is ``answer_of``."""
+    reg = ProcedureRegistry()
+    reg.register(P.CLASSIFY_PROC, 2, lambda digest, fv: (float(len(fv)), 0.5))
+    reg.register(P.FE_PROC, 2, lambda amplitudes, windows: (float(windows),))
+    return Worker(WorkerConfig("w"), store, reg).start()
+
+
+@pytest.fixture
+def answering(logged_dst):
+    """A logged DST and an ``answering_worker`` on its store."""
+    store, agent = logged_dst()
+    worker = answering_worker(store)
+    yield store, agent
+    worker.stop()
+
+
+def deposit_frame(sig):
+    return wire.encode_frame(MsgType.DEPOSIT, wire.encode_demand(pending_demand(sig)))
+
+
+def frames_in_first_write(sizes, first=0):
+    """How many of these frames the first write carries: the fewest whose bytes pass ``RECV_BYTES``."""
+    for n, size in enumerate(sizes, 1):
+        first += size
+        if first > transport.RECV_BYTES:
+            return n
+    return len(sizes)
+
+
+def leads_with(data, msg_type):
+    return wire.parse_header(data[: wire.HEADER_SIZE])[0] is msg_type
+
+
+class TestGatheredDeposits:
+    """``gather`` deposits in one write per ``RECV_BYTES`` of frames, each reply read, in order."""
+
+    # every frame a DST receives for stats and a gather of 40 feature and 20
+    # classify signatures, as sent when each deposit was a round trip of its own
+    FRAMES_SHA256 = "20fbbc38dc9d0133deb90d9043f3746a4d4fde7d4ad42a34234dc17bf7ba248d"
+
+    @pytest.mark.parametrize("name, n, writes", [(P.CLASSIFY_PROC, 160, 1), (P.FE_PROC, 180, 12)])
+    def test_one_write_per_read_size(self, answering, name, n, writes):
+        store, agent = answering
+        client = StoreClient(agent)
+        client.stats()
+        sigs = proc_sigs(name, n)
+        assert gather(client, sigs, 10000) == [answer_of(s) for s in sigs]
+        frames = [deposit_frame(s) for s in sigs]
+        deposits = [data for data in agent.sent if leads_with(data, MsgType.DEPOSIT)]
+        assert b"".join(deposits) == b"".join(frames)
+        assert len(deposits) == writes == -(-sum(map(len, frames)) // transport.RECV_BYTES)
+        assert max(map(len, deposits)) <= transport.RECV_BYTES + len(frames[0])
+        assert len(agent.sent) == 1 + writes + n  # and one AWAIT each; a round trip per deposit made 1 + 2n
+        assert store.stats().computed == n
+
+    def test_frames_the_server_receives_are_unchanged(self, logged_dst):
+        received = []
+
+        def recording(store, t, p):
+            received.append(wire.encode_frame(t, p))
+            return dispatch_store_request(store, t, p)
+
+        store, agent = logged_dst(recording)
+        worker = answering_worker(store)
+        try:
+            client = StoreClient(agent)
+            client.stats()
+            for sigs in (proc_sigs(P.FE_PROC, 40), proc_sigs(P.CLASSIFY_PROC, 20)):
+                assert gather(client, sigs, 10000) == [answer_of(s) for s in sigs]
+        finally:
+            worker.stop()
+        assert len(received) == 1 + 2 * 60
+        assert hashlib.sha256(b"".join(received)).hexdigest() == self.FRAMES_SHA256
+
+    @pytest.mark.parametrize("carrier", ["inproc", "tcp"])
+    def test_a_fault_raises_after_every_reply_of_its_write(self, logged_dst, carrier):
+        store, agent = logged_dst()
+        sigs = proc_sigs(P.FE_PROC, 40)
+        store.deposit(pending_demand(sigs[5]))
+        store.fulfill(store.claim("w", 5000).signature, Fault("ValueError", "no energy"), "w")
+        client = StoreClient(carrier_for(carrier, store, agent))
+        with pytest.raises(ProcedureFault):
+            gather(client, sigs, 10000)
+        # the deposits after the fault in its write were served; no later write was sent
+        first = frames_in_first_write([len(deposit_frame(s)) for s in sigs])
+        assert 5 < first < len(sigs)
+        assert client.stats() == StoreStats(1 + first, 1, first, 1, first - 1, 0, 0)
+
+    @pytest.mark.parametrize("carrier", ["inproc", "tcp"])
+    def test_an_owed_error_ends_the_batch_at_its_first_write(self, logged_dst, carrier):
+        store, agent = logged_dst()
+        client = StoreClient(carrier_for(carrier, store, agent))
+        client.fulfill(isig(0), float("inf"), "g")  # owed
+        sigs = proc_sigs(P.FE_PROC, 40)
+        with pytest.raises(NonFiniteValue):
+            gather(client, sigs, 10000)
+        owed = wire.HEADER_SIZE + len(isig(0).key() + wire.encode_value(float("inf")) + wire.encode_value("g"))
+        first = frames_in_first_write([len(deposit_frame(s)) for s in sigs], owed)
+        assert client.stats() == StoreStats(first, 0, first, 0, first, 0, 0)
+
+    def test_owed_fulfils_ride_in_the_first_write(self, answering):
+        store, agent = answering
+        client = StoreClient(agent)
+        client.stats()
+        sent = len(agent.sent)
+        owed = []
+        for d in range(2):
+            client.fulfill(isig(d), d, "g")
+            owed.append(wire.encode_frame(MsgType.FULFILL, isig(d).key() + wire.encode_value(d) + wire.encode_value("g")))
+        assert len(agent.sent) == sent  # written behind: nothing went out yet
+        sigs = proc_sigs(P.CLASSIFY_PROC, 3)
+        assert gather(client, sigs, 10000) == [answer_of(s) for s in sigs]
+        assert agent.sent[sent] == b"".join(owed + [deposit_frame(s) for s in sigs])
+        assert len(agent.sent) - sent == 1 + 3  # the deposits with the fulfils, then an AWAIT each
+        assert store.stats().computed == 2 + 3
