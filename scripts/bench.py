@@ -16,6 +16,9 @@ carrying a 512-float FloatArray, the largest value the pipeline moves.
     wire.*           encode and decode of a signature and of a demand
     store.*          ``DemandStore.deposit`` (an intensional miss) and
                      ``fulfill`` (a new key), no log
+    store.reopen_fulfil
+                     reopening a log of ``BATCH`` intensional FULFILL
+                     frames, per frame
     dispatch.*       ``dispatch_store_request`` of the same DEPOSIT and
                      FULFILL payloads, decoding included
     inproc.deposit   one deposit round trip through the in-process carrier
@@ -39,6 +42,7 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from dataclasses import replace
 
@@ -111,6 +115,9 @@ def rows() -> dict:
         store = DemandStore()
         return [lambda s=s: store.fulfill(s, 832040, "generator") for s in fresh_sigs()]
 
+    def reopens():
+        return [lambda: DemandStore(log_path).close()]
+
     def dispatch_fulfills():
         store = DemandStore()
         payloads = [s.key() + wire.encode_value(832040) + wire.encode_value("generator") for s in fresh_sigs()]
@@ -136,6 +143,12 @@ def rows() -> dict:
     inproc = StoreClient(InProcAgent(lambda t, p: dispatch_store_request(store, t, p)))
     server = serve_store(store)
     tcp = StoreClient(TcpAgent("127.0.0.1", server.port))
+    log_dir = tempfile.TemporaryDirectory()
+    log_path = os.path.join(log_dir.name, "store.log")
+    logged = DemandStore(log_path)
+    for s in fresh_sigs():
+        logged.fulfill(s, 832040, "generator")
+    logged.close()
     try:
         batches = {
             "wire.encode_signature_us": same(wire._encode_signature, sig),
@@ -146,6 +159,7 @@ def rows() -> dict:
             "wire.decode_signature_512f_us": same(wire.decode_signature, floats_key),
             "store.deposit_us": same(store.deposit, demand),
             "store.fulfill_us": fulfills,
+            "store.reopen_fulfil_us": reopens,
             "dispatch.deposit_us": same(dispatch_store_request, store, MsgType.DEPOSIT, encoded_demand),
             "dispatch.fulfill_us": dispatch_fulfills,
             "inproc.deposit_us": same(inproc.deposit, demand),
@@ -156,10 +170,12 @@ def rows() -> dict:
         out = timed(batches)
         out["tcp.fib30_query_us"] /= FIB30_DEMANDS
         out["tcp.gather160_deposit_us"] /= GATHER_DEMANDS
+        out["store.reopen_fulfil_us"] /= BATCH
         return out
     finally:
         tcp.close()
         server.stop()
+        log_dir.cleanup()
 
 
 def main(argv=None) -> int:

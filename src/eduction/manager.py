@@ -234,7 +234,8 @@ class LocalNodeAgent:
     """Runs tier instances as threads inside this process.
 
     A DWT whose ``store`` names a DST this agent runs gets that DST's
-    store in-process (see ``DwtTier``).
+    store in-process (see ``DwtTier``); stopping that DST stops the DWT
+    too, and neither is this agent's tier any more.
     """
 
     def __init__(self):
@@ -267,13 +268,14 @@ class LocalNodeAgent:
     def stop_tier(self, tier_id: str) -> bool:
         with self._lock:
             tier = self._tiers.pop(tier_id, None)
-            bound = []  # the workers that claim on a DST's store in-process end before it closes
+            bound = []  # the workers that claim on a DST's store in-process leave with it, ending before it closes
             if isinstance(tier, DstTier):
-                bound = [t for t in self._tiers.values() if isinstance(t, DwtTier) and t.local_store is tier.store]
+                bound = [tid for tid, t in self._tiers.items() if isinstance(t, DwtTier) and t.local_store is tier.store]
+                bound = [self._tiers.pop(tid) for tid in bound]
         if tier is None:
             return False
         for t in bound:
-            t.worker.stop()
+            t.stop()
         tier.stop()
         return True
 

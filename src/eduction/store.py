@@ -27,7 +27,16 @@ wakes when the earliest lease expires, so a worker picks up queued or
 redelivered work as soon as it is due and never polls.  When a log path
 is given, procedural deposits, fulfills and resource puts are appended as
 wire frames and replayed on startup, so a restart recovers the warehouse
-and re-queues whatever was in flight.
+and re-queues whatever was in flight.  A record is appended before the
+change it records is made, and after ``close`` every change the log would
+record raises ``StoreClosed``.
+
+Each operation that names a signature has a keyed form
+(``deposit_key``, ``fulfill_key``, ``fetch_key``, ``await_key``), which
+the signature form calls with ``sig.key()``.  A DST passes the key bytes
+it received, and a fulfil's log record is the bytes it received, so it
+builds a signature only for a procedural demand it queues.  Replay reads
+a FULFILL's key the same way.
 """
 from __future__ import annotations
 
@@ -81,6 +90,10 @@ class Timeout(EductionError):
     pass
 
 
+class StoreClosed(EductionError):
+    pass
+
+
 class DepositStatus(enum.Enum):
     """Answer to a deposit.
 
@@ -101,6 +114,14 @@ class DepositOutcome:
 
 
 ENQUEUED = DepositOutcome(DepositStatus.ENQUEUED)  # one for every miss: an outcome is immutable
+
+
+def _named(key: bytes) -> str:
+    """The signature a key encodes, as an error message names it; decoded only for the message."""
+    try:
+        return str(wire.decode_signature(key))
+    except EductionError:  # built in-process from parts the decoder refuses
+        return repr(key)
 
 
 @dataclass(frozen=True)
@@ -165,10 +186,20 @@ class DemandStore:
     def deposit(self, d: Demand) -> DepositOutcome:
         if d.state is not DemandState.PENDING or d.result is not None:
             raise MalformedDemand("deposits must be PENDING and carry no result")
+        sig = d.signature
         try:
-            key = d.signature.key()
+            key = sig.key()
         except EductionError as e:
             raise MalformedDemand(str(e)) from None
+        return self.deposit_key(key, None if sig.kind is DemandKind.INTENSIONAL else lambda: sig)
+
+    def deposit_key(self, key: bytes, queue: Optional[Callable[[], DemandSignature]] = None) -> DepositOutcome:
+        """Deposit the PENDING demand whose signature has this key.
+
+        ``queue`` is given for a procedural demand: a miss calls it for the
+        signature to queue, so a hit builds none.  Without it the deposit
+        is an intensional one, a warehouse lookup that records nothing.
+        """
         with self._cond:
             self._deposits += 1
             value = self._results.get(key)
@@ -178,14 +209,14 @@ class DemandStore:
                     raise ProcedureFault(str(value))
                 return DepositOutcome(DepositStatus.ALREADY_COMPUTED, value)
             self._misses += 1
-            if d.signature.kind is DemandKind.INTENSIONAL:
+            if queue is None:
                 return ENQUEUED
             if key in self._work:
                 return DepositOutcome(DepositStatus.DUPLICATE_PENDING)
-            self._work[key] = (d.signature, self.now())
-            self._enqueue(key)
             if self._log is not None:
-                self._append_log(MsgType.DEPOSIT, wire.encode_demand(d))
+                self._append_log(MsgType.DEPOSIT, key + b"\x00\x00")  # the demand: PENDING, no result
+            self._work[key] = (queue(), self.now())
+            self._enqueue(key)
             return ENQUEUED
 
     def deposit_many(self, demands) -> list:
@@ -221,35 +252,46 @@ class DemandStore:
             return Demand(self._work[key][0], DemandState.IN_PROCESS)
 
     def fulfill(self, sig: DemandSignature, value: Value, worker_id: str) -> None:
+        self.fulfill_key(sig.key(), value, worker_id, sig.kind is not DemandKind.INTENSIONAL)
+
+    def fulfill_key(
+        self, key: bytes, value: Value, worker_id: str, procedural: bool, record: Optional[bytes] = None
+    ) -> None:
+        """Store ``value`` under the signature key ``key``.
+
+        A procedural demand must be leased to ``worker_id``.  ``record`` is
+        the key followed by the encoded value, when the caller holds those
+        bytes already; it is what the log appends.
+        """
         if not is_finite_value(value):
-            raise NonFiniteValue(f"refusing to store a non-finite value for {sig}")
-        key = sig.key()
+            raise NonFiniteValue(f"refusing to store a non-finite value for {_named(key)}")
         with self._cond:
             stored = self._results.get(key)
             if stored is not None:
                 if wire.values_equal(stored, value):
                     return  # idempotent completion
-                raise ConflictingResult(f"{sig}: stored result differs")
-            queued = sig.kind is not DemandKind.INTENSIONAL
-            if queued:  # queued work needs its lease
+                raise ConflictingResult(f"{_named(key)}: stored result differs")
+            if procedural:  # queued work needs its lease
                 if key not in self._work:
-                    raise NotClaimed(f"unknown signature {sig}")
+                    raise NotClaimed(f"unknown signature {_named(key)}")
                 lease = self._leases.get(key)
                 if lease is None or lease.worker_id != worker_id:
-                    raise NotClaimed(f"{sig} is not claimed by {worker_id!r}")
+                    raise NotClaimed(f"{_named(key)} is not claimed by {worker_id!r}")
+            if self._log is not None:
+                self._append_log(MsgType.FULFILL, record or key + wire.encode_value(value))
+            self._results[key] = value
+            if procedural:  # only queued work can be awaited
                 del self._leases[key]
                 del self._work[key]
-            self._results[key] = value
-            if self._log is not None:
-                self._append_log(MsgType.FULFILL, key + wire.encode_value(value))
-            if queued:  # only queued work can be awaited
                 self._cond.notify_all()
 
     def sync(self) -> None:
         """Nothing to settle: every operation here is done when it returns (``StoreClient.sync`` has work)."""
 
     def fetch(self, sig: DemandSignature) -> Tuple[DemandState, Optional[Value]]:
-        key = sig.key()
+        return self.fetch_key(sig.key())
+
+    def fetch_key(self, key: bytes) -> Tuple[DemandState, Optional[Value]]:
         with self._cond:
             self.sweep_expired_leases()
             value = self._results.get(key)
@@ -260,11 +302,13 @@ class DemandStore:
                 return DemandState.COMPUTED, value
             self._misses += 1
             if key not in self._work:
-                raise NotFound(str(sig))
+                raise NotFound(_named(key))
             return (DemandState.IN_PROCESS if key in self._leases else DemandState.PENDING), None
 
     def await_result(self, sig: DemandSignature, timeout_ms: float) -> Value:
-        key = sig.key()
+        return self.await_key(sig.key(), timeout_ms)
+
+    def await_key(self, key: bytes, timeout_ms: float) -> Value:
         deadline = self.now() + timeout_ms
         with self._cond:
             while True:
@@ -275,10 +319,10 @@ class DemandStore:
                         raise ProcedureFault(str(value))
                     return value
                 if key not in self._work:
-                    raise NotFound(str(sig))
+                    raise NotFound(_named(key))
                 remaining = deadline - self.now()
                 if remaining <= 0:
-                    raise Timeout(f"no result for {sig} within {timeout_ms} ms")
+                    raise Timeout(f"no result for {_named(key)} within {timeout_ms} ms")
                 self._cond.wait(remaining / 1000.0)
 
     def sweep_expired_leases(self, now: Optional[float] = None) -> int:
@@ -309,12 +353,12 @@ class DemandStore:
         with self._cond:
             if self._resources.get(program_id) == data:
                 return  # idempotent re-put
-            self._resources[program_id] = data
             if self._log is not None:
                 self._append_log(
                     MsgType.RESOURCE_PUT,
                     wire.encode_value(program_id) + len(data).to_bytes(4, "big") + data,
                 )
+            self._resources[program_id] = data
 
     def get_resource(self, program_id: str) -> bytes:
         with self._cond:
@@ -374,7 +418,7 @@ class DemandStore:
                 self._work[key] = (sig, self.now())
         elif msg_type is MsgType.FULFILL:
             r = wire.Reader(payload)
-            key = wire.read_signature(r).key()
+            key = wire.read_key(r)[1]
             value = wire.read_value(r)
             r.expect_done()
             self._results.setdefault(key, value)
@@ -388,14 +432,16 @@ class DemandStore:
         # other frame types never appear in the log
 
     def _append_log(self, msg_type: MsgType, payload: bytes):
-        if self._log is not None:
-            self._log.write(wire.encode_frame(msg_type, payload))
-            self._log.flush()
+        """Append one record, before the change it records is made: a closed log refuses it."""
+        if self._log.closed:
+            raise StoreClosed("the store's log is closed")
+        self._log.write(wire.encode_frame(msg_type, payload))
+        self._log.flush()
 
     def close(self):
+        """Close the log; a change that the log would record raises ``StoreClosed`` after this."""
         if self._log is not None:
             self._log.close()
-            self._log = None
 
 
 def gather(store, sigs, timeout_ms: float) -> list:

@@ -20,6 +20,12 @@ Request payloads (replies in parentheses):
     STATS         empty                           (OK: seven 8-byte counters)
     SYSTEM        op byte, 4-byte length, JSON    (OK: 4-byte length, JSON; manager only)
 
+A request that names a signature is served from its bytes:
+``wire.read_key`` checks the signature as the decoder does and gives the
+store its key, so no signature, context or demand is built.  A procedural
+deposit's signature is built from those bytes only when it is queued; a
+deposit that is not PENDING with no result is decoded in full.
+
 Errors come back as ERR frames carrying two Str values: the error code
 (a class name from the store's error family) and a human-readable message.
 A read of a demand whose procedure failed (a DEPOSIT that hits it, FETCH,
@@ -117,13 +123,19 @@ def dispatch_store_request(store: DemandStore, msg_type: MsgType, payload: bytes
 
 
 def _store_request(store: DemandStore, msg_type: MsgType, payload: bytes) -> Tuple[MsgType, bytes]:
+    r = wire.Reader(payload)
     if msg_type is MsgType.DEPOSIT:
-        out = store.deposit(wire.decode_demand(payload))
+        kind, key = wire.read_key(r)
+        if payload[r.pos :] != b"\x00\x00":  # not PENDING with no result: the full decoder or ``deposit`` refuses it
+            out = store.deposit(wire.decode_demand(payload))
+        elif kind is DemandKind.INTENSIONAL:
+            out = store.deposit_key(key)
+        else:  # built only when queued: a claim hands out the signature
+            out = store.deposit_key(key, lambda: wire.signature_of_key(kind, key))
         body = bytes((out.status.value,))
         if out.status is DepositStatus.ALREADY_COMPUTED:
             body += wire.encode_value(out.value)
         return MsgType.OK, body
-    r = wire.Reader(payload)
     if msg_type is MsgType.CLAIM:
         worker = wire.read_str(r)
         lease_ms = wire.read_int(r)
@@ -136,22 +148,25 @@ def _store_request(store: DemandStore, msg_type: MsgType, payload: bytes) -> Tup
             return MsgType.CLAIM_REPLY, b"\x00"
         return MsgType.CLAIM_REPLY, b"\x01" + wire.encode_demand(d)
     if msg_type is MsgType.FULFILL:
-        sig = wire.read_signature(r)
+        kind, key = wire.read_key(r)
         value = wire.read_value(r)
+        record = payload[: r.pos]  # the key and the encoded value: the log record as received
         worker = wire.read_str(r)
         r.expect_done()
-        store.fulfill(sig, value, worker)
+        store.fulfill_key(key, value, worker, kind is not DemandKind.INTENSIONAL, record)
         return MsgType.OK, b""
     if msg_type is MsgType.FETCH:
-        state, value = store.fetch(wire.decode_signature(payload))
+        key = wire.read_key(r)[1]
+        r.expect_done()
+        state, value = store.fetch_key(key)
         body = bytes([int(state)])
         body += b"\x01" + wire.encode_value(value) if value is not None else b"\x00"
         return MsgType.FETCH_REPLY, body
     if msg_type is MsgType.AWAIT:
-        sig = wire.read_signature(r)
+        key = wire.read_key(r)[1]
         timeout_ms = wire.read_int(r)
         r.expect_done()
-        value = store.await_result(sig, timeout_ms)
+        value = store.await_key(key, timeout_ms)
         return MsgType.OK, wire.encode_value(value)
     if msg_type is MsgType.RESOURCE_PUT:
         program_id = wire.read_str(r)

@@ -27,6 +27,12 @@ value of the wrong kind and a bad kind, state or presence byte
 ``MalformedValue``.  Encoders dispatch on the value's type; a subclass
 (an ``IntEnum``, say) goes through ``value_kind``, bool ahead of int.
 
+A signature's checks live in one scan, ``_signature_end``, which builds
+nothing and passes a FloatArray over by its length; decoding a signature
+is that scan, then a build from the checked bytes.  ``read_key`` is the
+scan alone: the kind and key of a signature, for a store that needs no
+more.
+
 Value encoding: one tag byte, then the payload.
 
     0x00  Int         8-byte signed
@@ -253,16 +259,28 @@ def _value_at(data: bytes, pos: int):
             raise MalformedValue(f"bad bool byte {b:#04x}")
         return b == 1, pos + 2
     if tag == 0x04:
-        n = _TAG_U32.unpack_from(data, pos)[1]
-        end = pos + 5 + 8 * n
-        if end > len(data):  # checked before a format for n floats is built
-            raise MalformedEncoding("truncated input")
-        return struct.unpack_from(f">{n}d", data, pos + 5), end
+        end = _floats_end(data, pos)
+        return struct.unpack_from(f">{(end - pos - 5) >> 3}d", data, pos + 5), end
     if tag == 0x05:
         code, pos = _str_at(data, pos + 1)
         message, pos = _str_at(data, pos)
         return Fault(code, message), pos
     raise MalformedValue(f"unknown value tag {tag:#04x}")
+
+
+def _floats_end(data: bytes, pos: int) -> int:
+    """The offset past the FloatArray at ``pos``: any 8 bytes are a binary64, so only its length is checked."""
+    end = pos + 5 + 8 * _TAG_U32.unpack_from(data, pos)[1]
+    if end > len(data):  # checked before a format for its floats is built
+        raise MalformedEncoding("truncated input")
+    return end
+
+
+def _value_end(data: bytes, pos: int) -> int:
+    """The offset past the value at ``pos``, checked as ``_value_at`` checks it; a FloatArray is not unpacked."""
+    if data[pos] == 0x04:
+        return _floats_end(data, pos)
+    return _value_at(data, pos)[1]
 
 
 def _str_at(data: bytes, pos: int):
@@ -320,10 +338,14 @@ def encode_context(ctx: Context) -> bytes:
     return b"".join(out)
 
 
-def _context_at(data: bytes, pos: int):
+def _context_end(data: bytes, pos: int, add=None) -> int:
+    """The offset past the context at ``pos``, every check made; ``add`` gets each pair, if given.
+
+    Each pair is read whole, its Str and then its Int, before its name is
+    checked, so a bad tag raises ahead of a bad name.
+    """
     count = _U32.unpack_from(data, pos)[0]
     pos += 4
-    pairs = []
     prev = ""  # below every identifier
     for _ in range(count):
         dim, pos = _str_at(data, pos)
@@ -333,8 +355,15 @@ def _context_at(data: bytes, pos: int):
         if dim <= prev:
             raise NonCanonicalOrder(f"dimension {dim!r} after {prev!r}")
         prev = dim
-        pairs.append((dim, tag))
-    return Context(tuple(pairs)), pos
+        if add is not None:
+            add((dim, tag))
+    return pos
+
+
+def _context_at(data: bytes, pos: int):
+    pairs = []
+    end = _context_end(data, pos, pairs.append)
+    return Context(tuple(pairs)), end
 
 
 def read_context(r: Reader) -> Context:
@@ -363,31 +392,73 @@ def _encode_signature(sig: DemandSignature) -> bytes:
     return b"".join(out)
 
 
-def _signature_at(data: bytes, pos: int):
-    start = pos
-    program_id, pos = _str_at(data, pos)
-    name, pos = _str_at(data, pos)
+def _signature_end(data: bytes, pos: int):
+    """The kind of the signature at ``pos`` and the offset past it.
+
+    The one place a signature is checked: every check, in the order the
+    fields are read, each raising its one class; a kind that carries the
+    other kind's context or arguments is ``MalformedEncoding``.  Nothing is
+    built, and a FloatArray argument is passed over by its length.
+    """
+    pos = _str_at(data, pos)[1]  # program id
+    pos = _str_at(data, pos)[1]  # name
     kind = _KINDS.get(data[pos])
     if kind is None:
         raise MalformedEncoding(f"unknown demand kind {data[pos]:#04x}")
-    ctx, pos = _context_at(data, pos + 1)
+    bare = pos + 5  # where an empty context ends
+    pos = _context_end(data, pos + 1)
+    has_context = pos != bare
     argc = _U32.unpack_from(data, pos)[0]
     pos += 4
+    for _ in range(argc):
+        pos = _value_end(data, pos)
+    if kind is DemandKind.PROCEDURAL:
+        if has_context:
+            raise MalformedEncoding("procedural signatures carry no context")
+    elif argc:
+        raise MalformedEncoding(f"{kind.name} signatures carry no arguments")
+    return kind, pos
+
+
+def _signature_from(data: bytes, pos: int, kind: DemandKind, end: int) -> DemandSignature:
+    """The signature at ``data[pos:end]``, which ``_signature_end`` accepted, built from its fields."""
+    program_id, p = _str_at(data, pos)
+    name, p = _str_at(data, p)
+    ctx, p = _context_at(data, p + 1)
+    argc = _U32.unpack_from(data, p)[0]
+    p += 4
     args = []
     for _ in range(argc):
-        arg, pos = _value_at(data, pos)
+        arg, p = _value_at(data, p)
         args.append(arg)
-    try:
-        sig = DemandSignature(program_id, name, ctx, kind, args)
-    except MalformedDemand as e:
-        raise MalformedEncoding(str(e)) from None
-    # the bytes just read are canonical, so they are the key: no re-encoding
-    object.__setattr__(sig, "_key", bytes(data[start:pos]))
-    return sig, pos
+    sig = DemandSignature(program_id, name, ctx, kind, args)
+    # the bytes read are canonical, so they are the key: no re-encoding
+    object.__setattr__(sig, "_key", bytes(data[pos:end]))
+    return sig
+
+
+def _signature_at(data: bytes, pos: int):
+    kind, end = _signature_end(data, pos)
+    return _signature_from(data, pos, kind, end), end
 
 
 def read_signature(r: Reader) -> DemandSignature:
     return _cursor(_signature_at, r)
+
+
+def read_key(r: Reader) -> Tuple[DemandKind, bytes]:
+    """The kind and key of the signature at the cursor, checked as ``read_signature`` checks it.
+
+    No signature is built: a store that needs only the key reads this.
+    """
+    start = r.pos
+    kind = _cursor(_signature_end, r)
+    return kind, r.data[start : r.pos]
+
+
+def signature_of_key(kind: DemandKind, key: bytes) -> DemandSignature:
+    """The signature whose kind and key ``read_key`` gave, built from those bytes."""
+    return _signature_from(key, 0, kind, len(key))
 
 
 def decode_signature(data: bytes) -> DemandSignature:

@@ -599,7 +599,8 @@ class TestCoLocatedWorker:
         # over TCP the worker would claim on for 1.5 s after its store stopped, then die
         assert dwt_threads() == before
         assert worker.summary is not None
-        assert agent.stop_tier("dwt-1")  # still this agent's tier, and stops again quietly
+        assert "dwt-1" not in agent.list_tiers()  # it left with its store
+        assert not agent.stop_tier("dwt-1")
 
 
 class TestGeneratorTier:

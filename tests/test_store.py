@@ -10,6 +10,7 @@ import tracemalloc
 import pytest
 
 from eduction import wire
+from eduction.errors import EductionError
 from eduction.evaluator import DivisionByZero, Evaluator
 from eduction.lang import compile_source
 from eduction.model import (
@@ -731,6 +732,33 @@ class TestPersistence:
         with open(log, "rb") as f:
             frames = [(t, p) for t, p, _ in wire.iter_frames(f.read())]
         assert frames == [(wire.MsgType.FULFILL, sig.key() + wire.encode_value(6))]
+
+    def test_closed_log_refuses_every_change_it_would_record(self, tmp_path, clock):
+        log = tmp_path / "store.log"
+        s = DemandStore(log_path=str(log), clock=clock)
+        s.deposit(pending_demand(qsig(1)))
+        s.claim("w", 1000)
+        s.close()
+        size = log.stat().st_size
+        changes = {
+            "procedural deposit": lambda: s.deposit(pending_demand(qsig(2))),
+            "procedural fulfil": lambda: s.fulfill(qsig(1), 1, "w"),
+            "intensional fulfil": lambda: s.fulfill(isig(d=1), 1, "dgt"),
+            "resource put": lambda: s.put_resource("p", TestResources.blob()),
+        }
+        for name, change in changes.items():
+            with pytest.raises(EductionError) as info:
+                change()
+            assert info.value.code == "StoreClosed", name
+        assert log.stat().st_size == size
+        stats = s.stats()  # nothing it refused was made in memory either
+        assert (stats.computed, stats.pending, stats.in_process) == (0, 0, 1)
+        with pytest.raises(NotFound):
+            s.get_resource("p")
+        # a lookup, or a deposit of queued work, records nothing: still served
+        assert s.deposit(pending_demand(isig(d=1))).status is DepositStatus.ENQUEUED
+        assert s.deposit(pending_demand(qsig(1))).status is DepositStatus.DUPLICATE_PENDING
+        s.close()  # a second close does nothing
 
     def test_replays_log_with_intensional_deposits(self, tmp_path, clock):
         # logs written before intensional deposits became pure lookups hold a

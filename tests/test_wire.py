@@ -7,8 +7,9 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eduction import lang, wire
+from eduction import lang, transport, wire
 from eduction.errors import EductionError
+from eduction.store import DemandStore, DepositStatus
 from eduction.model import (
     INT64_MAX,
     INT64_MIN,
@@ -739,6 +740,18 @@ SHAPES = {  # shape -> (offset-reading decoder, reference decoder, equality)
 }
 
 
+def scan_signature(data: bytes):
+    """The scan a store reads keys with: the signature's kind and key, nothing built."""
+    return wire.read_key(wire.Reader(data))
+
+
+def chain_scan_signature(data: bytes):
+    """What the scan must give: the reference reader's kind and the bytes it consumed."""
+    r = ChainReader(data)
+    sig = chain_read_signature(r)
+    return sig.kind, bytes(data[: r.pos])
+
+
 def assert_decoders_agree(shape: str, data: bytes):
     new, ref, equal = SHAPES[shape]
     got, want = outcome(new, data), outcome(ref, data)
@@ -747,6 +760,9 @@ def assert_decoders_agree(shape: str, data: bytes):
         assert got[1] is want[1], (data, got, want)
     else:
         assert equal(got[1], want[1]), (data, got, want)
+    if shape in ("signature", "demand"):  # both start with a signature: the scan of it accepts, ends and raises alike
+        scanned, want = outcome(scan_signature, data), outcome(chain_scan_signature, data)
+        assert scanned == want, (data, scanned, want)
 
 
 class Level(enum.IntEnum):
@@ -924,6 +940,135 @@ class TestOffsetCodecMatchesChain:
     @given(st.one_of(st.binary(min_size=10, max_size=10), st.binary(max_size=12).map(lambda b: b"GDMF\x01" + b)))
     def test_headers(self, header):
         assert outcome(wire.parse_header, header) == outcome(chain_parse_header, header)
+
+
+def full_decoder_request(store, msg_type, payload):
+    """A request that names a signature, served by decoding it in full: the reference for the keyed path."""
+    MsgType = wire.MsgType
+    if msg_type is MsgType.DEPOSIT:
+        out = store.deposit(wire.decode_demand(payload))
+        body = bytes((out.status.value,))
+        if out.status is DepositStatus.ALREADY_COMPUTED:
+            body += wire.encode_value(out.value)
+        return MsgType.OK, body
+    if msg_type is MsgType.FETCH:
+        state, value = store.fetch(wire.decode_signature(payload))
+        return MsgType.FETCH_REPLY, bytes([int(state)]) + (b"\x00" if value is None else b"\x01" + wire.encode_value(value))
+    r = wire.Reader(payload)
+    sig = wire.read_signature(r)
+    if msg_type is MsgType.AWAIT:
+        timeout_ms = wire.read_int(r)
+        r.expect_done()
+        return MsgType.OK, wire.encode_value(store.await_result(sig, timeout_ms))
+    value = wire.read_value(r)
+    worker = wire.read_str(r)
+    r.expect_done()
+    store.fulfill(sig, value, worker)
+    return MsgType.OK, b""
+
+
+class TestKeyedDispatch:
+    """The store serves each request that names a signature from its key: the same reply as a full decode, every time."""
+
+    @staticmethod
+    def bases(msg_type):
+        """Valid requests of this type for the swept signatures and demands."""
+        swept = TestOffsetCodecMatchesChain.SWEPT
+        sigs = swept["signature"]
+        if msg_type is wire.MsgType.DEPOSIT:
+            return [wire.encode_demand(Demand(s)) for s in sigs] + [wire.encode_demand(d) for d in swept["demand"]]
+        if msg_type is wire.MsgType.FULFILL:
+            return [s.key() + wire.encode_value(v) + wire.encode_value("w") for s, v in zip(sigs, swept["value"])]
+        if msg_type is wire.MsgType.FETCH:
+            return [s.key() for s in sigs]
+        return [s.key() + wire.encode_value(0) for s in sigs]  # AWAIT
+
+    @classmethod
+    def payloads(cls, *msg_types):
+        """Requests of these types, each valid one and then every byte of it changed, dropped or cut at."""
+        for msg_type in msg_types:
+            for base in cls.bases(msg_type):
+                yield msg_type, base
+                for at in range(len(base) + 1):
+                    head, tail = base[:at], base[at:]
+                    yield msg_type, head
+                    yield msg_type, head + tail[1:]
+                    if tail:
+                        for b in range(256):
+                            yield msg_type, head + bytes((b,)) + tail[1:]
+
+    @staticmethod
+    def assert_same_replies(requests) -> set:
+        """Serve ``requests`` on two stores, keyed and by full decode; the error codes they answered."""
+        keyed, full = DemandStore(), DemandStore()
+        codes = set()
+        for msg_type, payload in requests:
+            got = transport.dispatch_store_request(keyed, msg_type, payload)
+            want = transport.answer(full_decoder_request, full, msg_type, payload)
+            assert got == want, (msg_type, payload)
+            if got[0] is wire.MsgType.ERR:
+                codes.add(wire.read_value(wire.Reader(got[1])))
+        assert keyed.stats() == full.stats()
+        return codes
+
+    def test_every_byte_changed_or_cut(self):
+        MsgType = wire.MsgType
+        codes = self.assert_same_replies(self.payloads(MsgType.DEPOSIT, MsgType.FULFILL))
+        # values to find, and no deposit, so nothing is queued and no AWAIT waits
+        seeds = [(MsgType.FULFILL, p) for p in self.bases(MsgType.FULFILL)]
+        codes |= self.assert_same_replies(seeds + list(self.payloads(MsgType.FETCH, MsgType.AWAIT)))
+        # the corpus reaches every refusal of the decoders and of the store
+        refusals = {"MalformedEncoding", "MalformedValue", "NonCanonicalOrder", "TrailingBytes", "MalformedDemand"}
+        assert refusals | {"NotFound", "ProcedureFault"} <= codes
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_mutated_shapes(self, data):
+        sig = data.draw(shaped_signatures())
+        deposit = wire.encode_demand(data.draw(shaped_demands()))
+        fulfil = sig.key() + chain_encode_value(data.draw(shaped_values)) + wire.encode_value("w")
+        requests = [(wire.MsgType.FULFILL, fulfil), (wire.MsgType.FULFILL, data.draw(corruptions(fulfil)))]
+        for msg_type, payload in ((wire.MsgType.FETCH, sig.key()), (wire.MsgType.AWAIT, sig.key() + wire.encode_value(0))):
+            requests += [(msg_type, payload), (msg_type, data.draw(corruptions(payload)))]
+        self.assert_same_replies(requests)  # before any deposit: an AWAIT never waits
+        self.assert_same_replies([(wire.MsgType.DEPOSIT, deposit), (wire.MsgType.DEPOSIT, data.draw(corruptions(deposit)))])
+
+    def test_builds_no_signature_it_does_not_queue(self, tmp_path, monkeypatch):
+        sig = DemandSignature("p", "x", make_context([("d", 3), ("e", -1)]))
+        deposit = wire.encode_demand(Demand(sig))
+        fulfil = sig.key() + wire.encode_value(6) + wire.encode_value("dgt")
+        proc = DemandSignature("p", "fe", kind=DemandKind.PROCEDURAL, args=((0.5,) * 64,))
+        proc_deposit = wire.encode_demand(Demand(proc))
+        proc_fulfil = proc.key() + wire.encode_value(1.5) + wire.encode_value("w")
+        log = tmp_path / "store.log"
+        store, procs = DemandStore(log_path=str(log)), DemandStore()
+        OK, DEPOSIT, FULFILL = wire.MsgType.OK, wire.MsgType.DEPOSIT, wire.MsgType.FULFILL
+        assert transport.dispatch_store_request(procs, DEPOSIT, proc_deposit) == (OK, b"\x00")
+        assert procs.claim("w", 60000).signature == proc  # queued: the one signature built
+
+        def built(self, *args, **kwargs):
+            raise AssertionError(f"built a {type(self).__name__}")
+
+        for cls in (DemandSignature, Context, Demand):
+            monkeypatch.setattr(cls, "__init__", built)
+        with pytest.raises(AssertionError):
+            DemandSignature("p", "x")  # the patch holds
+        assert transport.dispatch_store_request(store, DEPOSIT, deposit) == (OK, b"\x00")
+        assert transport.dispatch_store_request(store, FULFILL, fulfil) == (OK, b"")
+        assert transport.dispatch_store_request(store, FULFILL, fulfil) == (OK, b"")  # idempotent
+        assert transport.dispatch_store_request(store, DEPOSIT, deposit) == (OK, b"\x01" + wire.encode_value(6))
+        # a procedural fulfil, a deposit that hits, a fetch and an await need no signature either
+        value = wire.encode_value(1.5)
+        assert transport.dispatch_store_request(procs, FULFILL, proc_fulfil) == (OK, b"")
+        assert transport.dispatch_store_request(procs, DEPOSIT, proc_deposit) == (OK, b"\x01" + value)
+        assert transport.dispatch_store_request(procs, wire.MsgType.FETCH, proc.key()) == (wire.MsgType.FETCH_REPLY, b"\x02\x01" + value)
+        assert transport.dispatch_store_request(procs, wire.MsgType.AWAIT, proc.key() + wire.encode_value(0)) == (OK, value)
+        store.close()
+        # the log holds the received bytes, and reopening it builds nothing either
+        assert log.read_bytes() == wire.encode_frame(FULFILL, fulfil[: -len(wire.encode_value("dgt"))])
+        reopened = DemandStore(log_path=str(log))
+        assert reopened.deposit_key(sig.key()).value == 6
+        reopened.close()
 
 
 class HugeUtf8(str):
