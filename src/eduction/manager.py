@@ -16,17 +16,17 @@ migrates live state, redelivery of leased demands is the store's job.
 
 Commands are serialized by one lock (a single logical command queue);
 heartbeats only touch timestamps and take a separate lock so a slow
-allocation cannot mask a live node.  Every state-changing command is
-appended to a JSON-lines event log when a path is given, and replayed on
-construction, so a restarted manager still knows its topology.  Replay
-restores records, not processes: tiers on remote nodes keep running and
-stay RUNNING; whether they still answer is the next command's problem.
+allocation cannot mask a live node.  When a path is given, every
+state-changing command is appended to an event log, a ``Journal`` of
+SYSTEM frames (the op byte, then the SYSTEM JSON body with a ``ts``), and
+replayed on construction, so a restarted manager still knows its
+topology.  Replay restores records, not processes: tiers on remote nodes
+keep running and stay RUNNING; whether they still answer is the next
+command's problem.
 """
 from __future__ import annotations
 
 import enum
-import json
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -34,13 +34,15 @@ from typing import Callable, Optional
 
 from .errors import EductionError
 from . import wire
-from .store import DemandStore
+from .store import DemandStore, Journal
 from .transport import (
     InProcAgent,
     TcpAgent,
     TcpServer,
     connect_store,
+    decode_system_payload,
     dispatch_system_request,
+    encode_system_reply,
     serve_store,
     split_host_port,
     system_request,
@@ -265,19 +267,20 @@ class LocalNodeAgent:
                     return t.store
         return None
 
-    def stop_tier(self, tier_id: str) -> bool:
+    def stop_tier(self, tier_id: str) -> list:
+        """Stop a tier; return the ids of every tier stopped, in stop order (none if it is not here)."""
         with self._lock:
             tier = self._tiers.pop(tier_id, None)
+            if tier is None:
+                return []
             bound = []  # the workers that claim on a DST's store in-process leave with it, ending before it closes
             if isinstance(tier, DstTier):
                 bound = [tid for tid, t in self._tiers.items() if isinstance(t, DwtTier) and t.local_store is tier.store]
                 bound = [self._tiers.pop(tid) for tid in bound]
-        if tier is None:
-            return False
         for t in bound:
             t.stop()
         tier.stop()
-        return True
+        return [t.tier_id for t in bound] + [tier_id]
 
     def list_tiers(self) -> dict:
         with self._lock:
@@ -323,7 +326,7 @@ class TcpNodeAgent:
         body = {"tier_id": tier_id, "kind": kind, "config": config}
         return system_request(self._agent, SystemOp.ALLOCATE, body)["details"]
 
-    def stop_tier(self, tier_id: str) -> bool:
+    def stop_tier(self, tier_id: str) -> list:
         return system_request(self._agent, SystemOp.DEALLOCATE, {"tier_id": tier_id})["stopped"]
 
     def list_tiers(self) -> dict:
@@ -371,9 +374,7 @@ class Manager:
         self._tiers: dict[str, TierRecord] = {}
         self._next_node = 1
         self._next_tier = 1
-        self._log = None
-        if log_path is not None:
-            self._open_log(log_path)
+        self._log = None if log_path is None else Journal(log_path, self._replay)
 
     # -- registry ----------------------------------------------------------
 
@@ -385,22 +386,16 @@ class Manager:
             node_id = self._next_node
             self._next_node += 1
             self._nodes[node_id] = NodeRecord(node_id, address, self._clock(), agent)
-            self._log_event({"ev": "register", "node_id": node_id, "address": address})
+            self._log_event(SystemOp.REGISTER_NODE, {"node_id": node_id, "address": address})
             return node_id
 
     def heartbeat(self, node_id: int) -> NodeStatus:
         with self._hb:
-            rec = self._nodes.get(node_id)
-            if rec is None:
-                raise NodeUnknown(f"node {node_id}")
-            rec.last_heartbeat = self._clock()
+            self._node(node_id, must_be_alive=False).last_heartbeat = self._clock()
         return NodeStatus.ALIVE
 
     def node_status(self, node_id: int) -> NodeStatus:
-        rec = self._nodes.get(node_id)
-        if rec is None:
-            raise NodeUnknown(f"node {node_id}")
-        return self._status_of(rec)
+        return self._status_of(self._node(node_id, must_be_alive=False))
 
     def _status_of(self, rec: NodeRecord) -> NodeStatus:
         age = self._clock() - rec.last_heartbeat
@@ -444,7 +439,7 @@ class Manager:
             tier.details = self._agent_of(rec).start_tier(tier_id, kind, config)
             tier.state = TierState.RUNNING
             self._log_event(
-                {"ev": "alloc", "tier_id": tier_id, "node_id": node_id, "kind": kind, "config": tier.config}
+                SystemOp.ALLOCATE, {"tier_id": tier_id, "node_id": node_id, "kind": kind, "config": tier.config}
             )
             return tier
 
@@ -457,11 +452,14 @@ class Manager:
                 return False  # idempotent
             node = self._nodes[tier.node_id]
             try:
-                self._agent_of(node).stop_tier(tier_id)
+                stopped = self._agent_of(node).stop_tier(tier_id)
             except EductionError:
-                pass  # node gone; the record is authoritative
-            tier.state = TierState.STOPPED
-            self._log_event({"ev": "dealloc", "tier_id": tier_id})
+                stopped = []  # node gone; the record is authoritative
+            for tid in dict.fromkeys(stopped + [tier_id]):  # the agent knows which workers left with their store
+                t = self._tiers.get(tid)
+                if t is not None and t.node_id == tier.node_id and t.state is TierState.RUNNING:
+                    t.state = TierState.STOPPED
+                    self._log_event(SystemOp.DEALLOCATE, {"tier_id": tid})
             return True
 
     def move(self, tier_id: str, dest_node_id: int) -> TierRecord:
@@ -500,56 +498,37 @@ class Manager:
 
     # -- event log ---------------------------------------------------------------
 
-    def _open_log(self, path: str):
-        if os.path.exists(path):
-            with open(path, "rb") as f:
-                data = f.read()
-            good_end = 0
-            for line in data.split(b"\n")[:-1]:  # the last piece is empty, or a torn write
-                try:
-                    if line.strip():
-                        self._replay(json.loads(line))
-                except (KeyError, TypeError, ValueError):
-                    break  # stop at the first torn or corrupt record; truncate below
-                good_end += len(line) + 1
-            if good_end != len(data):
-                import logging  # only a damaged log needs it
-
-                logging.getLogger(__name__).warning(
-                    "manager log %s: dropping %d bytes of torn or corrupt tail", path, len(data) - good_end
+    def _replay(self, msg_type: wire.MsgType, payload: bytes):
+        """Apply one logged event; a record that decodes but is not a whole event ends the log."""
+        op, ev = decode_system_payload(payload) if msg_type is wire.MsgType.SYSTEM else (None, {})
+        try:
+            if op == SystemOp.REGISTER_NODE:
+                node_id = int(ev["node_id"])
+                self._nodes[node_id] = NodeRecord(node_id, ev["address"], self._clock())
+                self._next_node = max(self._next_node, node_id + 1)
+            elif op == SystemOp.ALLOCATE:
+                tier_id = ev["tier_id"]
+                self._tiers[tier_id] = TierRecord(
+                    tier_id, ev["kind"], int(ev["node_id"]), dict(ev["config"]), TierState.RUNNING
                 )
-                with open(path, "r+b") as f:
-                    f.truncate(good_end)
-        self._log = open(path, "a", encoding="utf-8")
+                self._next_tier = max(self._next_tier, int(tier_id[1:]) + 1)
+            elif op == SystemOp.DEALLOCATE:
+                tier = self._tiers.get(ev["tier_id"])
+                if tier is not None:
+                    tier.state = TierState.STOPPED
+            else:
+                raise ValueError(f"{msg_type.name} op {op} is no manager event")
+        except (KeyError, TypeError, ValueError) as e:
+            raise wire.MalformedEncoding(f"manager log record: {e!r}") from None
 
-    def _replay(self, ev: dict):
-        kind = ev["ev"]
-        if kind == "register":
-            node_id = int(ev["node_id"])
-            self._nodes[node_id] = NodeRecord(node_id, ev["address"], self._clock())
-            self._next_node = max(self._next_node, node_id + 1)
-        elif kind == "alloc":
-            tier_id = ev["tier_id"]
-            self._tiers[tier_id] = TierRecord(
-                tier_id, ev["kind"], int(ev["node_id"]), dict(ev["config"]), TierState.RUNNING
-            )
-            self._next_tier = max(self._next_tier, int(tier_id[1:]) + 1)
-        elif kind == "dealloc":
-            tier = self._tiers.get(ev["tier_id"])
-            if tier is not None:
-                tier.state = TierState.STOPPED
-        # any other kind (an older log's "move") carries no state of its own
-
-    def _log_event(self, ev: dict):
+    def _log_event(self, op: SystemOp, ev: dict):
         if self._log is not None:
-            ev = dict(ev, ts=time.time())
-            self._log.write(json.dumps(ev, sort_keys=True) + "\n")
-            self._log.flush()
+            self._log.append(wire.MsgType.SYSTEM, bytes([op]) + encode_system_reply(dict(ev, ts=time.time())))
 
     def close(self):
+        """Close the event log (a command it would record raises ``StoreClosed`` after this) and the node agents."""
         if self._log is not None:
             self._log.close()
-            self._log = None
         for rec in self._nodes.values():
             if isinstance(rec.agent, TcpNodeAgent):
                 rec.agent.close()

@@ -25,11 +25,12 @@ can take every queued entry, so one wakeup per entry is enough; the store
 is the one place that decides what is claimable.  A blocked claim also
 wakes when the earliest lease expires, so a worker picks up queued or
 redelivered work as soon as it is due and never polls.  When a log path
-is given, procedural deposits, fulfills and resource puts are appended as
-wire frames and replayed on startup, so a restart recovers the warehouse
-and re-queues whatever was in flight.  A record is appended before the
-change it records is made, and after ``close`` every change the log would
-record raises ``StoreClosed``.
+is given, procedural deposits, fulfills and resource puts are appended to
+a ``Journal`` of wire frames and replayed on startup, so a restart
+recovers the warehouse and re-queues whatever was in flight.  A record is
+appended before the change it records is made, and after ``close`` every
+change the log would record raises ``StoreClosed``.  The manager keeps its
+event log in a ``Journal`` too.
 
 Each operation that names a signature has a keyed form
 (``deposit_key``, ``fulfill_key``, ``fetch_key``, ``await_key``), which
@@ -92,6 +93,54 @@ class Timeout(EductionError):
 
 class StoreClosed(EductionError):
     pass
+
+
+class NotAJournal(EductionError):
+    pass
+
+
+class Journal:
+    """An append-only file of wire frames: the store's log, and the manager's.
+
+    Opening replays each whole frame through ``replay(msg_type, payload)``
+    and cuts the file, with one WARNING, at the first frame that is torn or
+    corrupt or that ``replay`` refuses with an ``EductionError``.  A non-empty
+    file that does not begin as a frame does is refused and left as it is.
+    ``append`` writes and flushes one frame; after ``close`` it raises
+    ``StoreClosed``.
+    """
+
+    def __init__(self, path: str, replay: Callable[[MsgType, bytes], None]):
+        if os.path.exists(path):
+            with open(path, "rb") as f:
+                data = f.read()
+            if not wire.MAGIC.startswith(data[: len(wire.MAGIC)]):
+                raise NotAJournal(f"{path} is not a journal: it starts with {data[:len(wire.MAGIC)]!r}")
+            good_end = 0
+            try:
+                for msg_type, payload, end in wire.iter_frames(data):
+                    replay(msg_type, payload)
+                    good_end = end
+            except EductionError:
+                pass  # the first torn or corrupt record ends the log
+            if good_end != len(data):
+                import logging  # only a damaged log needs it; a node start would pay for it
+
+                logging.getLogger(__name__).warning(
+                    "journal %s: dropping %d bytes of torn or corrupt tail", path, len(data) - good_end
+                )
+                with open(path, "r+b") as f:
+                    f.truncate(good_end)
+        self._file = open(path, "ab")
+
+    def append(self, msg_type: MsgType, payload: bytes) -> None:
+        if self._file.closed:
+            raise StoreClosed("the journal is closed")
+        self._file.write(wire.encode_frame(msg_type, payload))
+        self._file.flush()
+
+    def close(self) -> None:
+        self._file.close()
 
 
 class DepositStatus(enum.Enum):
@@ -174,7 +223,9 @@ class DemandStore:
         self._log = None
         if log_path is not None:
             with self._lock:  # replay enqueues, and notifying needs the lock
-                self._open_log(log_path)
+                self._log = Journal(log_path, self._replay)
+                for key in self._work:  # queue only what the log left unfulfilled
+                    self._enqueue(key)
 
     # -- time ------------------------------------------------------------
 
@@ -214,7 +265,7 @@ class DemandStore:
             if key in self._work:
                 return DepositOutcome(DepositStatus.DUPLICATE_PENDING)
             if self._log is not None:
-                self._append_log(MsgType.DEPOSIT, key + b"\x00\x00")  # the demand: PENDING, no result
+                self._log.append(MsgType.DEPOSIT, key + b"\x00\x00")  # the demand: PENDING, no result
             self._work[key] = (queue(), self.now())
             self._enqueue(key)
             return ENQUEUED
@@ -278,7 +329,7 @@ class DemandStore:
                 if lease is None or lease.worker_id != worker_id:
                     raise NotClaimed(f"{_named(key)} is not claimed by {worker_id!r}")
             if self._log is not None:
-                self._append_log(MsgType.FULFILL, record or key + wire.encode_value(value))
+                self._log.append(MsgType.FULFILL, record or key + wire.encode_value(value))
             self._results[key] = value
             if procedural:  # only queued work can be awaited
                 del self._leases[key]
@@ -354,7 +405,7 @@ class DemandStore:
             if self._resources.get(program_id) == data:
                 return  # idempotent re-put
             if self._log is not None:
-                self._append_log(
+                self._log.append(
                     MsgType.RESOURCE_PUT,
                     wire.encode_value(program_id) + len(data).to_bytes(4, "big") + data,
                 )
@@ -384,30 +435,6 @@ class DemandStore:
 
     # -- persistence ---------------------------------------------------------
 
-    def _open_log(self, path: str):
-        good_end = 0
-        if os.path.exists(path):
-            with open(path, "rb") as f:
-                data = f.read()
-            try:
-                for msg_type, payload, end in wire.iter_frames(data):
-                    self._replay(msg_type, payload)
-                    good_end = end
-            except EductionError:
-                pass  # stop at the first corrupt record; truncate below
-            for key in self._work:  # queue only what the log left unfulfilled
-                self._enqueue(key)
-            if good_end != len(data):
-                import logging  # only a damaged log needs it; a node start would pay for it
-
-                dropped = len(data) - good_end
-                logging.getLogger(__name__).warning(
-                    "store log %s: dropping %d bytes of torn or corrupt tail", path, dropped
-                )
-                with open(path, "r+b") as f:
-                    f.truncate(good_end)
-        self._log = open(path, "ab")
-
     def _replay(self, msg_type: MsgType, payload: bytes):
         if msg_type is MsgType.DEPOSIT:
             sig = wire.decode_demand(payload).signature
@@ -430,13 +457,6 @@ class DemandStore:
             self._resources[program_id] = r.take(n)
             r.expect_done()
         # other frame types never appear in the log
-
-    def _append_log(self, msg_type: MsgType, payload: bytes):
-        """Append one record, before the change it records is made: a closed log refuses it."""
-        if self._log.closed:
-            raise StoreClosed("the store's log is closed")
-        self._log.write(wire.encode_frame(msg_type, payload))
-        self._log.flush()
 
     def close(self):
         """Close the log; a change that the log would record raises ``StoreClosed`` after this."""

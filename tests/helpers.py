@@ -1,4 +1,4 @@
-"""Shared test machinery: deterministic random programs and values.
+"""Shared test machinery: deterministic random programs and values, and journal cuts.
 
 The program generator builds closed, analyzable programs by construction
 (every referenced identifier defined, every dimension declared, no Call
@@ -7,6 +7,8 @@ the tested artifact is a real Geer, not a hand-assembled one.
 """
 from __future__ import annotations
 
+import logging
+import os
 import random
 from typing import Tuple
 
@@ -14,7 +16,8 @@ from eduction import lang
 from eduction.errors import EductionError
 from eduction.evaluator import Evaluator, reference_eval
 from eduction.model import Context, make_context
-from eduction.store import DemandStore
+from eduction import wire
+from eduction.store import DemandStore, Journal
 
 DIMS = ("d", "e")
 IDENTS = ("x", "y", "z")
@@ -126,3 +129,36 @@ def outcomes_match(a: Tuple[str, object], b: Tuple[str, object], rel_tol: float 
 
         return math.isclose(va, vb, rel_tol=rel_tol, abs_tol=0.0) or (va == vb)
     return va == vb
+
+
+def assert_every_cut_replays_its_whole_records(path, caplog):
+    """Cut the journal at ``path`` at every byte offset and reopen it.
+
+    Reopening replays exactly the whole records before the cut, cuts the
+    file there, and warns once of the bytes it dropped; a record appended
+    after that replays too.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    frames = list(wire.iter_frames(data))
+    assert len(frames) >= 3
+    records = [(t, p) for t, p, _ in frames]
+    ends = [0] + [end for _, _, end in frames]
+    for cut in range(len(data) + 1):
+        whole = sum(1 for end in ends[1:] if end <= cut)
+        with open(path, "wb") as f:
+            f.write(data[:cut])
+        caplog.clear()
+        replayed = []
+        with caplog.at_level(logging.WARNING, logger="eduction.store"):
+            journal = Journal(path, lambda t, p: replayed.append((t, p)))
+        assert replayed == records[:whole], cut
+        assert os.path.getsize(path) == ends[whole], cut
+        dropped = cut - ends[whole]
+        warned = [f"journal {path}: dropping {dropped} bytes of torn or corrupt tail"] if dropped else []
+        assert [r.getMessage() for r in caplog.records] == warned, cut
+        journal.append(*records[-1])
+        journal.close()
+        replayed = []
+        Journal(path, lambda t, p: replayed.append((t, p))).close()
+        assert replayed == records[:whole] + records[-1:], cut

@@ -1,5 +1,4 @@
 """The eduction executable, driven through main()."""
-import json
 import re
 import threading
 
@@ -8,6 +7,8 @@ import pytest
 from eduction import wire
 from eduction.cli import format_value, main
 from eduction.lang import compile_source
+from eduction.manager import SystemOp
+from eduction.transport import decode_system_payload
 
 FACT_SRC = (
     "fact where dimension d; "
@@ -202,13 +203,15 @@ class TestNodeCommand:
         assert ":DST" in out and ":DWT" in out
 
     def test_manager_allocates_the_tiers(self, tmp_path, capsys):
-        log = tmp_path / "gmt.jsonl"
+        log = tmp_path / "gmt.log"
         args = ["node", "start", "--tiers", "gmt,dst,dwt", "--gmt-port", "0", "--dst-port", "0", "--run-ms", "50"]
         assert main(args + ["--log", str(log)]) == 0
         out = capsys.readouterr().out
         assert re.fullmatch(r"node 127\.0\.0\.1:\d+ tiers=gmt:127\.0\.0\.1:\d+,t1:DST,t2:DWT\n", out), out
-        events = [json.loads(line) for line in log.read_text().splitlines()]
-        assert [(e["ev"], e.get("kind")) for e in events] == [("register", None), ("alloc", "DST"), ("alloc", "DWT")]
+        events = [decode_system_payload(p) for _, p, _ in wire.iter_frames(log.read_bytes())]
+        assert [(op, ev.get("kind")) for op, ev in events] == [
+            (SystemOp.REGISTER_NODE, None), (SystemOp.ALLOCATE, "DST"), (SystemOp.ALLOCATE, "DWT")
+        ]
 
     def test_config_log_path_reaches_the_store(self, tmp_path, capsys):
         log = tmp_path / "store.log"

@@ -26,17 +26,21 @@ from eduction.manager import (
     serve_node_agent,
 )
 from eduction.model import DemandKind, DemandSignature, EMPTY_CONTEXT, pending_demand
-from eduction.store import NotFound
+from eduction.store import NotAJournal, NotFound
 from eduction.transport import (
     InProcAgent,
     StoreClient,
     TcpAgent,
     TransportUnreachable,
     connect_store,
+    decode_system_payload,
     dispatch_system_request,
+    encode_system_reply,
     system_request,
 )
-from eduction.wire import MalformedEncoding, MsgType
+from eduction.wire import MalformedEncoding, MsgType, encode_frame, iter_frames
+
+from helpers import assert_every_cut_replays_its_whole_records
 
 
 class FakeClock:
@@ -239,7 +243,7 @@ class TestMove:
 
 class TestEventLog:
     def test_replay_restores_records(self, new_agent, tmp_path):
-        log = str(tmp_path / "gmt.jsonl")
+        log = str(tmp_path / "gmt.log")
         mgr, clock = make_mgr(log_path=log)
         nid = mgr.register_node("n:1", agent=new_agent())
         dst = mgr.allocate(nid, "DST", {})
@@ -260,52 +264,45 @@ class TestEventLog:
         assert nid2 == 2
         mgr2.close()
 
-    def test_log_lines_are_json(self, new_agent, tmp_path):
-        log = str(tmp_path / "gmt.jsonl")
+    def test_log_records_are_system_frames(self, new_agent, tmp_path):
+        log = str(tmp_path / "gmt.log")
         mgr, _ = make_mgr(log_path=log)
         nid = mgr.register_node("n:1", agent=new_agent())
         mgr.allocate(nid, "DST", {})
         mgr.close()
-        with open(log) as f:
-            events = [json.loads(line) for line in f]
-        assert [e["ev"] for e in events] == ["register", "alloc"]
-        assert all("ts" in e for e in events)
-        # keys are sorted inside each record
-        with open(log) as f:
-            for line in f:
-                obj = json.loads(line)
-                assert list(obj) == sorted(obj)
+        with open(log, "rb") as f:
+            frames = list(iter_frames(f.read()))
+        assert [t for t, _, _ in frames] == [MsgType.SYSTEM, MsgType.SYSTEM]
+        events = [decode_system_payload(p) for _, p, _ in frames]
+        assert [op for op, _ in events] == [SystemOp.REGISTER_NODE, SystemOp.ALLOCATE]
+        assert events[0][1]["address"] == "n:1"
+        assert all("ts" in ev for _, ev in events)
+        # each body is the SYSTEM JSON codec's: keys sorted inside each record
+        for _, payload, _ in frames:
+            raw = payload[5:].decode("utf-8")
+            assert raw == json.dumps(json.loads(raw), sort_keys=True)
 
     def test_move_is_logged_as_its_dealloc_and_alloc(self, new_agent, tmp_path):
-        log = str(tmp_path / "gmt.jsonl")
+        log = str(tmp_path / "gmt.log")
         mgr, _ = make_mgr(log_path=log)
         n1 = mgr.register_node("n:1", agent=new_agent())
         n2 = mgr.register_node("n:2", agent=new_agent())
         old = mgr.allocate(n1, "DST", {})
         new = mgr.move(old.tier_id, n2)
         mgr.close()
-        with open(log) as f:
-            lines = f.readlines()
-        assert [json.loads(line)["ev"] for line in lines] == ["register", "register", "alloc", "dealloc", "alloc"]
-
-        def replayed(path):
-            m = Manager(heartbeat_ms=1000, clock=FakeClock(), log_path=path)
-            report = m.status_report()
-            m.close()
-            return report
-
-        # a log written before moves stopped logging themselves holds a "move" line too
-        older = str(tmp_path / "older.jsonl")
-        move = {"ev": "move", "old": old.tier_id, "new": new.tier_id, "node_id": n2, "ts": 0.0}
-        with open(older, "w") as f:
-            f.writelines(lines + [json.dumps(move, sort_keys=True) + "\n"])
-        report = replayed(older)
-        assert report == replayed(log)
+        with open(log, "rb") as f:
+            ops = [decode_system_payload(p)[0] for _, p, _ in iter_frames(f.read())]
+        assert ops == [
+            SystemOp.REGISTER_NODE, SystemOp.REGISTER_NODE, SystemOp.ALLOCATE, SystemOp.DEALLOCATE, SystemOp.ALLOCATE
+        ]
+        m = Manager(heartbeat_ms=1000, clock=FakeClock(), log_path=log)
+        report = m.status_report()
+        m.close()
         assert report["tiers"][old.tier_id]["state"] == "STOPPED"
         assert report["tiers"][new.tier_id]["node_id"] == n2
 
     def test_torn_tail_stops_replay(self, new_agent, tmp_path, caplog):
-        log = str(tmp_path / "gmt.jsonl")
+        log = str(tmp_path / "gmt.log")
         mgr, _ = make_mgr(log_path=log)
         mgr.register_node("n:1", agent=new_agent())
         mgr.register_node("n:2", agent=new_agent())
@@ -317,7 +314,7 @@ class TestEventLog:
         mgr2 = Manager(heartbeat_ms=1000, clock=FakeClock(), log_path=log)
         assert [n["address"] for n in mgr2.status_report()["nodes"].values()] == ["n:1"]
         assert "dropping" in caplog.text
-        # the torn record is cut off, so the next event starts a line of its own
+        # the torn record is cut off, so the next event starts a frame of its own
         assert mgr2.register_node("n:3", agent=new_agent()) == 2
         mgr2.close()
         mgr3 = Manager(heartbeat_ms=1000, clock=FakeClock(), log_path=log)
@@ -326,16 +323,35 @@ class TestEventLog:
         mgr3.close()
 
     def test_corrupt_record_ends_the_log(self, new_agent, tmp_path):
-        log = tmp_path / "gmt.jsonl"
+        log = tmp_path / "gmt.log"
         mgr, _ = make_mgr(log_path=str(log))
         mgr.register_node("n:1", agent=new_agent())
         mgr.close()
         first = log.read_bytes()
-        log.write_bytes(first + b'{"ev": "register"}\n' + first.replace(b"n:1", b"n:2"))
+        # a record that decodes but lacks its fields ends the log, like a torn one
+        lacking = encode_frame(MsgType.SYSTEM, bytes([SystemOp.REGISTER_NODE]) + encode_system_reply({"ts": 0.0}))
+        log.write_bytes(first + lacking + first.replace(b"n:1", b"n:2"))
         mgr2 = Manager(heartbeat_ms=1000, clock=FakeClock(), log_path=str(log))
         assert [n["address"] for n in mgr2.status_report()["nodes"].values()] == ["n:1"]
         mgr2.close()
         assert log.read_bytes() == first
+
+    def test_every_cut_of_the_log_replays_its_whole_records(self, new_agent, tmp_path, caplog):
+        log = str(tmp_path / "gmt.log")
+        mgr, _ = make_mgr(log_path=log)
+        nid = mgr.register_node("n:1", agent=new_agent())
+        dgt = mgr.allocate(nid, "DGT", {})
+        mgr.deallocate(dgt.tier_id)
+        mgr.close()
+        assert_every_cut_replays_its_whole_records(log, caplog)
+
+    def test_a_json_lines_log_is_refused_untouched(self, tmp_path):
+        log = tmp_path / "gmt.jsonl"
+        old = b'{"address": "n:1", "ev": "register", "node_id": 1, "ts": 0.0}\n'
+        log.write_bytes(old)
+        with pytest.raises(NotAJournal, match=str(log)):
+            Manager(heartbeat_ms=1000, clock=FakeClock(), log_path=str(log))
+        assert log.read_bytes() == old
 
 
 class TestRemoteSurface:
@@ -601,6 +617,44 @@ class TestCoLocatedWorker:
         assert worker.summary is not None
         assert "dwt-1" not in agent.list_tiers()  # it left with its store
         assert not agent.stop_tier("dwt-1")
+
+    def test_stop_tier_returns_every_tier_it_stopped(self, new_agent):
+        agent = new_agent()
+        address = agent.start_tier("dst-1", "DST", {})["address"]
+        agent.start_tier("dwt-1", "DWT", {"store": address})
+        agent.start_tier("dgt-1", "DGT", {"store": address})
+        stop = node_ops(agent)[SystemOp.DEALLOCATE]
+        assert stop({"tier_id": "dst-1"}) == {"stopped": ["dwt-1", "dst-1"]}
+        assert stop({"tier_id": "dst-1"}) == {"stopped": []}
+        assert agent.stop_tier("dgt-1") == ["dgt-1"]
+
+    @pytest.mark.parametrize("over", ["in-process", "tcp"])
+    def test_deallocating_the_dst_stops_its_workers_in_the_manager(self, new_agent, tmp_path, over):
+        log = str(tmp_path / "gmt.log")
+        mgr, _ = make_mgr(log_path=log)
+        agent = new_agent()
+        server = serve_node_agent(agent) if over == "tcp" else None
+        try:
+            if server is None:
+                nid = mgr.register_node("n:1", agent=agent)
+            else:
+                nid = mgr.register_node(f"127.0.0.1:{server.port}")
+            dst = mgr.allocate(nid, "DST", {})
+            dwt = mgr.allocate(nid, "DWT", {"store": dst.details["address"]})
+            assert agent.tier(dwt.tier_id).local_store is agent.tier(dst.tier_id).store
+            assert mgr.deallocate(dst.tier_id) is True
+            assert agent.list_tiers() == {}
+            states = {tid: t["state"] for tid, t in mgr.status_report()["tiers"].items()}
+            assert states == {dst.tier_id: "STOPPED", dwt.tier_id: "STOPPED"}
+            assert mgr.deallocate(dwt.tier_id) is False  # already stopped, with its store
+        finally:
+            mgr.close()
+            if server is not None:
+                server.stop()
+        replayed = Manager(heartbeat_ms=1000, clock=FakeClock(), log_path=log)
+        states = {tid: t["state"] for tid, t in replayed.status_report()["tiers"].items()}
+        replayed.close()
+        assert states == {dst.tier_id: "STOPPED", dwt.tier_id: "STOPPED"}
 
 
 class TestGeneratorTier:

@@ -29,11 +29,14 @@ from eduction.store import (
     DemandStore,
     DepositStatus,
     NonFiniteValue,
+    NotAJournal,
     NotClaimed,
     NotFound,
     ProcedureFault,
     Timeout,
 )
+
+from helpers import assert_every_cut_replays_its_whole_records
 
 
 def isig(name="fact", **tags):
@@ -652,7 +655,7 @@ class TestPersistence:
         torn = size - 3 - os.path.getsize(log)
         assert torn > 0
         assert [r.getMessage() for r in caplog.records] == [
-            f"store log {log}: dropping {torn} bytes of torn or corrupt tail"
+            f"journal {log}: dropping {torn} bytes of torn or corrupt tail"
         ]
         assert s2.fetch(a) == (DemandState.COMPUTED, 1)
         # the torn trailing record is dropped: b's result never replays
@@ -822,7 +825,40 @@ class TestPersistence:
         assert os.path.getsize(log) == off_before_b
         [record] = caplog.records
         assert record.levelno == logging.WARNING
-        assert record.getMessage() == f"store log {log}: dropping {size - off_before_b} bytes of torn or corrupt tail"
+        assert record.getMessage() == f"journal {log}: dropping {size - off_before_b} bytes of torn or corrupt tail"
         assert s2.claim("w", 1000).signature == a
         assert s2.claim("w", 1000) is None
         s2.close()
+
+
+class TestJournal:
+    def test_every_cut_of_a_store_log_replays_its_whole_records(self, tmp_path, clock, caplog):
+        log = str(tmp_path / "store.log")
+        s = DemandStore(log_path=log, clock=clock)
+        s.deposit(pending_demand(qsig(1)))
+        s.deposit(pending_demand(qsig(2)))
+        s.claim("w", 1000)
+        s.fulfill(qsig(1), 1, "w")
+        s.fulfill(isig(d=1), 2.5, "dgt")
+        s.close()
+        assert_every_cut_replays_its_whole_records(log, caplog)
+
+    @pytest.mark.parametrize("junk", [b"not a log\n", b"GDMX" + bytes(20), b"\x00"], ids=["text", "bad-magic", "zero"])
+    def test_a_file_that_was_never_a_journal_is_refused_untouched(self, tmp_path, clock, junk):
+        log = tmp_path / "store.log"
+        log.write_bytes(junk)
+        with pytest.raises(NotAJournal, match=str(log)):
+            DemandStore(log_path=str(log), clock=clock)
+        assert log.read_bytes() == junk
+
+    def test_a_tear_inside_the_first_header_is_a_torn_tail(self, tmp_path, clock, caplog):
+        log = tmp_path / "store.log"
+        log.write_bytes(b"GD")
+        with caplog.at_level(logging.WARNING, logger="eduction.store"):
+            s = DemandStore(log_path=str(log), clock=clock)
+        assert [r.getMessage() for r in caplog.records] == [f"journal {log}: dropping 2 bytes of torn or corrupt tail"]
+        assert log.read_bytes() == b""
+        s.deposit(pending_demand(qsig(1)))
+        s.close()
+        assert [t for t, _, _ in wire.iter_frames(log.read_bytes())] == [wire.MsgType.DEPOSIT]
+
