@@ -24,9 +24,12 @@ carrying a 512-float FloatArray, the largest value the pipeline moves.
     inproc.deposit   one deposit round trip through the in-process carrier
     tcp.deposit      one deposit round trip over TCP to a ``serve_store``
                      running in this process
-    tcp.fib30_query  one cold ``fib@30`` query through ``Evaluator`` over
-                     that TCP store, per demand (31 a query): a deposit, and
-                     a fulfil written behind, each
+    store.fib30_query
+                     one cold ``fib@30`` query through ``Evaluator`` on a
+                     ``DemandStore``, per demand (31 a query): the engine
+                     and its keyed deposit and fulfil, with no carrier
+    tcp.fib30_query  the same query over that TCP store, per demand: a
+                     deposit, and a fulfil written behind, each
     tcp.gather160_deposit
                      one ``store.gather`` of 160 ``cls.classify`` signatures
                      over that TCP store, per demand; each is a warehouse
@@ -123,10 +126,13 @@ def rows() -> dict:
         payloads = [s.key() + wire.encode_value(832040) + wire.encode_value("generator") for s in fresh_sigs()]
         return [lambda p=p: dispatch_store_request(store, MsgType.FULFILL, p) for p in payloads]
 
-    def fib30_queries():
-        # a fresh program id per query keeps every one of them cold
-        geers = [replace(FIB, program_id=f"q{next(query_ids)}-fib") for _ in range(FIB_QUERIES)]
-        return [lambda g=g: Evaluator(g, tcp).eval_demand("fib", fib30) for g in geers]
+    def fib30_queries(on):
+        def batch():
+            # a fresh program id per query keeps every one of them cold
+            geers = [replace(FIB, program_id=f"q{next(query_ids)}-fib") for _ in range(FIB_QUERIES)]
+            return [lambda g=g: Evaluator(g, on).eval_demand("fib", fib30) for g in geers]
+
+        return batch
 
     query_ids = itertools.count()
     fib30 = make_context([("d", 30)])
@@ -164,10 +170,12 @@ def rows() -> dict:
             "dispatch.fulfill_us": dispatch_fulfills,
             "inproc.deposit_us": same(inproc.deposit, demand),
             "tcp.deposit_us": same(tcp.deposit, demand),
-            "tcp.fib30_query_us": fib30_queries,
+            "store.fib30_query_us": fib30_queries(store),
+            "tcp.fib30_query_us": fib30_queries(tcp),
             "tcp.gather160_deposit_us": lambda: [lambda: gather(tcp, classify_sigs, 10000)] * GATHERS,
         }
         out = timed(batches)
+        out["store.fib30_query_us"] /= FIB30_DEMANDS
         out["tcp.fib30_query_us"] /= FIB30_DEMANDS
         out["tcp.gather160_deposit_us"] /= GATHER_DEMANDS
         out["store.reopen_fulfil_us"] /= BATCH

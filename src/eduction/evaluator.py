@@ -10,8 +10,10 @@ The engine keeps its own demand stack.  Each identifier body runs as a
 generator that yields its sub-demands to one driver loop, which holds the
 stack, the cycle check and the depth bound, so a chain of demands as deep
 as ``max_depth`` needs no more Python recursion than one body does.  The
-local memo is keyed by ``(name, ctx.pairs)``; a signature is built and
-encoded only on a local miss, for the warehouse.
+local memo is keyed by ``(name, ctx.pairs)``.  A local miss goes to the
+warehouse by its signature's key (``deposit_key``, ``fulfill_key``): the
+identifier's ``wire.signature_head``, encoded on its first miss, then the
+encoded context, so no signature or ``Demand`` is built per demand.
 
 A cold intensional demand costs two store requests: a deposit that doubles
 as the warehouse lookup, then, once the value is computed, a fulfill.  The
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import EductionError
-from . import lang
+from . import lang, wire
 from .model import (
     Context,
     DemandKind,
@@ -180,6 +182,7 @@ class Evaluator:
         # intensional results keyed by (name, ctx.pairs), exact since tags are
         # Ints; procedural ones by signature bytes, so 0.0 and -0.0 stay apart
         self._local: dict = {}
+        self._heads: dict[str, bytes] = {}  # name -> wire.signature_head, encoded on a first local miss
         self._chain: dict[tuple, tuple[str, Context]] = {}  # demands being computed, outermost first
         self._computations = 0
 
@@ -213,12 +216,12 @@ class Evaluator:
     def _drive(self, name: str, ctx: Context) -> Value:
         """Run a demand and all its sub-demands on one explicit stack.
 
-        A frame is ``(key, signature, body)``, where ``body`` is the
+        A frame is ``(key, store key, body)``, where ``body`` is the
         identifier's ``_expr`` generator, suspended at the sub-demand it
         yielded.  A demand answered by the local memo or the warehouse sends
         its value straight back, so a warm query starts no body at all.
         """
-        local, chain, store = self._local, self._chain, self.store
+        local, chain, store, heads = self._local, self._chain, self.store, self._heads
         program_id, bodies, max_depth = self.geer.program_id, self.geer.dictionary, self.cfg.max_depth
         stack: list = []
         try:
@@ -232,20 +235,28 @@ class Evaluator:
                         raise CircularDemand(" -> ".join(f"{n}@{c}" for n, c in cycle))
                     if len(stack) >= max_depth:
                         raise DepthExceeded(f"demand depth exceeded {max_depth}")
-                    sig = None
+                    skey = None
                     if store is not None:
-                        sig = DemandSignature(program_id, name, ctx, DemandKind.INTENSIONAL)
-                        out = store.deposit(pending_demand(sig))
+                        # the key of DemandSignature(program_id, name, ctx), built from its parts
+                        try:
+                            head = heads.get(name)
+                            if head is None:
+                                head = heads[name] = wire.signature_head(program_id, name, DemandKind.INTENSIONAL)
+                            skey = head + wire.encode_context(ctx) + wire.NO_ARGS
+                        except EductionError:  # the wire cannot carry it: the signature form raises as it always has
+                            store.deposit(pending_demand(DemandSignature(program_id, name, ctx)))
+                            raise
+                        out = store.deposit_key(skey)
                         if out.status is DepositStatus.ALREADY_COMPUTED:
                             value = local[key] = out.value
                     if value is None:
                         chain[key] = (name, ctx)
                         self._computations += 1
-                        stack.append((key, sig, self._expr(bodies[name], ctx)))
+                        stack.append((key, skey, self._expr(bodies[name], ctx)))
                 # send `value` to the innermost body until it demands again;
                 # when the outermost body returns, its value is the answer
                 while stack:
-                    key, sig, body = stack[-1]
+                    key, skey, body = stack[-1]
                     try:
                         name, ctx = body.send(value)
                         break
@@ -254,7 +265,7 @@ class Evaluator:
                     stack.pop()
                     del chain[key]
                     if store is not None:
-                        store.fulfill(sig, value, GENERATOR_ID)
+                        store.fulfill_key(skey, value, GENERATOR_ID, False)
                 else:
                     return value
         finally:

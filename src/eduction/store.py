@@ -37,7 +37,9 @@ Each operation that names a signature has a keyed form
 the signature form calls with ``sig.key()``.  A DST passes the key bytes
 it received, and a fulfil's log record is the bytes it received, so it
 builds a signature only for a procedural demand it queues.  Replay reads
-a FULFILL's key the same way.
+a FULFILL's key the same way.  The engine deposits and fulfils an
+intensional demand by its key too, here and through a ``StoreClient``,
+which has the same ``deposit_key`` and ``fulfill_key``.
 """
 from __future__ import annotations
 

@@ -24,7 +24,9 @@ A request that names a signature is served from its bytes:
 ``wire.read_key`` checks the signature as the decoder does and gives the
 store its key, so no signature, context or demand is built.  A procedural
 deposit's signature is built from those bytes only when it is queued; a
-deposit that is not PENDING with no result is decoded in full.
+deposit that is not PENDING with no result is decoded in full.  A client
+sends the same frames from a key (``deposit_key``, ``fulfill_key``) as from
+a signature.
 
 Errors come back as ERR frames carrying two Str values: the error code
 (a class name from the store's error family) and a human-readable message.
@@ -41,8 +43,8 @@ an ERR is the last one sent, and every reply of it is read first, so the
 stream stays in step.  ``StoreClient.deposit_many`` is how ``store.gather``
 deposits a batch of procedural demands.
 
-Owed replies.  ``StoreClient.fulfill`` of an intensional signature posts
-its frame and owes the reply: a generator needs nothing from it but its
+Owed replies.  An intensional ``StoreClient.fulfill_key`` posts its frame
+and owes the reply: a generator needs nothing from it but its
 error.  Over TCP the owed frames go out in one write with the next request
 (the first write of a batch) and their replies are read first, so a cold
 intensional demand costs one round trip, its deposit.  Owed frames past
@@ -548,7 +550,14 @@ class StoreClient:
         self.agent = agent
 
     def deposit(self, d: Demand) -> DepositOutcome:
-        return _deposit_outcome(_reply(self.agent, MsgType.DEPOSIT, wire.encode_demand(d), MsgType.OK))
+        return self._deposit(wire.encode_demand(d))
+
+    def deposit_key(self, key: bytes) -> DepositOutcome:
+        """Deposit the PENDING demand whose signature has this key."""
+        return self._deposit(key + b"\x00\x00")  # the demand: PENDING, no result
+
+    def _deposit(self, payload: bytes) -> DepositOutcome:
+        return _deposit_outcome(_reply(self.agent, MsgType.DEPOSIT, payload, MsgType.OK))
 
     def deposit_many(self, demands) -> list:
         """``deposit`` each demand, in one write per ``RECV_BYTES`` of frames.
@@ -572,12 +581,15 @@ class StoreClient:
         raise wire.MalformedEncoding(f"bad claim reply {reply[:16]!r}")
 
     def fulfill(self, sig: DemandSignature, value: Value, worker_id: str) -> None:
-        """Store ``value``; an intensional fulfil is written behind (see the module docstring)."""
-        payload = wire.encode_signature(sig) + wire.encode_value(value) + wire.encode_value(worker_id)
-        if sig.kind is DemandKind.INTENSIONAL:
-            self.agent.post(MsgType.FULFILL, payload)
-        else:
+        self.fulfill_key(sig.key(), value, worker_id, sig.kind is not DemandKind.INTENSIONAL)
+
+    def fulfill_key(self, key: bytes, value: Value, worker_id: str, procedural: bool) -> None:
+        """Store ``value`` under the signature key ``key``; an intensional fulfil is written behind."""
+        payload = key + wire.encode_value(value) + wire.encode_value(worker_id)
+        if procedural:
             _reply(self.agent, MsgType.FULFILL, payload, MsgType.OK)
+        else:
+            self.agent.post(MsgType.FULFILL, payload)
 
     def sync(self) -> None:
         """Settle every owed reply; an owed ERR raises here."""

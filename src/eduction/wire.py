@@ -12,7 +12,8 @@ A signature is encoded once, by the process that builds it
 carries a signature reuse those bytes.  A decoded signature keeps the bytes
 it was read from as its key, so a server never re-encodes what it received.
 That is sound only because decoding is canonical: the decoders accept no
-input that the encoder would not have produced byte for byte.
+input that the encoder would not have produced byte for byte.  The engine
+builds an intensional key from its parts, starting with ``signature_head``.
 
 Each shape has one encoder and one decoder.  The decoder of a value,
 context, signature or demand is a ``_<shape>_at(data, pos)`` that reads at
@@ -379,15 +380,17 @@ def encode_signature(sig: DemandSignature) -> bytes:
     return sig.key()
 
 
+def signature_head(program_id: str, name: str, kind: DemandKind) -> bytes:
+    """A signature key's first fields, one per identifier: an intensional key is this, the context and ``NO_ARGS``."""
+    return encode_value(program_id) + encode_value(name) + bytes((kind,))
+
+
+NO_ARGS = _U32.pack(0)  # an intensional signature's argument count
+
+
 def _encode_signature(sig: DemandSignature) -> bytes:
     """Field-by-field encoding; only ``DemandSignature.key`` calls it."""
-    out = [
-        encode_value(sig.program_id),
-        encode_value(sig.name),
-        bytes((sig.kind,)),
-        encode_context(sig.context),
-        _U32.pack(len(sig.args)),
-    ]
+    out = [signature_head(sig.program_id, sig.name, sig.kind), encode_context(sig.context), _U32.pack(len(sig.args))]
     out.extend(map(encode_value, sig.args))
     return b"".join(out)
 

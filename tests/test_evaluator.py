@@ -11,10 +11,12 @@ import threading
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import eduction
-from eduction import lang, pipeline as P
+from eduction import lang, pipeline as P, wire
 from eduction.evaluator import (
+    GENERATOR_ID,
     CircularDemand,
     DepthExceeded,
     DivisionByZero,
@@ -27,9 +29,21 @@ from eduction.evaluator import (
     reference_eval,
 )
 from eduction.lang import compile_source
-from eduction.model import EMPTY_CONTEXT, DemandKind, make_context
+from eduction.model import (
+    EMPTY_CONTEXT,
+    INT64_MAX,
+    INT64_MIN,
+    IDENTIFIER,
+    DemandKind,
+    DemandSignature,
+    MalformedDemand,
+    MalformedValue,
+    make_context,
+    pending_demand,
+)
 from eduction.store import DemandStore
-from eduction.transport import connect_store, serve_store
+from eduction.transport import InProcAgent, StoreClient, connect_store, dispatch_store_request, serve_store
+from eduction.wire import MsgType
 from eduction.worker import ProcedureRegistry, StoreUnreachable, Worker, WorkerConfig, build_demo_registry
 
 FACT = compile_source(
@@ -353,6 +367,101 @@ class TestWarehouse:
         assert ev.eval_demand("fact", ctx(d=4)) == 24
         # d=4 reuses d<=3: exactly one extra computation
         assert ev.computation_counter() == 5
+
+
+class KeyLog(DemandStore):
+    """A DemandStore that records the key of every keyed deposit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.keys = []
+
+    def deposit_key(self, key, queue=None):
+        self.keys.append(key)
+        return super().deposit_key(key, queue)
+
+
+def fib_sig(n):
+    return DemandSignature(FIB.program_id, "fib", ctx(d=n), DemandKind.INTENSIONAL)
+
+
+FIB_VALUES = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
+
+
+class TestKeyedStoreTraffic:
+    """The engine deposits and fulfils by key bytes: each key, request and
+    log record is what a signature of the demand encodes to."""
+
+    names = st.from_regex(IDENTIFIER, fullmatch=True).filter(lambda n: len(n) <= 12)
+    tags = st.one_of(st.sampled_from([INT64_MIN, INT64_MAX, 0, -1]), st.integers(INT64_MIN, INT64_MAX))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        program_id=st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+        name=names,
+        pairs=st.dictionaries(names, tags, max_size=3),
+    )
+    def test_key_is_the_signatures(self, program_id, name, pairs):
+        geer = lang.Geer(program_id, frozenset(pairs), {name: lang.Literal(1)}, lang.Ident(name), b"")
+        context = make_context(pairs.items())
+        store = KeyLog()
+        ev = Evaluator(geer, store)
+        assert ev.eval_demand(name, context) == 1
+        ev.clear_cache()  # again from the warehouse, through the cached head
+        assert ev.eval_demand(name, context) == 1
+        key = DemandSignature(program_id, name, context, DemandKind.INTENSIONAL).key()
+        assert store.keys == [key, key]
+
+    def test_cold_fib_10_sends_the_frames_a_signature_encodes_to(self):
+        backing = DemandStore()
+        sent = []
+
+        def handler(msg_type, payload):
+            sent.append((msg_type, payload))
+            return dispatch_store_request(backing, msg_type, payload)
+
+        assert Evaluator(FIB, StoreClient(InProcAgent(handler))).eval_demand("fib", ctx(d=10)) == 55
+
+        def deposit(n):
+            return MsgType.DEPOSIT, wire.encode_demand(pending_demand(fib_sig(n)))
+
+        def fulfil(n):
+            payload = wire.encode_signature(fib_sig(n)) + wire.encode_value(FIB_VALUES[n])
+            return MsgType.FULFILL, payload + wire.encode_value(GENERATOR_ID)
+
+        # down the chain to fib@1, which demands nothing; fib@2 then demands fib@0
+        expected = [deposit(n) for n in range(10, 0, -1)] + [fulfil(1), deposit(0), fulfil(0)]
+        assert sent == expected + [fulfil(n) for n in range(2, 11)]
+
+    def test_log_records_are_what_a_signature_encodes_to(self, tmp_path):
+        path = tmp_path / "store.log"
+        store = DemandStore(str(path))
+        assert Evaluator(FIB, store).eval_demand("fib", ctx(d=10)) == 55
+        store.close()
+        order = [1, 0, *range(2, 11)]
+        records = [fib_sig(n).key() + wire.encode_value(FIB_VALUES[n]) for n in order]
+        assert path.read_bytes() == b"".join(wire.encode_frame(MsgType.FULFILL, r) for r in records)
+
+    @pytest.mark.parametrize(
+        "program_id, tag", [("p", 2**70), ("p\ud800", 1)], ids=["tag-past-i64", "lone-surrogate"]
+    )
+    @pytest.mark.parametrize(
+        "path, error", [("none", None), ("direct", MalformedDemand), ("inproc", MalformedValue)]
+    )
+    def test_a_demand_the_wire_cannot_carry_raises_as_it_did(self, program_id, tag, path, error):
+        backing = DemandStore()
+        store = {
+            "none": None,
+            "direct": backing,
+            "inproc": StoreClient(InProcAgent(lambda t, p: dispatch_store_request(backing, t, p))),
+        }[path]
+        ev = Evaluator(compile_source("x where dimension d; x = #.d; end", program_id), store)
+        if error is None:
+            assert ev.eval_demand("x", ctx(d=tag)) == tag
+        else:
+            with pytest.raises(error):
+                ev.eval_demand("x", ctx(d=tag))
+        assert backing.stats().deposits == 0  # refused before the store saw it
 
 
 class TestConcurrentGenerators:

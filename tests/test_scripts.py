@@ -19,6 +19,7 @@ BENCH_ROWS = {
     "dispatch.fulfill_us",
     "inproc.deposit_us",
     "tcp.deposit_us",
+    "store.fib30_query_us",
     "tcp.fib30_query_us",
     "tcp.gather160_deposit_us",
 }
