@@ -144,7 +144,10 @@ def make_context(pairs: Iterable[Tuple[str, int]] = ()) -> Context:
             raise BadDimensionName(repr(dim))
         if dim in seen:
             raise DuplicateDimension(dim)
-        seen[dim] = int(tag)
+        tag = int(tag)
+        if not INT64_MIN <= tag <= INT64_MAX:  # a tag is a wire Int
+            raise MalformedValue(f"int out of 64-bit range: {tag}")
+        seen[dim] = tag
     return Context(tuple(sorted(seen.items())))
 
 
@@ -189,9 +192,9 @@ class DemandSignature:
     def key(self) -> bytes:
         """Canonical byte encoding: signatures are equal iff keys are.
 
-        Encoded on first use and cached.  A signature decoded by
-        ``wire.read_signature`` already holds the bytes it was read from,
-        so it is never encoded again.
+        Encoded on first use and cached.  A signature that
+        ``wire.read_signature`` built (every decoder of a signature runs
+        it) holds the bytes it was read from, so it is never encoded.
         """
         cached = self.__dict__.get("_key")
         if cached is None:

@@ -36,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import struct
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -55,6 +56,7 @@ CLASSIFY_PROC = "cls.classify"
 DEFAULT_WINDOWS = 8
 DEFAULT_MODEL_ID = "speakers"
 TSET_MAGIC = b"TSET\x02"
+_SUBJECT = struct.Struct(">qQ")  # a subject id and its window count
 
 TRAIN_MODE = "train"
 CLASSIFY_MODE = "classify"
@@ -247,20 +249,22 @@ def encode_training_set(ts: TrainingSet) -> bytes:
 
 
 def decode_training_set(data: bytes) -> TrainingSet:
-    r = wire.Reader(data)
-    if r.take(5) != TSET_MAGIC:
+    return wire.decode_fields(data, _read_training_set)[0]
+
+
+def _read_training_set(data: bytes, pos: int):
+    if struct.unpack_from("5s", data, pos)[0] != TSET_MAGIC:
         raise wire.MalformedEncoding("bad training-set magic")
-    windows = r.u32() or None
+    windows, n_subjects = struct.unpack_from(">II", data, pos + 5)
+    pos += 13
     subjects = {}
-    for _ in range(r.u32()):
-        subject_id = int.from_bytes(r.take(8), "big", signed=True)
-        count = int.from_bytes(r.take(8), "big")
-        mean = wire.read_value(r)
+    for _ in range(n_subjects):
+        subject_id, count = _SUBJECT.unpack_from(data, pos)
+        mean, pos = wire.read_value(data, pos + 16)
         if not isinstance(mean, tuple):
             raise wire.MalformedEncoding("subject mean must be a FloatArray")
         subjects[subject_id] = (mean, count)
-    r.expect_done()
-    return TrainingSet(windows=windows, subjects=subjects)
+    return TrainingSet(windows=windows or None, subjects=subjects), pos
 
 
 # --- local mode --------------------------------------------------------------

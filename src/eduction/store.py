@@ -267,7 +267,7 @@ class DemandStore:
             if key in self._work:
                 return DepositOutcome(DepositStatus.DUPLICATE_PENDING)
             if self._log is not None:
-                self._log.append(MsgType.DEPOSIT, key + b"\x00\x00")  # the demand: PENDING, no result
+                self._log.append(MsgType.DEPOSIT, key + wire.PENDING)
             self._work[key] = (queue(), self.now())
             self._enqueue(key)
             return ENQUEUED
@@ -439,25 +439,20 @@ class DemandStore:
 
     def _replay(self, msg_type: MsgType, payload: bytes):
         if msg_type is MsgType.DEPOSIT:
-            sig = wire.decode_demand(payload).signature
-            key = sig.key()
-            queued = sig.kind is not DemandKind.INTENSIONAL  # older logs hold intensional ones too
+            (kind, key), tail = wire.decode_fields(payload, wire.read_key, wire.read_rest)
+            if tail != wire.PENDING:  # not as ``deposit_key`` logs it: checked in full
+                wire.decode_demand(payload)
+            queued = kind is not DemandKind.INTENSIONAL  # older logs hold intensional ones too
             if queued and key not in self._work and key not in self._results:
                 self._deposits += 1
-                self._work[key] = (sig, self.now())
+                self._work[key] = (wire.decode_signature(key), self.now())
         elif msg_type is MsgType.FULFILL:
-            r = wire.Reader(payload)
-            key = wire.read_key(r)[1]
-            value = wire.read_value(r)
-            r.expect_done()
+            (_, key), value = wire.decode_fields(payload, wire.read_key, wire.read_value)
             self._results.setdefault(key, value)
             self._work.pop(key, None)
         elif msg_type is MsgType.RESOURCE_PUT:
-            r = wire.Reader(payload)
-            program_id = wire.read_str(r)
-            n = r.u32()
-            self._resources[program_id] = r.take(n)
-            r.expect_done()
+            program_id, data = wire.decode_fields(payload, wire.read_str, wire.read_bytes)
+            self._resources[program_id] = data
         # other frame types never appear in the log
 
     def close(self):

@@ -20,11 +20,13 @@ Request payloads (replies in parentheses):
     STATS         empty                           (OK: seven 8-byte counters)
     SYSTEM        op byte, 4-byte length, JSON    (OK: 4-byte length, JSON; manager only)
 
-A request that names a signature is served from its bytes:
-``wire.read_key`` checks the signature as the decoder does and gives the
-store its key, so no signature, context or demand is built.  A procedural
-deposit's signature is built from those bytes only when it is queued; a
-deposit that is not PENDING with no result is decoded in full.  A client
+A request is read at offsets into its payload, field by field, by
+``wire.decode_fields``.  A request that names a signature is served from
+its bytes: ``wire.read_key`` scans the signature with every check
+``wire.read_signature`` makes and gives the store its kind and key, so no
+signature, context or demand is built.  A procedural deposit's signature
+is decoded from its key only when it is queued; a deposit that is not
+PENDING with no result is decoded in full.  A client
 sends the same frames from a key (``deposit_key``, ``fulfill_key``) as from
 a signature.
 
@@ -102,10 +104,7 @@ def _err_reply(code: str, message: str) -> Tuple[MsgType, bytes]:
 
 
 def _decode_err(payload: bytes) -> EductionError:
-    r = wire.Reader(payload)
-    code = wire.read_value(r)
-    message = wire.read_value(r)
-    r.expect_done()
+    code, message = wire.decode_fields(payload, wire.read_value, wire.read_value)
     return error_for_code(code, message)
 
 
@@ -124,25 +123,32 @@ def dispatch_store_request(store: DemandStore, msg_type: MsgType, payload: bytes
     return answer(_store_request, store, msg_type, payload)
 
 
+_STATUS_BYTE = {s: bytes((s.value,)) for s in DepositStatus}  # a DEPOSIT reply's first byte
+_DEPOSIT_STATUS = {b: s for s, b in _STATUS_BYTE.items()}
+
+
+def _read_fulfil_record(data: bytes, pos: int):
+    """A FULFILL's kind, key and value, and the bytes of the key and value: the log record as received."""
+    (kind, key), end = wire.read_key(data, pos)
+    value, end = wire.read_value(data, end)
+    return (kind, key, value, data[pos:end]), end
+
+
 def _store_request(store: DemandStore, msg_type: MsgType, payload: bytes) -> Tuple[MsgType, bytes]:
-    r = wire.Reader(payload)
     if msg_type is MsgType.DEPOSIT:
-        kind, key = wire.read_key(r)
-        if payload[r.pos :] != b"\x00\x00":  # not PENDING with no result: the full decoder or ``deposit`` refuses it
+        (kind, key), tail = wire.decode_fields(payload, wire.read_key, wire.read_rest)
+        if tail != wire.PENDING:  # not PENDING with no result: the full decoder or ``deposit`` refuses it
             out = store.deposit(wire.decode_demand(payload))
         elif kind is DemandKind.INTENSIONAL:
             out = store.deposit_key(key)
         else:  # built only when queued: a claim hands out the signature
-            out = store.deposit_key(key, lambda: wire.signature_of_key(kind, key))
-        body = bytes((out.status.value,))
+            out = store.deposit_key(key, lambda: wire.decode_signature(key))
+        body = _STATUS_BYTE[out.status]
         if out.status is DepositStatus.ALREADY_COMPUTED:
             body += wire.encode_value(out.value)
         return MsgType.OK, body
     if msg_type is MsgType.CLAIM:
-        worker = wire.read_str(r)
-        lease_ms = wire.read_int(r)
-        wait_ms = wire.read_int(r)
-        r.expect_done()
+        worker, lease_ms, wait_ms = wire.decode_fields(payload, wire.read_str, wire.read_int, wire.read_int)
         if not 0 <= wait_ms <= MAX_CLAIM_WAIT_MS:
             raise wire.MalformedEncoding(f"claim wait must be an Int from 0 to {MAX_CLAIM_WAIT_MS} ms")
         d = store.claim(worker, lease_ms, wait_ms)
@@ -150,40 +156,29 @@ def _store_request(store: DemandStore, msg_type: MsgType, payload: bytes) -> Tup
             return MsgType.CLAIM_REPLY, b"\x00"
         return MsgType.CLAIM_REPLY, b"\x01" + wire.encode_demand(d)
     if msg_type is MsgType.FULFILL:
-        kind, key = wire.read_key(r)
-        value = wire.read_value(r)
-        record = payload[: r.pos]  # the key and the encoded value: the log record as received
-        worker = wire.read_str(r)
-        r.expect_done()
+        (kind, key, value, record), worker = wire.decode_fields(payload, _read_fulfil_record, wire.read_str)
         store.fulfill_key(key, value, worker, kind is not DemandKind.INTENSIONAL, record)
         return MsgType.OK, b""
     if msg_type is MsgType.FETCH:
-        key = wire.read_key(r)[1]
-        r.expect_done()
+        key = wire.decode_fields(payload, wire.read_key)[0][1]
         state, value = store.fetch_key(key)
         body = bytes([int(state)])
         body += b"\x01" + wire.encode_value(value) if value is not None else b"\x00"
         return MsgType.FETCH_REPLY, body
     if msg_type is MsgType.AWAIT:
-        key = wire.read_key(r)[1]
-        timeout_ms = wire.read_int(r)
-        r.expect_done()
+        (_, key), timeout_ms = wire.decode_fields(payload, wire.read_key, wire.read_int)
         value = store.await_key(key, timeout_ms)
         return MsgType.OK, wire.encode_value(value)
     if msg_type is MsgType.RESOURCE_PUT:
-        program_id = wire.read_str(r)
-        n = r.u32()
-        data = r.take(n)
-        r.expect_done()
+        program_id, data = wire.decode_fields(payload, wire.read_str, wire.read_bytes)
         store.put_resource(program_id, data)
         return MsgType.OK, b""
     if msg_type is MsgType.RESOURCE_GET:
-        program_id = wire.read_str(r)
-        r.expect_done()
+        program_id = wire.decode_fields(payload, wire.read_str)[0]
         data = store.get_resource(program_id)
         return MsgType.OK, len(data).to_bytes(4, "big") + data
     if msg_type is MsgType.STATS:
-        r.expect_done()
+        wire.decode_fields(payload)  # no fields: anything sent is trailing
         s = store.stats()
         fields = (s.deposits, s.hits, s.misses, s.computed, s.pending, s.in_process, s.redeliveries)
         return MsgType.OK, struct.pack(">7Q", *fields)
@@ -522,7 +517,6 @@ def serve_store(store: DemandStore, host: str = "127.0.0.1", port: int = 0) -> T
 
 # --- client ----------------------------------------------------------------------
 
-_DEPOSIT_STATUS = {bytes((s.value,)): s for s in DepositStatus}  # a DEPOSIT reply's first byte
 _FETCH_STATE = {bytes((s,)): s for s in DemandState}  # a FETCH_REPLY's first byte
 
 
@@ -554,7 +548,7 @@ class StoreClient:
 
     def deposit_key(self, key: bytes) -> DepositOutcome:
         """Deposit the PENDING demand whose signature has this key."""
-        return self._deposit(key + b"\x00\x00")  # the demand: PENDING, no result
+        return self._deposit(key + wire.PENDING)
 
     def _deposit(self, payload: bytes) -> DepositOutcome:
         return _deposit_outcome(_reply(self.agent, MsgType.DEPOSIT, payload, MsgType.OK))
@@ -618,10 +612,7 @@ class StoreClient:
 
     def get_resource(self, program_id: str) -> bytes:
         reply = _reply(self.agent, MsgType.RESOURCE_GET, wire.encode_value(program_id), MsgType.OK)
-        r = wire.Reader(reply)
-        data = r.take(r.u32())
-        r.expect_done()
-        return data
+        return wire.decode_fields(reply, wire.read_bytes)[0]
 
     def stats(self) -> StoreStats:
         reply = _reply(self.agent, MsgType.STATS, b"", MsgType.OK)
@@ -650,12 +641,12 @@ def split_host_port(address: str, error: type, role: str) -> Tuple[str, int]:
 def system_request(agent, op: int, body: dict, timeout_s: Optional[float] = None) -> dict:
     """One SYSTEM round-trip carrying a JSON body; used by the manager tier."""
     reply = _reply(agent, MsgType.SYSTEM, bytes([op]) + encode_system_reply(body), MsgType.OK, timeout_s)
-    return _read_system_body(wire.Reader(reply))
+    return _system_body(wire.decode_fields(reply, wire.read_bytes)[0])
 
 
 def decode_system_payload(payload: bytes) -> Tuple[int, dict]:
-    r = wire.Reader(payload)
-    return r.u8(), _read_system_body(r)
+    op, raw = wire.decode_fields(payload, wire.read_u8, wire.read_bytes)
+    return op, _system_body(raw)
 
 
 def encode_system_reply(body: dict) -> bytes:
@@ -664,9 +655,7 @@ def encode_system_reply(body: dict) -> bytes:
     return len(raw).to_bytes(4, "big") + raw
 
 
-def _read_system_body(r: wire.Reader) -> dict:
-    raw = r.take(r.u32())
-    r.expect_done()
+def _system_body(raw: bytes) -> dict:
     try:
         body = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:

@@ -15,24 +15,29 @@ That is sound only because decoding is canonical: the decoders accept no
 input that the encoder would not have produced byte for byte.  The engine
 builds an intensional key from its parts, starting with ``signature_head``.
 
-Each shape has one encoder and one decoder.  The decoder of a value,
-context, signature or demand is a ``_<shape>_at(data, pos)`` that reads at
-offsets into its input and returns what it read and the offset past it:
-fixed-width fields come out of precompiled ``struct`` formats through
+Each shape has one reader, ``read_<shape>(data, pos)``: it reads the shape
+at an offset into its input and returns what it read and the offset past
+it.  Fixed-width fields come out of precompiled ``struct`` formats through
 ``unpack_from``, and kind, state and message-type bytes are looked up in
-tables built once.  ``read_<shape>`` runs it from a ``Reader``'s position,
-``decode_<shape>`` over a whole input.  Every check above still holds at
-every offset, and each raises the class it always has: truncation, a
-value of the wrong kind and a bad kind, state or presence byte
-``MalformedEncoding``; an unknown tag, a bad bool byte and invalid UTF-8
-``MalformedValue``.  Encoders dispatch on the value's type; a subclass
-(an ``IntEnum``, say) goes through ``value_kind``, bool ahead of int.
+tables built once.  ``decode_<shape>`` runs the reader over a whole input.
+The readers make no bounds check of their own: ``decode_fields``, which
+runs a row of readers over a whole input, is the one place where running
+off the end becomes ``MalformedEncoding("truncated input")`` and anything
+left over ``TrailingBytes``.  A row whose tail its caller reads ends with
+``read_rest``.  Every other check holds at every offset, and each raises
+the class it always has: a value of the wrong kind and a bad kind, state
+or presence byte ``MalformedEncoding``; an unknown tag, a bad bool byte
+and invalid UTF-8 ``MalformedValue``.  A value, context, signature and
+demand each have one encoder; a value's dispatches on its type, and a
+subclass (an ``IntEnum``, say) goes through ``value_kind``, bool ahead of
+int.
 
-A signature's checks live in one scan, ``_signature_end``, which builds
-nothing and passes a FloatArray over by its length; decoding a signature
-is that scan, then a build from the checked bytes.  ``read_key`` is the
-scan alone: the kind and key of a signature, for a store that needs no
-more.
+A signature is read in one pass, ``_signature_end``, which makes every
+check and hands its context pairs and arguments to a caller that asks for
+them.  ``read_signature`` builds from those, so each byte is checked once.
+``read_key`` asks for none: it builds nothing and passes a FloatArray over
+by its length, and gives the kind and key of a signature, for a store that
+needs no more.
 
 Value encoding: one tag byte, then the payload.
 
@@ -46,7 +51,8 @@ Value encoding: one tag byte, then the payload.
 Context: 4-byte pair count, then (Str dim, Int tag) value encodings in
 ascending dimension order.  Signature: Str program id, Str name, kind byte,
 context, 4-byte arg count, arg values.  Demand: signature, state byte,
-result presence byte (0x01 followed by the value when computed).
+result presence byte (0x01 followed by the value when computed).  Bytes
+(a resource, a JSON body): 4-byte length, then the bytes.
 
 Frame: magic ``GDMF``, version 0x01, message-type byte, 4-byte payload
 length, payload.  Payloads above 16 MiB are rejected.
@@ -113,32 +119,6 @@ class ProtocolError(EductionError):
     pass
 
 
-class Reader:
-    """Strict cursor over a byte string: the ``read_*`` functions move ``pos``."""
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if n < 0 or self.pos + n > len(self.data):
-            raise MalformedEncoding("truncated input")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u32(self) -> int:
-        return int.from_bytes(self.take(4), "big")
-
-    def expect_done(self):
-        _expect_end(self.data, self.pos)
-
-
 _U32 = struct.Struct(">I")
 _TAG_U32 = struct.Struct(">BI")  # a Str or FloatArray tag and its length
 _TAG_I64 = struct.Struct(">Bq")
@@ -149,33 +129,34 @@ _KINDS = {int(k): k for k in DemandKind}
 _STATES = {int(s): s for s in DemandState}
 
 
-def _expect_end(data: bytes, end: int):
-    if end != len(data):
-        raise TrailingBytes(f"{len(data) - end} trailing bytes")
+def decode_fields(data: bytes, *readers) -> list:
+    """Each of ``readers`` in turn, from the start of ``data`` to its end: what each read.
 
-
-def _decode(at, data: bytes):
-    """``at(data, 0)``, which must read all of ``data``.
-
-    The ``_*_at`` readers index and ``unpack_from`` with no bounds check of
-    their own: running off the end raises ``IndexError`` or ``struct.error``,
-    and here and in ``_cursor`` both become the one truncation error.
+    The ``read_<shape>`` readers index and ``unpack_from`` with no bounds
+    check of their own: running off the end raises ``IndexError`` or
+    ``struct.error``, and here both become the one truncation error.
     """
+    out = []
+    pos = 0
     try:
-        out, end = at(data, 0)
+        for read in readers:
+            field, pos = read(data, pos)
+            out.append(field)
     except (IndexError, struct.error):
         raise MalformedEncoding("truncated input") from None
-    _expect_end(data, end)
+    if pos != len(data):
+        raise TrailingBytes(f"{len(data) - pos} trailing bytes")
     return out
 
 
-def _cursor(at, r: Reader):
-    """``at`` from the cursor's position, which moves past what it read."""
-    try:
-        out, r.pos = at(r.data, r.pos)
-    except (IndexError, struct.error):
-        raise MalformedEncoding("truncated input") from None
-    return out
+def read_u8(data: bytes, pos: int):
+    """The byte at ``pos``, as an int, and the offset past it."""
+    return data[pos], pos + 1
+
+
+def read_rest(data: bytes, pos: int):
+    """Every byte from ``pos`` on, whatever they hold, and the end of ``data``."""
+    return data[pos:], len(data)
 
 
 # --- values --------------------------------------------------------------
@@ -245,13 +226,13 @@ def encode_value(v: Value) -> bytes:
     return encode(v)
 
 
-def _value_at(data: bytes, pos: int):
+def read_value(data: bytes, pos: int):
     """The value at ``pos`` and the offset past it."""
     tag = data[pos]
     if tag == 0x00:
         return _TAG_I64.unpack_from(data, pos)[1], pos + 9
     if tag == 0x03:
-        return _str_at(data, pos)
+        return read_str(data, pos)
     if tag == 0x01:
         return _TAG_F64.unpack_from(data, pos)[1], pos + 9
     if tag == 0x02:
@@ -263,8 +244,8 @@ def _value_at(data: bytes, pos: int):
         end = _floats_end(data, pos)
         return struct.unpack_from(f">{(end - pos - 5) >> 3}d", data, pos + 5), end
     if tag == 0x05:
-        code, pos = _str_at(data, pos + 1)
-        message, pos = _str_at(data, pos)
+        code, pos = read_str(data, pos + 1)
+        message, pos = read_str(data, pos)
         return Fault(code, message), pos
     raise MalformedValue(f"unknown value tag {tag:#04x}")
 
@@ -278,16 +259,16 @@ def _floats_end(data: bytes, pos: int) -> int:
 
 
 def _value_end(data: bytes, pos: int) -> int:
-    """The offset past the value at ``pos``, checked as ``_value_at`` checks it; a FloatArray is not unpacked."""
+    """The offset past the value at ``pos``, checked as ``read_value`` checks it; a FloatArray is not unpacked."""
     if data[pos] == 0x04:
         return _floats_end(data, pos)
-    return _value_at(data, pos)[1]
+    return read_value(data, pos)[1]
 
 
-def _str_at(data: bytes, pos: int):
+def read_str(data: bytes, pos: int):
     """The Str at ``pos`` and the offset past it; any other value is refused."""
     if data[pos] != 0x03:
-        _value_at(data, pos)  # a malformed value raises its own error first
+        read_value(data, pos)  # a malformed value raises its own error first
         raise MalformedEncoding("expected a Str value")
     start = pos + 5
     end = start + _TAG_U32.unpack_from(data, pos)[1]
@@ -299,33 +280,30 @@ def _str_at(data: bytes, pos: int):
         raise MalformedValue(str(e)) from None
 
 
-def _int_at(data: bytes, pos: int):
+def read_int(data: bytes, pos: int):
     """The Int at ``pos`` and the offset past it; any other value is refused."""
     if data[pos] != 0x00:
-        _value_at(data, pos)
+        read_value(data, pos)
         raise MalformedEncoding("expected an Int value")
     return _TAG_I64.unpack_from(data, pos)[1], pos + 9
 
 
-def read_value(r: Reader) -> Value:
-    return _cursor(_value_at, r)
+def read_bytes(data: bytes, pos: int):
+    """The bytes at ``pos``, a 4-byte length and then that many, and the offset past them."""
+    start = pos + 4
+    end = start + _U32.unpack_from(data, pos)[0]
+    if end > len(data):  # a slice past the end would not raise
+        raise MalformedEncoding("truncated input")
+    return data[start:end], end
 
 
 def decode_value(data: bytes) -> Value:
-    return _decode(_value_at, data)
+    return decode_fields(data, read_value)[0]
 
 
 def values_equal(a: Value, b: Value) -> bool:
     """Byte equality of canonical encodings (distinguishes 0.0 from -0.0)."""
     return encode_value(a) == encode_value(b)
-
-
-def read_str(r: Reader) -> str:
-    return _cursor(_str_at, r)
-
-
-def read_int(r: Reader) -> int:
-    return _cursor(_int_at, r)
 
 
 # --- contexts, signatures, demands ---------------------------------------
@@ -349,8 +327,8 @@ def _context_end(data: bytes, pos: int, add=None) -> int:
     pos += 4
     prev = ""  # below every identifier
     for _ in range(count):
-        dim, pos = _str_at(data, pos)
-        tag, pos = _int_at(data, pos)
+        dim, pos = read_str(data, pos)
+        tag, pos = read_int(data, pos)
         if not is_identifier(dim):
             raise MalformedEncoding(f"bad dimension name {dim!r}")
         if dim <= prev:
@@ -361,18 +339,14 @@ def _context_end(data: bytes, pos: int, add=None) -> int:
     return pos
 
 
-def _context_at(data: bytes, pos: int):
+def read_context(data: bytes, pos: int):
     pairs = []
     end = _context_end(data, pos, pairs.append)
     return Context(tuple(pairs)), end
 
 
-def read_context(r: Reader) -> Context:
-    return _cursor(_context_at, r)
-
-
 def decode_context(data: bytes) -> Context:
-    return _decode(_context_at, data)
+    return decode_fields(data, read_context)[0]
 
 
 def encode_signature(sig: DemandSignature) -> bytes:
@@ -386,6 +360,7 @@ def signature_head(program_id: str, name: str, kind: DemandKind) -> bytes:
 
 
 NO_ARGS = _U32.pack(0)  # an intensional signature's argument count
+PENDING = bytes((DemandState.PENDING, 0))  # a demand's state and presence bytes: PENDING, no result
 
 
 def _encode_signature(sig: DemandSignature) -> bytes:
@@ -395,77 +370,59 @@ def _encode_signature(sig: DemandSignature) -> bytes:
     return b"".join(out)
 
 
-def _signature_end(data: bytes, pos: int):
-    """The kind of the signature at ``pos`` and the offset past it.
+def _signature_end(data: bytes, pos: int, add_pair=None, add_arg=None):
+    """The program id, name and kind of the signature at ``pos``, and the offset past it.
 
     The one place a signature is checked: every check, in the order the
     fields are read, each raising its one class; a kind that carries the
-    other kind's context or arguments is ``MalformedEncoding``.  Nothing is
-    built, and a FloatArray argument is passed over by its length.
+    other kind's context or arguments is ``MalformedEncoding``.  ``add_pair``
+    gets each context pair and ``add_arg`` each argument, if given; without
+    ``add_arg`` a FloatArray argument is passed over by its length.
     """
-    pos = _str_at(data, pos)[1]  # program id
-    pos = _str_at(data, pos)[1]  # name
+    program_id, pos = read_str(data, pos)
+    name, pos = read_str(data, pos)
     kind = _KINDS.get(data[pos])
     if kind is None:
         raise MalformedEncoding(f"unknown demand kind {data[pos]:#04x}")
     bare = pos + 5  # where an empty context ends
-    pos = _context_end(data, pos + 1)
+    pos = _context_end(data, pos + 1, add_pair)
     has_context = pos != bare
     argc = _U32.unpack_from(data, pos)[0]
     pos += 4
     for _ in range(argc):
-        pos = _value_end(data, pos)
+        if add_arg is None:
+            pos = _value_end(data, pos)
+        else:
+            arg, pos = read_value(data, pos)
+            add_arg(arg)
     if kind is DemandKind.PROCEDURAL:
         if has_context:
             raise MalformedEncoding("procedural signatures carry no context")
     elif argc:
         raise MalformedEncoding(f"{kind.name} signatures carry no arguments")
-    return kind, pos
+    return program_id, name, kind, pos
 
 
-def _signature_from(data: bytes, pos: int, kind: DemandKind, end: int) -> DemandSignature:
-    """The signature at ``data[pos:end]``, which ``_signature_end`` accepted, built from its fields."""
-    program_id, p = _str_at(data, pos)
-    name, p = _str_at(data, p)
-    ctx, p = _context_at(data, p + 1)
-    argc = _U32.unpack_from(data, p)[0]
-    p += 4
-    args = []
-    for _ in range(argc):
-        arg, p = _value_at(data, p)
-        args.append(arg)
-    sig = DemandSignature(program_id, name, ctx, kind, args)
+def read_signature(data: bytes, pos: int):
+    pairs, args = [], []
+    program_id, name, kind, end = _signature_end(data, pos, pairs.append, args.append)
+    sig = DemandSignature(program_id, name, Context(tuple(pairs)), kind, args)
     # the bytes read are canonical, so they are the key: no re-encoding
     object.__setattr__(sig, "_key", bytes(data[pos:end]))
-    return sig
+    return sig, end
 
 
-def _signature_at(data: bytes, pos: int):
-    kind, end = _signature_end(data, pos)
-    return _signature_from(data, pos, kind, end), end
-
-
-def read_signature(r: Reader) -> DemandSignature:
-    return _cursor(_signature_at, r)
-
-
-def read_key(r: Reader) -> Tuple[DemandKind, bytes]:
-    """The kind and key of the signature at the cursor, checked as ``read_signature`` checks it.
+def read_key(data: bytes, pos: int):
+    """The kind and key of the signature at ``pos``, checked as ``read_signature`` checks it, and the offset past it.
 
     No signature is built: a store that needs only the key reads this.
     """
-    start = r.pos
-    kind = _cursor(_signature_end, r)
-    return kind, r.data[start : r.pos]
-
-
-def signature_of_key(kind: DemandKind, key: bytes) -> DemandSignature:
-    """The signature whose kind and key ``read_key`` gave, built from those bytes."""
-    return _signature_from(key, 0, kind, len(key))
+    _, _, kind, end = _signature_end(data, pos)
+    return (kind, data[pos:end]), end
 
 
 def decode_signature(data: bytes) -> DemandSignature:
-    return _decode(_signature_at, data)
+    return decode_fields(data, read_signature)[0]
 
 
 def encode_demand(d: Demand) -> bytes:
@@ -474,8 +431,8 @@ def encode_demand(d: Demand) -> bytes:
     return d.signature.key() + bytes((d.state, 1)) + encode_value(d.result)
 
 
-def _demand_at(data: bytes, pos: int):
-    sig, pos = _signature_at(data, pos)
+def read_demand(data: bytes, pos: int):
+    sig, pos = read_signature(data, pos)
     state = _STATES.get(data[pos])
     if state is None:
         raise MalformedEncoding(f"unknown demand state {data[pos]:#04x}")
@@ -485,19 +442,15 @@ def _demand_at(data: bytes, pos: int):
     result = None
     pos += 2
     if presence:
-        result, pos = _value_at(data, pos)
+        result, pos = read_value(data, pos)
     try:
         return Demand(sig, state, result), pos
     except MalformedDemand as e:
         raise MalformedEncoding(str(e)) from None
 
 
-def read_demand(r: Reader) -> Demand:
-    return _cursor(_demand_at, r)
-
-
 def decode_demand(data: bytes) -> Demand:
-    return _decode(_demand_at, data)
+    return decode_fields(data, read_demand)[0]
 
 
 # --- compiled programs ----------------------------------------------------
@@ -527,31 +480,46 @@ def _encode_ast(node) -> bytes:
     raise MalformedEncoding(f"not an AST node: {node!r}")
 
 
-def _read_ast(r: Reader):
-    tag = r.u8()
+def _read_ast(data: bytes, pos: int):
+    tag = data[pos]
+    pos += 1
     if tag == 0:
-        v = read_value(r)
+        v, pos = read_value(data, pos)
         if value_kind(v) not in ("int", "float"):
             raise MalformedEncoding("literals are Int or Float")
-        return lang.Literal(v)
+        return lang.Literal(v), pos
     if tag == 1:
-        return lang.Ident(read_str(r))
+        name, pos = read_str(data, pos)
+        return lang.Ident(name), pos
     if tag == 2:
-        code = r.u8()
+        code = data[pos]
         if code >= len(lang.BINARY_OPS):
             raise MalformedEncoding(f"unknown operator code {code}")
-        return lang.Binary(lang.BINARY_OPS[code], _read_ast(r), _read_ast(r))
+        left, pos = _read_ast(data, pos + 1)
+        right, pos = _read_ast(data, pos)
+        return lang.Binary(lang.BINARY_OPS[code], left, right), pos
     if tag == 3:
-        return lang.If(_read_ast(r), _read_ast(r), _read_ast(r))
+        cond, pos = _read_ast(data, pos)
+        then_expr, pos = _read_ast(data, pos)
+        else_expr, pos = _read_ast(data, pos)
+        return lang.If(cond, then_expr, else_expr), pos
     if tag == 4:
-        dim = read_str(r)
-        return lang.At(_read_ast(r), dim, _read_ast(r))
+        dim, pos = read_str(data, pos)
+        expr, pos = _read_ast(data, pos)
+        tag_expr, pos = _read_ast(data, pos)
+        return lang.At(expr, dim, tag_expr), pos
     if tag == 5:
-        return lang.HashDim(read_str(r))
+        dim, pos = read_str(data, pos)
+        return lang.HashDim(dim), pos
     if tag == 6:
-        proc = read_str(r)
-        argc = r.u32()
-        return lang.Call(proc, tuple(_read_ast(r) for _ in range(argc)))
+        proc, pos = read_str(data, pos)
+        argc = _U32.unpack_from(data, pos)[0]
+        pos += 4
+        args = []
+        for _ in range(argc):
+            arg, pos = _read_ast(data, pos)
+            args.append(arg)
+        return lang.Call(proc, tuple(args)), pos
     raise MalformedEncoding(f"unknown AST tag {tag:#04x}")
 
 
@@ -571,29 +539,36 @@ def encode_geer(geer: lang.Geer) -> bytes:
     return b"".join(out)
 
 
+def _read_geer(data: bytes, pos: int):
+    if struct.unpack_from("5s", data, pos)[0] != GEER_MAGIC:
+        raise MalformedEncoding("bad geer magic")
+    program_id, pos = read_str(data, pos + 5)
+    digest, pos = read_bytes(data, pos)
+    dims = []
+    count = _U32.unpack_from(data, pos)[0]
+    pos += 4
+    for _ in range(count):
+        d, pos = read_str(data, pos)
+        if not is_identifier(d):
+            raise MalformedEncoding(f"bad dimension name {d!r}")
+        dims.append(d)
+    dictionary = {}
+    count = _U32.unpack_from(data, pos)[0]
+    pos += 4
+    for _ in range(count):
+        name, pos = read_str(data, pos)
+        if name in dictionary:
+            raise MalformedEncoding(f"duplicate dictionary entry {name!r}")
+        dictionary[name], pos = _read_ast(data, pos)
+    root, pos = _read_ast(data, pos)
+    return lang.Geer(program_id, frozenset(dims), dictionary, root, digest), pos
+
+
 def decode_geer(data: bytes) -> lang.Geer:
     try:
-        r = Reader(data)
-        if r.take(5) != GEER_MAGIC:
-            raise MalformedEncoding("bad geer magic")
-        program_id = read_str(r)
-        digest = r.take(r.u32())
-        dims = []
-        for _ in range(r.u32()):
-            d = read_str(r)
-            if not is_identifier(d):
-                raise MalformedEncoding(f"bad dimension name {d!r}")
-            dims.append(d)
-        dictionary = {}
-        for _ in range(r.u32()):
-            name = read_str(r)
-            if name in dictionary:
-                raise MalformedEncoding(f"duplicate dictionary entry {name!r}")
-            dictionary[name] = _read_ast(r)
-        root = _read_ast(r)
-        r.expect_done()
-        lang.check_references(root, dictionary, dims)
-        return lang.Geer(program_id, frozenset(dims), dictionary, root, digest)
+        geer = decode_fields(data, _read_geer)[0]
+        lang.check_references(geer.root_expr, geer.dictionary, geer.dimensions)
+        return geer
     except EductionError as e:
         raise lang.MalformedGeer(str(e)) from None
 

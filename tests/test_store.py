@@ -806,6 +806,19 @@ class TestPersistence:
             s2.get_resource(1)
         s2.close()
 
+    def test_a_resource_record_with_trailing_bytes_puts_nothing(self, tmp_path, clock, caplog):
+        blob = TestResources.blob()
+        log = str(tmp_path / "store.log")
+        payload = wire.encode_value("p") + len(blob).to_bytes(4, "big") + blob + b"\x00"
+        with open(log, "wb") as f:
+            f.write(wire.encode_frame(wire.MsgType.RESOURCE_PUT, payload))
+        with caplog.at_level(logging.WARNING, logger="eduction.store"):
+            s = DemandStore(log_path=log, clock=clock)
+        assert os.path.getsize(log) == 0 and len(caplog.records) == 1
+        with pytest.raises(NotFound):  # the log dropped the record, so the store holds none of it
+            s.get_resource("p")
+        s.close()
+
     def test_corrupt_byte_stops_replay(self, tmp_path, clock, caplog):
         log = str(tmp_path / "store.log")
         s1 = DemandStore(log_path=log, clock=clock)

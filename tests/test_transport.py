@@ -82,7 +82,7 @@ def inproc_store_client(store):
 def assert_malformed(reply):
     mt, body = reply
     assert mt is MsgType.ERR
-    assert wire.read_value(wire.Reader(body)) == "MalformedEncoding"
+    assert wire.read_value(body, 0)[0] == "MalformedEncoding"
 
 
 @pytest.fixture
@@ -113,8 +113,7 @@ class TestDispatch:
             store, MsgType.FETCH, wire.encode_signature(isig(42))
         )
         assert mt is MsgType.ERR
-        r = wire.Reader(body)
-        code, message = wire.read_value(r), wire.read_value(r)
+        code, message = wire.decode_fields(body, wire.read_value, wire.read_value)
         assert code == "NotFound" and "d=42" in message
         assert isinstance(transport.error_for_code(code, message), NotFound)
 
@@ -130,7 +129,7 @@ class TestDispatch:
         store.deposit(pending_demand(qsig(2)))
         mt, body = dispatch_store_request(store, msg_type, payload)
         assert mt is MsgType.ERR
-        assert wire.read_value(wire.Reader(body)) == "MalformedDemand"
+        assert wire.read_value(body, 0)[0] == "MalformedDemand"
         assert store.stats().pending == 1  # nothing queued, nothing leased
         assert store.stats().in_process == 0
 
@@ -489,7 +488,7 @@ class TestFraming:
                 sock.sendall(b"XXXX" + bytes(wire.HEADER_SIZE - 4))
                 mt, body, rest = transport.read_frame(sock)
                 assert mt is MsgType.ERR and rest == b""
-                assert wire.read_value(wire.Reader(body)) == "ProtocolError"
+                assert wire.read_value(body, 0)[0] == "ProtocolError"
                 assert sock.recv(1) == b""
         finally:
             srv.stop()

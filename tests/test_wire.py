@@ -7,7 +7,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eduction import lang, transport, wire
+from eduction import lang, pipeline as P, transport, wire
 from eduction.errors import EductionError
 from eduction.store import DemandStore, DepositStatus
 from eduction.model import (
@@ -118,9 +118,8 @@ class TestContextCodec:
 
     @given(contexts)
     def test_roundtrip(self, ctx):
-        r = wire.Reader(wire.encode_context(ctx))
-        assert wire.read_context(r) == ctx
-        r.expect_done()
+        data = wire.encode_context(ctx)
+        assert wire.read_context(data, 0) == (ctx, len(data))
 
     def test_out_of_order_pairs_rejected(self):
         good = wire.encode_context(make_context([("d", 1), ("e", 2)]))
@@ -129,13 +128,13 @@ class TestContextCodec:
         first_len = 4 + 1 + struct.unpack(">I", body[1:5])[0] + 9
         swapped = good[:4] + body[first_len:] + body[:first_len]
         with pytest.raises(wire.NonCanonicalOrder):
-            wire.read_context(wire.Reader(swapped))
+            wire.read_context(swapped, 0)
 
     def test_duplicate_dim_rejected(self):
         pair = wire.encode_context(make_context([("d", 1)]))[4:]
         data = b"\x00\x00\x00\x02" + pair + pair
         with pytest.raises(wire.NonCanonicalOrder):
-            wire.read_context(wire.Reader(data))
+            wire.read_context(data, 0)
 
 
 class TestSignatureDemandCodec:
@@ -742,7 +741,7 @@ SHAPES = {  # shape -> (offset-reading decoder, reference decoder, equality)
 
 def scan_signature(data: bytes):
     """The scan a store reads keys with: the signature's kind and key, nothing built."""
-    return wire.read_key(wire.Reader(data))
+    return wire.decode_fields(data, wire.read_key, wire.read_rest)[0]
 
 
 def chain_scan_signature(data: bytes):
@@ -946,22 +945,22 @@ def full_decoder_request(store, msg_type, payload):
     """A request that names a signature, served by decoding it in full: the reference for the keyed path."""
     MsgType = wire.MsgType
     if msg_type is MsgType.DEPOSIT:
-        out = store.deposit(wire.decode_demand(payload))
+        out = store.deposit(chain_decode(chain_read_demand, payload))
         body = bytes((out.status.value,))
         if out.status is DepositStatus.ALREADY_COMPUTED:
-            body += wire.encode_value(out.value)
+            body += chain_encode_value(out.value)
         return MsgType.OK, body
     if msg_type is MsgType.FETCH:
-        state, value = store.fetch(wire.decode_signature(payload))
-        return MsgType.FETCH_REPLY, bytes([int(state)]) + (b"\x00" if value is None else b"\x01" + wire.encode_value(value))
-    r = wire.Reader(payload)
-    sig = wire.read_signature(r)
+        state, value = store.fetch(chain_decode(chain_read_signature, payload))
+        return MsgType.FETCH_REPLY, bytes([int(state)]) + (b"\x00" if value is None else b"\x01" + chain_encode_value(value))
+    r = ChainReader(payload)
+    sig = chain_read_signature(r)
     if msg_type is MsgType.AWAIT:
-        timeout_ms = wire.read_int(r)
+        timeout_ms = chain_read_int(r)
         r.expect_done()
-        return MsgType.OK, wire.encode_value(store.await_result(sig, timeout_ms))
-    value = wire.read_value(r)
-    worker = wire.read_str(r)
+        return MsgType.OK, chain_encode_value(store.await_result(sig, timeout_ms))
+    value = chain_read_value(r)
+    worker = chain_read_str(r)
     r.expect_done()
     store.fulfill(sig, value, worker)
     return MsgType.OK, b""
@@ -1007,7 +1006,7 @@ class TestKeyedDispatch:
             want = transport.answer(full_decoder_request, full, msg_type, payload)
             assert got == want, (msg_type, payload)
             if got[0] is wire.MsgType.ERR:
-                codes.add(wire.read_value(wire.Reader(got[1])))
+                codes.add(wire.read_value(got[1], 0)[0])
         assert keyed.stats() == full.stats()
         return codes
 
@@ -1117,3 +1116,100 @@ class TestRefusals:
         geer = lang.compile_source("x where x = 1; end", "p")
         with pytest.raises(wire.MalformedEncoding, match="not an AST node"):
             wire.encode_geer(dataclasses.replace(geer, root_expr="x"))
+
+
+def sweep(base: bytes):
+    """``base``, then every cut of it, and each of its bytes dropped or changed to every value."""
+    yield base
+    for at in range(len(base) + 1):
+        head, tail = base[:at], base[at:]
+        yield head
+        if tail:
+            yield head + tail[1:]
+            for b in range(256):
+                yield head + bytes((b,)) + tail[1:]
+
+
+def decodes_or_refuses(decode, base: bytes):
+    """``decode`` takes ``base``, and every input of its sweep it decodes or refuses with an ``EductionError``."""
+    decode(base)
+    for data in sweep(base):
+        try:
+            decode(data)
+        except EductionError:
+            pass
+
+
+def not_internal(reply) -> bool:
+    reply_type, body = reply
+    return reply_type is not wire.MsgType.ERR or wire.read_value(body, 0)[0] != "InternalError"
+
+
+class TestEveryDecoderRefusesCleanly:
+    """Each decoder over every cut, dropped byte and changed byte of a valid input: a result or an ``EductionError``.
+
+    The readers bounds-check nothing themselves, so an ``IndexError`` or a
+    ``struct.error`` here is a reader run outside ``wire.decode_fields``.
+    """
+
+    GEER = wire.encode_geer(
+        lang.compile_source("x where dimension d; x = if #.d < 1 then 0.5 else call f(y @.d 1); y = x; end", "p")
+    )
+    TSET = P.encode_training_set(P.TrainingSet(windows=2, subjects={1: ((0.5, 1.5), 3), -2: ((2.0, -0.0), 1)}))
+    KEY = DemandSignature("p", "x", make_context([("d", 3)])).key()
+    PROC_KEY = DemandSignature("p", "f", kind=DemandKind.PROCEDURAL, args=(1, "a")).key()
+
+    class NoWaitStore(DemandStore):
+        def claim(self, worker_id, lease_ms, wait_ms=0):
+            return super().claim(worker_id, lease_ms, 0)  # a changed wait must not stall the sweep
+
+    REQUESTS = {
+        wire.MsgType.CLAIM: wire.encode_value("w") + wire.encode_value(60000) + wire.encode_value(0),
+        wire.MsgType.RESOURCE_PUT: wire.encode_value("p") + len(GEER).to_bytes(4, "big") + GEER,
+        wire.MsgType.RESOURCE_GET: wire.encode_value("p"),
+        wire.MsgType.STATS: b"\x00",  # the valid request is empty, so its sweep starts one byte long
+    }
+
+    @pytest.mark.parametrize("msg_type", list(REQUESTS), ids=lambda t: t.name)
+    def test_store_requests(self, msg_type):
+        store = self.NoWaitStore()
+        store.deposit(Demand(DemandSignature("p", "f", kind=DemandKind.PROCEDURAL, args=(1,))))
+        store.put_resource("p", self.GEER)
+        for payload in sweep(self.REQUESTS[msg_type]):
+            assert not_internal(transport.dispatch_store_request(store, msg_type, payload)), payload
+
+    def test_system_payload(self):
+        payload = bytes((1,)) + transport.encode_system_reply({"a": [1, "é"], "b": None})
+        for data in sweep(payload):
+            assert not_internal(transport.dispatch_system_request({1: lambda body: body}, wire.MsgType.SYSTEM, data)), data
+
+    def test_err_body(self):
+        for body in sweep(wire.encode_value("NotFound") + wire.encode_value("no such key")):
+            client = transport.StoreClient(transport.InProcAgent(lambda t, p, body=body: (wire.MsgType.ERR, body)))
+            with pytest.raises(EductionError):
+                client.stats()
+
+    @pytest.mark.parametrize(
+        "decode, base",
+        [(wire.decode_geer, GEER), (P.decode_training_set, TSET)],
+        ids=["geer", "tset"],
+    )
+    def test_resources(self, decode, base):
+        decodes_or_refuses(decode, base)
+
+    @pytest.mark.parametrize(
+        "msg_type, record",
+        [
+            (wire.MsgType.FULFILL, KEY + wire.encode_value(6)),
+            (wire.MsgType.RESOURCE_PUT, wire.encode_value("m") + len(TSET).to_bytes(4, "big") + TSET),
+            (wire.MsgType.DEPOSIT, PROC_KEY + b"\x00\x00"),
+        ],
+        ids=["fulfill", "resource-put", "deposit"],
+    )
+    def test_replayed_records(self, msg_type, record):
+        decodes_or_refuses(lambda data: DemandStore()._replay(msg_type, data), record)
+
+    def test_a_length_past_the_end_is_truncation(self):
+        """A slice past the end raises nothing, so ``read_bytes`` checks its length itself."""
+        with pytest.raises(wire.MalformedEncoding, match="truncated input"):
+            wire.decode_fields(wire.encode_value("p") + (3).to_bytes(4, "big") + b"ab", wire.read_str, wire.read_bytes)
