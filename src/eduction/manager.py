@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import EductionError
+from .errors import EductionError, TransportUnreachable
 from . import wire
 from .store import DemandStore, Journal
 from .transport import (
@@ -324,13 +324,20 @@ class TcpNodeAgent:
 
     def start_tier(self, tier_id: str, kind: str, config: dict) -> dict:
         body = {"tier_id": tier_id, "kind": kind, "config": config}
-        return system_request(self._agent, SystemOp.ALLOCATE, body)["details"]
+        return self._request(SystemOp.ALLOCATE, body, "details", dict)
 
     def stop_tier(self, tier_id: str) -> list:
-        return system_request(self._agent, SystemOp.DEALLOCATE, {"tier_id": tier_id})["stopped"]
+        return self._request(SystemOp.DEALLOCATE, {"tier_id": tier_id}, "stopped", list, str)
 
     def list_tiers(self) -> dict:
-        return system_request(self._agent, SystemOp.STATUS, {})["tiers"]
+        return self._request(SystemOp.STATUS, {}, "tiers", dict)
+
+    def _request(self, op: SystemOp, body: dict, name: str, kind: type, item: type = object):
+        """Field ``name`` of the node's reply to ``op``; not a ``kind`` of ``item``s, it is ``MalformedEncoding``."""
+        value = system_request(self._agent, op, body).get(name)
+        if not isinstance(value, kind) or not all(isinstance(v, item) for v in value):
+            raise wire.MalformedEncoding(f"node reply field {name!r} has the wrong shape: {value!r}")
+        return value
 
     def close(self):
         self._agent.close()
@@ -453,7 +460,7 @@ class Manager:
             node = self._nodes[tier.node_id]
             try:
                 stopped = self._agent_of(node).stop_tier(tier_id)
-            except EductionError:
+            except TransportUnreachable:
                 stopped = []  # node gone; the record is authoritative
             for tid in dict.fromkeys(stopped + [tier_id]):  # the agent knows which workers left with their store
                 t = self._tiers.get(tid)

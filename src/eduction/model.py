@@ -9,12 +9,16 @@ A context is a finite map from dimension names to integer tags and is the
 coordinate at which an identifier is demanded.  Contexts are kept in
 canonical ascending name order so that equal contexts always produce
 byte-identical encodings.
+
+The value, context and signature encoders live here, so that
+``DemandSignature.key`` imports nothing; ``wire`` decodes what they write.
 """
 from __future__ import annotations
 
 import enum
 import math
 import re
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple, Union
 
@@ -198,9 +202,7 @@ class DemandSignature:
         """
         cached = self.__dict__.get("_key")
         if cached is None:
-            from . import wire
-
-            cached = wire._encode_signature(self)
+            cached = _encode_signature(self)
             object.__setattr__(self, "_key", cached)
         return cached
 
@@ -238,3 +240,98 @@ class Demand:
 
 def pending_demand(sig: DemandSignature) -> Demand:
     return Demand(sig)
+
+
+# --- canonical encodings (``wire`` documents the layout and decodes it) -----
+
+_U32 = struct.Struct(">I")
+_TAG_U32 = struct.Struct(">BI")  # a Str or FloatArray tag and its length
+_TAG_I64 = struct.Struct(">Bq")
+_TAG_F64 = struct.Struct(">Bd")
+
+
+def _encode_int(v: int) -> bytes:
+    try:
+        return _TAG_I64.pack(0, v)
+    except struct.error:
+        raise MalformedValue(f"int out of 64-bit range: {v}") from None
+
+
+def _encode_float(v: float) -> bytes:
+    return _TAG_F64.pack(1, v)
+
+
+def _encode_bool(v: bool) -> bytes:
+    return b"\x02\x01" if v else b"\x02\x00"
+
+
+def _encode_str(v: str) -> bytes:
+    try:
+        raw = v.encode("utf-8")
+        return _TAG_U32.pack(3, len(raw)) + raw
+    except UnicodeEncodeError as e:
+        raise MalformedValue(str(e)) from None
+    except struct.error:
+        raise MalformedValue("string too long") from None
+
+
+def _encode_floats(v) -> bytes:
+    try:
+        return _TAG_U32.pack(4, len(v)) + struct.pack(f">{len(v)}d", *map(float, v))
+    except (TypeError, ValueError, OverflowError) as e:
+        raise MalformedValue(f"bad float array element: {e}") from None
+
+
+def _encode_fault(v: Fault) -> bytes:
+    if not (isinstance(v.code, str) and isinstance(v.message, str)):
+        raise MalformedValue(f"a Fault holds a Str code and a Str message: {v!r}")
+    return b"\x05" + encode_value(v.code) + encode_value(v.message)
+
+
+_ENCODE_KIND = {
+    "int": _encode_int,
+    "float": _encode_float,
+    "bool": _encode_bool,
+    "str": _encode_str,
+    "floats": _encode_floats,
+    "fault": _encode_fault,
+}
+_ENCODE_TYPE = {
+    int: _encode_int,
+    float: _encode_float,
+    bool: _encode_bool,
+    str: _encode_str,
+    tuple: _encode_floats,
+    list: _encode_floats,
+    Fault: _encode_fault,
+}
+
+
+def encode_value(v: Value) -> bytes:
+    encode = _ENCODE_TYPE.get(type(v))
+    if encode is None:  # a subclass: ``value_kind`` decides, bool ahead of int
+        encode = _ENCODE_KIND[value_kind(tuple(v) if isinstance(v, list) else v)]
+    return encode(v)
+
+
+def encode_context(ctx: Context) -> bytes:
+    out = [_U32.pack(len(ctx.pairs))]
+    for dim, tag in ctx.pairs:
+        out.append(encode_value(dim))
+        out.append(_encode_int(int(tag)))
+    return b"".join(out)
+
+
+def signature_head(program_id: str, name: str, kind: DemandKind) -> bytes:
+    """A signature key's first fields, one per identifier: an intensional key is this, the context and ``NO_ARGS``."""
+    return encode_value(program_id) + encode_value(name) + bytes((kind,))
+
+
+NO_ARGS = _U32.pack(0)  # an intensional signature's argument count
+
+
+def _encode_signature(sig: DemandSignature) -> bytes:
+    """Field-by-field encoding; only ``DemandSignature.key`` calls it."""
+    out = [signature_head(sig.program_id, sig.name, sig.kind), encode_context(sig.context), _U32.pack(len(sig.args))]
+    out.extend(map(encode_value, sig.args))
+    return b"".join(out)

@@ -29,23 +29,23 @@ for every sample: a signature names the model's content, not its id, so
 the same model under two ids shares warehouse entries.  A worker loads a
 version by digest through a small cache, which a digest's immutable bytes
 keep coherent; a version the worker puts goes into that cache too, so the
-next training step does not fetch it back.
+next training step does not fetch it back.  A version's bytes are a TSET,
+whose format ``wire`` keeps so that a store checks models without this module.
 """
 from __future__ import annotations
 
 import hashlib
 import math
 import os
-import struct
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import EductionError
-from . import wire
 from .model import DemandKind, DemandSignature, Value, as_float_array
 from .store import NotFound, gather
+from .wire import TrainingSet, decode_training_set, encode_training_set
 from .worker import ProcedureRegistry
 
 PROGRAM_ID = "pipeline"
@@ -55,8 +55,6 @@ CLASSIFY_PROC = "cls.classify"
 
 DEFAULT_WINDOWS = 8
 DEFAULT_MODEL_ID = "speakers"
-TSET_MAGIC = b"TSET\x02"
-_SUBJECT = struct.Struct(">qQ")  # a subject id and its window count
 
 TRAIN_MODE = "train"
 CLASSIFY_MODE = "classify"
@@ -192,14 +190,6 @@ def extract_features(s: Sample, windows: int = DEFAULT_WINDOWS) -> Tuple[float, 
     return window_energies(s.amplitudes, windows)
 
 
-@dataclass
-class TrainingSet:
-    """Per-subject running means."""
-
-    windows: Optional[int] = None
-    subjects: dict = field(default_factory=dict)  # subject_id -> (mean tuple, count)
-
-
 def train(ts: TrainingSet, fv: Sequence[float], subject_id: int) -> TrainingSet:
     fv = tuple(float(x) for x in fv)
     if ts.windows is not None and len(fv) != ts.windows:
@@ -232,39 +222,6 @@ def classify(ts: TrainingSet, fv: Sequence[float]) -> ResultSet:
 def top1_accuracy(results: Sequence[ResultSet], labels: Sequence[int]) -> Tuple[int, int]:
     hits = sum(1 for rs, label in zip(results, labels) if rs and rs[0][0] == label)
     return hits, len(labels)
-
-
-# --- model serialization --------------------------------------------------------
-
-
-def encode_training_set(ts: TrainingSet) -> bytes:
-    out = [TSET_MAGIC, (ts.windows or 0).to_bytes(4, "big")]
-    out.append(len(ts.subjects).to_bytes(4, "big"))
-    for subject_id in sorted(ts.subjects):
-        mean, count = ts.subjects[subject_id]
-        out.append(int(subject_id).to_bytes(8, "big", signed=True))
-        out.append(int(count).to_bytes(8, "big"))
-        out.append(wire.encode_value(as_float_array(mean)))
-    return b"".join(out)
-
-
-def decode_training_set(data: bytes) -> TrainingSet:
-    return wire.decode_fields(data, _read_training_set)[0]
-
-
-def _read_training_set(data: bytes, pos: int):
-    if struct.unpack_from("5s", data, pos)[0] != TSET_MAGIC:
-        raise wire.MalformedEncoding("bad training-set magic")
-    windows, n_subjects = struct.unpack_from(">II", data, pos + 5)
-    pos += 13
-    subjects = {}
-    for _ in range(n_subjects):
-        subject_id, count = _SUBJECT.unpack_from(data, pos)
-        mean, pos = wire.read_value(data, pos + 16)
-        if not isinstance(mean, tuple):
-            raise wire.MalformedEncoding("subject mean must be a FloatArray")
-        subjects[subject_id] = (mean, count)
-    return TrainingSet(windows=windows or None, subjects=subjects), pos
 
 
 # --- local mode --------------------------------------------------------------

@@ -15,7 +15,10 @@ fulfils it directly.  A second fulfill must match the stored value
 byte-for-byte (idempotent completion) or it is rejected as conflicting.  A
 procedure that failed is fulfilled with a ``Fault``; it is stored like any
 result, and every read of it (a deposit that hits it, ``fetch``,
-``await_result``) raises ``ProcedureFault``.
+``await_result``) raises ``ProcedureFault``.  Beside the warehouse the store
+keeps resources, blobs by name, each a whole compiled program (GEER) or
+speaker model (TSET); ``wire.validate_resource`` refuses any other with
+``MalformedGeer`` before it is stored.
 
 All operations take one lock, so the store is linearizable.  Two conditions
 share it: ``await_result`` blocks on one that ``fulfill`` notifies, and a
@@ -65,8 +68,6 @@ from .model import (
     pending_demand,
 )
 from .wire import MsgType
-
-DEFAULT_LEASE_MS = 5000
 
 
 class NotClaimed(EductionError):
@@ -402,7 +403,7 @@ class DemandStore:
     # -- resources ---------------------------------------------------------
 
     def put_resource(self, program_id: str, data: bytes) -> None:
-        _validate_resource(data)
+        wire.validate_resource(data)
         with self._cond:
             if self._resources.get(program_id) == data:
                 return  # idempotent re-put
@@ -482,15 +483,3 @@ def gather(store, sigs, timeout_ms: float) -> list:
         for sig, out in zip(sigs, outs)
     ]
 
-
-def _validate_resource(data: bytes):
-    """Resources are tagged blobs: compiled programs or serialized models."""
-    from . import lang, pipeline
-
-    if data[:5] == wire.GEER_MAGIC:
-        wire.decode_geer(data)
-        return
-    if data[:5] == pipeline.TSET_MAGIC:
-        pipeline.decode_training_set(data)
-        return
-    raise lang.MalformedGeer("unknown resource payload")

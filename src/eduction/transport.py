@@ -76,7 +76,7 @@ import threading
 import time
 from typing import Callable, Optional, Tuple
 
-from .errors import EductionError, error_for_code
+from .errors import EductionError, TransportUnreachable, error_for_code
 from . import wire
 from .model import Demand, DemandKind, DemandSignature, DemandState, Value
 from .store import ENQUEUED, DemandStore, DepositOutcome, DepositStatus, StoreStats
@@ -87,13 +87,6 @@ RETRY_TRIES = 5
 SOCKET_TIMEOUT_S = 30.0
 MAX_CLAIM_WAIT_MS = int(SOCKET_TIMEOUT_S * 1000)  # bounds how long one claim holds a server thread
 RECV_BYTES = 65536
-
-DEFAULT_DST_PORT = 4747
-DEFAULT_GMT_PORT = 4748
-
-
-class TransportUnreachable(EductionError):
-    pass
 
 
 # --- shared request dispatch -------------------------------------------------

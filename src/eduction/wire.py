@@ -30,7 +30,8 @@ or presence byte ``MalformedEncoding``; an unknown tag, a bad bool byte
 and invalid UTF-8 ``MalformedValue``.  A value, context, signature and
 demand each have one encoder; a value's dispatches on its type, and a
 subclass (an ``IntEnum``, say) goes through ``value_kind``, bool ahead of
-int.
+int.  The value, context and signature encoders live in ``model`` and are
+exported here under the same names.
 
 A signature is read in one pass, ``_signature_end``, which makes every
 check and hands its context pairs and arguments to a caller that asks for
@@ -54,6 +55,11 @@ context, 4-byte arg count, arg values.  Demand: signature, state byte,
 result presence byte (0x01 followed by the value when computed).  Bytes
 (a resource, a JSON body): 4-byte length, then the bytes.
 
+A resource is a GEER (a compiled program) or a TSET (a speaker model):
+magic ``TSET\x02``, 4-byte window count (0 when empty), 4-byte subject
+count, then per subject in id order an 8-byte signed id, an 8-byte sample
+count and a FloatArray mean.
+
 Frame: magic ``GDMF``, version 0x01, message-type byte, 4-byte payload
 length, payload.  Payloads above 16 MiB are rejected.
 """
@@ -61,11 +67,17 @@ from __future__ import annotations
 
 import enum
 import struct
-from typing import Tuple
+from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 from .errors import EductionError
 from . import lang
 from .model import (
+    NO_ARGS,
+    _TAG_F64,
+    _TAG_I64,
+    _TAG_U32,
+    _U32,
     Context,
     Demand,
     DemandKind,
@@ -75,7 +87,12 @@ from .model import (
     MalformedDemand,
     MalformedValue,
     Value,
+    _encode_signature,
+    as_float_array,
+    encode_context,
+    encode_value,
     is_identifier,
+    signature_head,
     value_kind,
 )
 
@@ -85,6 +102,8 @@ HEADER_SIZE = 10  # magic + version + type + payload length
 MAX_PAYLOAD = 16 * 1024 * 1024
 
 GEER_MAGIC = b"GEER\x01"
+TSET_MAGIC = b"TSET\x02"
+_SUBJECT = struct.Struct(">qQ")  # a TSET subject's id and sample count
 
 
 class MsgType(enum.IntEnum):
@@ -119,10 +138,6 @@ class ProtocolError(EductionError):
     pass
 
 
-_U32 = struct.Struct(">I")
-_TAG_U32 = struct.Struct(">BI")  # a Str or FloatArray tag and its length
-_TAG_I64 = struct.Struct(">Bq")
-_TAG_F64 = struct.Struct(">Bd")
 _HEADER = struct.Struct(">4sBBI")
 
 _KINDS = {int(k): k for k in DemandKind}
@@ -160,70 +175,6 @@ def read_rest(data: bytes, pos: int):
 
 
 # --- values --------------------------------------------------------------
-
-
-def _encode_int(v: int) -> bytes:
-    try:
-        return _TAG_I64.pack(0, v)
-    except struct.error:
-        raise MalformedValue(f"int out of 64-bit range: {v}") from None
-
-
-def _encode_float(v: float) -> bytes:
-    return _TAG_F64.pack(1, v)
-
-
-def _encode_bool(v: bool) -> bytes:
-    return b"\x02\x01" if v else b"\x02\x00"
-
-
-def _encode_str(v: str) -> bytes:
-    try:
-        raw = v.encode("utf-8")
-        return _TAG_U32.pack(3, len(raw)) + raw
-    except UnicodeEncodeError as e:
-        raise MalformedValue(str(e)) from None
-    except struct.error:
-        raise MalformedValue("string too long") from None
-
-
-def _encode_floats(v) -> bytes:
-    try:
-        return _TAG_U32.pack(4, len(v)) + struct.pack(f">{len(v)}d", *map(float, v))
-    except (TypeError, ValueError, OverflowError) as e:
-        raise MalformedValue(f"bad float array element: {e}") from None
-
-
-def _encode_fault(v: Fault) -> bytes:
-    if not (isinstance(v.code, str) and isinstance(v.message, str)):
-        raise MalformedValue(f"a Fault holds a Str code and a Str message: {v!r}")
-    return b"\x05" + encode_value(v.code) + encode_value(v.message)
-
-
-_ENCODE_KIND = {
-    "int": _encode_int,
-    "float": _encode_float,
-    "bool": _encode_bool,
-    "str": _encode_str,
-    "floats": _encode_floats,
-    "fault": _encode_fault,
-}
-_ENCODE_TYPE = {
-    int: _encode_int,
-    float: _encode_float,
-    bool: _encode_bool,
-    str: _encode_str,
-    tuple: _encode_floats,
-    list: _encode_floats,
-    Fault: _encode_fault,
-}
-
-
-def encode_value(v: Value) -> bytes:
-    encode = _ENCODE_TYPE.get(type(v))
-    if encode is None:  # a subclass: ``value_kind`` decides, bool ahead of int
-        encode = _ENCODE_KIND[value_kind(tuple(v) if isinstance(v, list) else v)]
-    return encode(v)
 
 
 def read_value(data: bytes, pos: int):
@@ -309,14 +260,6 @@ def values_equal(a: Value, b: Value) -> bool:
 # --- contexts, signatures, demands ---------------------------------------
 
 
-def encode_context(ctx: Context) -> bytes:
-    out = [_U32.pack(len(ctx.pairs))]
-    for dim, tag in ctx.pairs:
-        out.append(encode_value(dim))
-        out.append(_encode_int(int(tag)))
-    return b"".join(out)
-
-
 def _context_end(data: bytes, pos: int, add=None) -> int:
     """The offset past the context at ``pos``, every check made; ``add`` gets each pair, if given.
 
@@ -354,20 +297,7 @@ def encode_signature(sig: DemandSignature) -> bytes:
     return sig.key()
 
 
-def signature_head(program_id: str, name: str, kind: DemandKind) -> bytes:
-    """A signature key's first fields, one per identifier: an intensional key is this, the context and ``NO_ARGS``."""
-    return encode_value(program_id) + encode_value(name) + bytes((kind,))
-
-
-NO_ARGS = _U32.pack(0)  # an intensional signature's argument count
 PENDING = bytes((DemandState.PENDING, 0))  # a demand's state and presence bytes: PENDING, no result
-
-
-def _encode_signature(sig: DemandSignature) -> bytes:
-    """Field-by-field encoding; only ``DemandSignature.key`` calls it."""
-    out = [signature_head(sig.program_id, sig.name, sig.kind), encode_context(sig.context), _U32.pack(len(sig.args))]
-    out.extend(map(encode_value, sig.args))
-    return b"".join(out)
 
 
 def _signature_end(data: bytes, pos: int, add_pair=None, add_arg=None):
@@ -453,7 +383,7 @@ def decode_demand(data: bytes) -> Demand:
     return decode_fields(data, read_demand)[0]
 
 
-# --- compiled programs ----------------------------------------------------
+# --- resources: compiled programs and models -------------------------------
 
 _NODE_TAGS = {lang.Literal: 0, lang.Ident: 1, lang.Binary: 2, lang.If: 3, lang.At: 4, lang.HashDim: 5, lang.Call: 6}
 _OP_CODES = {op: i for i, op in enumerate(lang.BINARY_OPS)}
@@ -569,8 +499,56 @@ def decode_geer(data: bytes) -> lang.Geer:
         geer = decode_fields(data, _read_geer)[0]
         lang.check_references(geer.root_expr, geer.dictionary, geer.dimensions)
         return geer
-    except EductionError as e:
+    except (EductionError, RecursionError) as e:  # both readers recurse once per AST level
         raise lang.MalformedGeer(str(e)) from None
+
+
+@dataclass
+class TrainingSet:
+    """Per-subject running means: the speaker pipeline's model."""
+
+    windows: Optional[int] = None
+    subjects: dict = field(default_factory=dict)  # subject_id -> (mean tuple, count)
+
+
+def encode_training_set(ts: TrainingSet) -> bytes:
+    out = [TSET_MAGIC, (ts.windows or 0).to_bytes(4, "big")]
+    out.append(len(ts.subjects).to_bytes(4, "big"))
+    for subject_id in sorted(ts.subjects):
+        mean, count = ts.subjects[subject_id]
+        out.append(int(subject_id).to_bytes(8, "big", signed=True))
+        out.append(int(count).to_bytes(8, "big"))
+        out.append(encode_value(as_float_array(mean)))
+    return b"".join(out)
+
+
+def decode_training_set(data: bytes) -> TrainingSet:
+    return decode_fields(data, _read_training_set)[0]
+
+
+def _read_training_set(data: bytes, pos: int):
+    if struct.unpack_from("5s", data, pos)[0] != TSET_MAGIC:
+        raise MalformedEncoding("bad training-set magic")
+    windows, n_subjects = struct.unpack_from(">II", data, pos + 5)
+    pos += 13
+    subjects = {}
+    for _ in range(n_subjects):
+        subject_id, count = _SUBJECT.unpack_from(data, pos)
+        mean, pos = read_value(data, pos + 16)
+        if not isinstance(mean, tuple):
+            raise MalformedEncoding("subject mean must be a FloatArray")
+        subjects[subject_id] = (mean, count)
+    return TrainingSet(windows=windows or None, subjects=subjects), pos
+
+
+def validate_resource(data: bytes) -> None:
+    """Refuse a resource that is not a whole GEER or TSET, each checked by its own decoder."""
+    if data[:5] == GEER_MAGIC:
+        decode_geer(data)
+    elif data[:5] == TSET_MAGIC:
+        decode_training_set(data)
+    else:
+        raise lang.MalformedGeer("unknown resource payload")
 
 
 # --- frames ----------------------------------------------------------------

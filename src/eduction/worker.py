@@ -20,7 +20,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import EductionError
+from .errors import EductionError, TransportUnreachable
 from . import wire
 from .model import Demand, DemandKind, Fault, Value, is_finite_value
 from .store import ConflictingResult, NotClaimed, ProcedureFault
@@ -99,10 +99,6 @@ def run_worker(cfg: WorkerConfig, store, registry: ProcedureRegistry, stop: thre
     The current demand is always fulfilled before the loop exits, so a
     graceful stop leaves no dangling lease behind.
     """
-    # imported here: at module level, through evaluator -> worker, it raised the
-    # peak RSS of every process importing eduction by about 0.5 MB
-    from .transport import TransportUnreachable
-
     summary = RunSummary()
     while not stop.is_set():
         demand = store.claim(cfg.worker_id, cfg.lease_ms, wait_ms=CLAIM_WAIT_MS)

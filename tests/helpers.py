@@ -1,4 +1,4 @@
-"""Shared test machinery: deterministic random programs and values, and journal cuts.
+"""Shared test machinery: deterministic random programs and values, journal cuts, and the package's sources.
 
 The program generator builds closed, analyzable programs by construction
 (every referenced identifier defined, every dimension declared, no Call
@@ -18,6 +18,18 @@ from eduction.evaluator import Evaluator, reference_eval
 from eduction.model import Context, make_context
 from eduction import wire
 from eduction.store import DemandStore, Journal
+
+PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "eduction")
+
+
+def package_sources() -> dict:
+    """``{module: source}`` for every module of ``src/eduction``: what the static tests read."""
+    sources = {}
+    for file in sorted(n for n in os.listdir(PACKAGE) if n.endswith(".py")):
+        with open(os.path.join(PACKAGE, file), encoding="utf-8") as f:
+            sources[file[: -len(".py")]] = f.read()
+    return sources
+
 
 DIMS = ("d", "e")
 IDENTS = ("x", "y", "z")

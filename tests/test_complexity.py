@@ -7,8 +7,9 @@ import ast
 import importlib.util
 import os
 
+from helpers import package_sources
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PACKAGE = os.path.join(ROOT, "src", "eduction")
 CEILING = 15
 GRANDFATHERED = {"evaluator.apply_binop": 33, "evaluator.Evaluator._expr": 16, "lang._Parser.primary": 16}
 
@@ -21,14 +22,6 @@ def _mccabe():
 
 
 mccabe = _mccabe()
-
-
-def package_sources() -> dict:
-    sources = {}
-    for file in sorted(n for n in os.listdir(PACKAGE) if n.endswith(".py")):
-        with open(os.path.join(PACKAGE, file), encoding="utf-8") as f:
-            sources[file[: -len(".py")]] = f.read()
-    return sources
 
 
 def over_ceiling(sources: dict) -> list:

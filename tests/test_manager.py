@@ -14,6 +14,7 @@ from eduction.manager import (
     Manager,
     ManagerClient,
     NodeDead,
+    TcpNodeAgent,
     NodeStatus,
     NodeUnknown,
     SystemOp,
@@ -31,6 +32,7 @@ from eduction.transport import (
     InProcAgent,
     StoreClient,
     TcpAgent,
+    TcpServer,
     TransportUnreachable,
     connect_store,
     decode_system_payload,
@@ -438,6 +440,61 @@ class TestRemoteSurface:
         mgr.close()
         srv.stop()
         agent.close()
+
+
+class TestNodeReplies:
+    """A node agent's reply is checked field by field; only a node out of reach is taken as gone."""
+
+    @staticmethod
+    def stub(**replies):
+        """A node-agent server that answers each op named in ``replies`` with its body, whatever it holds."""
+        ops = {SystemOp[name]: (lambda body, reply=reply: reply) for name, reply in replies.items()}
+        return TcpServer(lambda t, p: dispatch_system_request(ops, t, p)).start()
+
+    @pytest.mark.parametrize(
+        "op, reply, call",
+        [
+            ("ALLOCATE", {"details": ["address"]}, lambda node: node.start_tier("t1", "DGT", {})),
+            ("ALLOCATE", {}, lambda node: node.start_tier("t1", "DGT", {})),
+            ("DEALLOCATE", {"stopped": True}, lambda node: node.stop_tier("t1")),
+            ("DEALLOCATE", {"stopped": "t1"}, lambda node: node.stop_tier("t1")),
+            ("DEALLOCATE", {"stopped": ["t1", 2]}, lambda node: node.stop_tier("t1")),
+            ("STATUS", {"tiers": []}, lambda node: node.list_tiers()),
+        ],
+        ids=["details-a-list", "details-missing", "stopped-a-bool", "stopped-a-str", "stopped-an-int-id", "tiers-a-list"],
+    )
+    def test_a_reply_field_of_another_shape_is_malformed(self, op, reply, call):
+        server = self.stub(**{op: reply})
+        node = TcpNodeAgent(f"127.0.0.1:{server.port}")
+        try:
+            with pytest.raises(MalformedEncoding):
+                call(node)
+        finally:
+            node.close()
+            server.stop()
+
+    def test_a_malformed_deallocate_reply_leaves_the_tier_running(self):
+        server = self.stub(ALLOCATE={"details": {}}, DEALLOCATE={"stopped": True})
+        mgr, _ = make_mgr()
+        try:
+            tier = mgr.allocate(mgr.register_node(f"127.0.0.1:{server.port}"), "DGT", {})
+            with pytest.raises(MalformedEncoding):
+                mgr.deallocate(tier.tier_id)
+            assert mgr.status_report()["tiers"][tier.tier_id]["state"] == "RUNNING"
+        finally:
+            mgr.close()
+            server.stop()
+
+    def test_a_node_out_of_reach_leaves_its_tier_stopped(self, new_agent):
+        server = serve_node_agent(new_agent())
+        mgr, _ = make_mgr()
+        try:
+            tier = mgr.allocate(mgr.register_node(f"127.0.0.1:{server.port}"), "DGT", {})
+            server.stop()
+            assert mgr.deallocate(tier.tier_id) is True  # after the carrier's retries: about 1.5 s
+            assert mgr.status_report()["tiers"][tier.tier_id]["state"] == "STOPPED"
+        finally:
+            mgr.close()
 
 
 class TestHeartbeater:

@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 
 from eduction import pipeline as P
-from eduction import transport, wire
+from eduction import model, transport, wire
 from eduction.lang import compile_source
 from eduction.model import (
     EMPTY_CONTEXT,
@@ -252,13 +252,13 @@ class TestOneEncodingPerSignature:
     @pytest.fixture
     def fresh_encodes(self, monkeypatch):
         calls = []
-        encode = wire._encode_signature
+        encode = model._encode_signature
 
         def counting(sig):
             calls.append(sig)
             return encode(sig)
 
-        monkeypatch.setattr(wire, "_encode_signature", counting)
+        monkeypatch.setattr(model, "_encode_signature", counting)
         return calls
 
     @pytest.fixture
@@ -436,6 +436,20 @@ class TestTypedFields:
 
     def test_resource_get_id_must_be_str(self, store, agent):
         assert_malformed(agent.request(MsgType.RESOURCE_GET, wire.encode_value(1)))
+
+    def test_a_geer_nested_past_the_recursion_limit_is_malformed_not_internal(self, store, agent):
+        leaf = b"\x00" + wire.encode_value(1)  # Literal 1
+        root = b"\x03" * 1000 + leaf * 2001  # If(If(... If(1, 1, 1) ..., 1, 1), 1, 1), 1000 deep
+        data = wire.GEER_MAGIC + wire.encode_value("p") + bytes(4) + bytes(8) + root  # no digest, dims or entries
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # a fresh process's: ``reference_eval`` in an earlier test may have raised it
+        try:
+            mt, body = agent.request(MsgType.RESOURCE_PUT, wire.encode_value("p") + len(data).to_bytes(4, "big") + data)
+        finally:
+            sys.setrecursionlimit(saved)
+        assert mt is MsgType.ERR and wire.read_value(body, 0)[0] == "MalformedGeer"
+        with pytest.raises(NotFound):
+            store.get_resource("p")
 
 
 class TestServerStop:
