@@ -28,6 +28,9 @@ carrying a 512-float FloatArray, the largest value the pipeline moves.
                      one cold ``fib@30`` query through ``Evaluator`` on a
                      ``DemandStore``, per demand (31 a query): the engine
                      and its keyed deposit and fulfil, with no carrier
+    inproc.fib30_query
+                     the same query through the in-process carrier on
+                     that store, per demand: the carrier's own cost
     tcp.fib30_query  the same query over that TCP store, per demand: a
                      deposit, and a fulfil written behind, each
     tcp.gather160_deposit
@@ -171,11 +174,13 @@ def rows() -> dict:
             "inproc.deposit_us": same(inproc.deposit, demand),
             "tcp.deposit_us": same(tcp.deposit, demand),
             "store.fib30_query_us": fib30_queries(store),
+            "inproc.fib30_query_us": fib30_queries(inproc),
             "tcp.fib30_query_us": fib30_queries(tcp),
             "tcp.gather160_deposit_us": lambda: [lambda: gather(tcp, classify_sigs, 10000)] * GATHERS,
         }
         out = timed(batches)
         out["store.fib30_query_us"] /= FIB30_DEMANDS
+        out["inproc.fib30_query_us"] /= FIB30_DEMANDS
         out["tcp.fib30_query_us"] /= FIB30_DEMANDS
         out["tcp.gather160_deposit_us"] /= GATHER_DEMANDS
         out["store.reopen_fulfil_us"] /= BATCH

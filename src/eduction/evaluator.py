@@ -39,8 +39,9 @@ same registry.  The two paths must agree on values and on error classes.
 
 Both paths bound the demand depth by ``max_depth`` (``DepthExceeded``).
 Only the oracle raises the Python recursion limit, to fit that many nested
-demands.  In either path a ``RecursionError`` (an expression nested deeper
-than the limit allows within one body) becomes ``DepthExceeded`` too.
+demands, and only while it runs.  In either path a ``RecursionError`` (an
+expression nested deeper than the limit allows within one body) becomes
+``DepthExceeded`` too.
 """
 from __future__ import annotations
 
@@ -56,7 +57,6 @@ from .model import (
     DemandKind,
     DemandSignature,
     Value,
-    pending_demand,
     value_kind,
     wrap64,
 )
@@ -155,16 +155,16 @@ def apply_binop(op: str, a: Value, b: Value) -> Value:
     raise TypeMismatch(f"unknown operator {op!r}")
 
 
-def _fit_recursion_limit(max_depth: int):
-    """Raise the recursion limit to fit ``max_depth`` nested oracle demands.
+def _fit_recursion_limit(max_depth: int) -> int:
+    """Raise the recursion limit to fit ``max_depth`` nested oracle demands; gives the limit it found.
 
     A demand takes about five frames through a plain expression; twelve
     leaves room for nesting.  Only ``reference_eval`` recurses per demand,
-    so only it calls this.
+    so only it calls this, and it puts the found limit back.
     """
-    limit = 12 * max_depth + 1000
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
+    found = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(found, 12 * max_depth + 1000))
+    return found
 
 
 class Evaluator:
@@ -238,14 +238,10 @@ class Evaluator:
                     skey = None
                     if store is not None:
                         # the key of DemandSignature(program_id, name, ctx), built from its parts
-                        try:
-                            head = heads.get(name)
-                            if head is None:
-                                head = heads[name] = wire.signature_head(program_id, name, DemandKind.INTENSIONAL)
-                            skey = head + wire.encode_context(ctx) + wire.NO_ARGS
-                        except EductionError:  # the wire cannot carry it: the signature form raises as it always has
-                            store.deposit(pending_demand(DemandSignature(program_id, name, ctx)))
-                            raise
+                        head = heads.get(name)
+                        if head is None:
+                            head = heads[name] = wire.signature_head(program_id, name, DemandKind.INTENSIONAL)
+                        skey = head + wire.encode_context(ctx) + wire.NO_ARGS
                         out = store.deposit_key(skey)
                         if out.status is DepositStatus.ALREADY_COMPUTED:
                             value = local[key] = out.value
@@ -387,8 +383,10 @@ def reference_eval(
             return registry.invoke(node.proc, args)
         raise TypeMismatch(f"not an expression: {node!r}")
 
-    _fit_recursion_limit(max_depth)
+    found = _fit_recursion_limit(max_depth)
     try:
         return demand(name, ctx)
     except RecursionError:
         raise DepthExceeded(f"expressions nest too deep within {max_depth} demands") from None
+    finally:
+        sys.setrecursionlimit(found)

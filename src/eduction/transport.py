@@ -1,9 +1,12 @@
 """Transport agents: one request/reply protocol over two carriers.
 
-The in-process carrier hands request payloads straight to
-``dispatch_store_request``; the TCP carrier frames the same payloads over a
-socket to a server that calls the same dispatcher.  Both therefore produce
-byte-identical reply payloads for the same request sequence.
+Both carriers share one request path (``_Carrier``): requests are encoded
+as frames, cut into writes and written behind alike, and a payload past
+``wire.MAX_PAYLOAD`` is refused before it is sent.  The in-process carrier
+hands each frame's type and payload straight to ``dispatch_store_request``;
+the TCP carrier writes the frames to a socket served by a server that calls
+the same dispatcher.  Both therefore produce byte-identical reply payloads
+for the same request sequence.
 
 Request payloads (replies in parentheses):
 
@@ -46,17 +49,16 @@ stream stays in step.  ``StoreClient.deposit_many`` is how ``store.gather``
 deposits a batch of procedural demands.
 
 Owed replies.  An intensional ``StoreClient.fulfill_key`` posts its frame
-and owes the reply: a generator needs nothing from it but its
-error.  Over TCP the owed frames go out in one write with the next request
-(the first write of a batch) and their replies are read first, so a cold
-intensional demand costs one round trip, its deposit.  Owed frames past
-``RECV_BYTES`` are sent and settled at once, so neither side blocks on a
-full socket buffer; ``sync`` settles them with no request.  An owed ERR
-raises from the call that settles it, after every reply of that exchange
-is read.  The in-process
-carrier dispatches a posted request at once and keeps its reply for the
-next call, so both carriers raise at the same point.  Owed replies belong
-to the client, not to a thread.  ``close`` and a carrier's own failure
+and owes the reply: a generator needs nothing from it but its error.  The
+owed frames go out with the poster's next exchange, ahead of its request
+(in the first write of a batch), and their replies are read first, so a
+cold intensional demand costs one round trip, its deposit; until then no
+other client of the store sees the fulfil.  Owed frames past ``RECV_BYTES``
+are sent and settled at once, so neither side blocks on a full socket
+buffer; ``sync`` settles them with no request.  An owed ERR raises from
+the call that settles it, after every reply of that exchange is read.
+Owed replies belong to the client, not to a thread, and a carrier runs one
+exchange at a time, in-process too.  ``close`` and a carrier's own failure
 (``TransportUnreachable``, ``ProtocolError``) drop them; a retry after a
 dropped connection sends them again, which an idempotent fulfil allows.
 Procedural fulfils stay a full round trip: a worker acts on their
@@ -197,21 +199,12 @@ def _settle(replies) -> None:
         _check(reply, MsgType.OK)
 
 
-def _holds_err(replies) -> bool:
-    for reply_type, _ in replies:
-        if reply_type is MsgType.ERR:
-            return True
-    return False
+def _writes(sizes):
+    """Cut frames of these sizes into writes, as ``(start, end)`` ranges.
 
-
-def _writes(sizes, first: int = 0):
-    """Cut requests of these frame sizes into writes, as ``(start, end)`` ranges.
-
-    A write closes once its bytes pass ``RECV_BYTES``, as owed frames do;
-    ``first`` bytes already ride in the first write.
+    A write closes once its bytes pass ``RECV_BYTES``, as owed frames do.
     """
-    start = end = 0
-    total = first
+    start = end = total = 0
     for size in sizes:
         end += 1
         total += size
@@ -222,16 +215,16 @@ def _writes(sizes, first: int = 0):
         yield start, end
 
 
-class InProcAgent:
-    """Carrier that dispatches requests in-process, no sockets involved.
+class _Carrier:
+    """The request path both carriers share: batched writes and owed frames.
 
-    A posted request is dispatched at once; its reply is settled by the next
-    call, or once the owed frames pass ``RECV_BYTES``, as over TCP.
+    A carrier supplies ``_exchange(frames, timeout_s)``, which sends these
+    encoded frames as one write and gives one reply per frame, in order.
+    Exchanges run one at a time, under the carrier's lock.
     """
 
-    def __init__(self, handler: Callable[[MsgType, bytes], Tuple[MsgType, bytes]]):
-        self._handler = handler
-        self._owed: list = []  # replies to posted requests
+    def __init__(self):
+        self._owed: list = []  # posted frames, sent with the next exchange
         self._owed_bytes = 0
         self._lock = threading.Lock()
 
@@ -239,36 +232,67 @@ class InProcAgent:
         return self.request_many(msg_type, (payload,), timeout_s)[0]
 
     def request_many(self, msg_type: MsgType, payloads, timeout_s: Optional[float] = None) -> list:
-        """One reply per payload, cut into writes as ``TcpAgent.request_many`` cuts them."""
+        """One reply per payload, in order, from writes cut as "Batched requests" says; an owed ERR raises here."""
+        frames = [wire.encode_frame(msg_type, p) for p in payloads]
         with self._lock:
-            replies, first = self._owed, self._owed_bytes  # the owed replies come first
+            owed = len(self._owed)
+            if not owed and len(frames) == 1:  # a lone request: one write, nothing to cut
+                return self._exchange(frames, timeout_s)
+            frames[:0] = self._owed
             self._owed, self._owed_bytes = [], 0
-        owed, read = len(replies), 0
-        for start, end in _writes([wire.HEADER_SIZE + len(p) for p in payloads], first):
-            replies += [self._handler(msg_type, p) for p in payloads[start:end]]
-            if _holds_err(replies[read:]):
-                break  # no later write
-            read = len(replies)
+            replies: list = []
+            for start, end in _writes(map(len, frames)):
+                written = self._exchange(frames[start:end], timeout_s)
+                replies += written
+                if any(reply_type is MsgType.ERR for reply_type, _ in written):
+                    break  # no later write
         _settle(replies[:owed])
         return replies[owed:]
 
     def post(self, msg_type: MsgType, payload: bytes) -> None:
-        reply = self._handler(msg_type, payload)
+        """Owe this request: its frame goes out with the next exchange."""
+        frame = wire.encode_frame(msg_type, payload)
         with self._lock:
-            self._owed.append(reply)
-            self._owed_bytes += wire.HEADER_SIZE + len(payload)
+            self._owed.append(frame)
+            self._owed_bytes += len(frame)
             if self._owed_bytes <= RECV_BYTES:
                 return
         self.sync()
 
     def sync(self) -> None:
+        """Send what is owed, with no request; an owed ERR raises here."""
+        if not self._owed:  # what another thread posts meanwhile is its own to settle
+            return
         with self._lock:
-            owed, self._owed, self._owed_bytes = self._owed, [], 0
-        _settle(owed)
+            owed = self._owed
+            if not owed:
+                return
+            self._owed, self._owed_bytes = [], 0
+            replies = self._exchange(owed, None)
+        _settle(replies)
+
+    def _drop(self):
+        """Forget the connection; an in-process carrier has none."""
 
     def close(self):
         with self._lock:
+            self._drop()
             self._owed, self._owed_bytes = [], 0
+
+
+class InProcAgent(_Carrier):
+    """Carrier that hands each frame's type and payload to ``handler``, no sockets involved.
+
+    Its writes, owed frames and lock are ``_Carrier``'s, as over TCP: a
+    posted frame reaches ``handler`` with the poster's next exchange.
+    """
+
+    def __init__(self, handler: Callable[[MsgType, bytes], Tuple[MsgType, bytes]]):
+        super().__init__()
+        self._handler = handler
+
+    def _exchange(self, frames: list, timeout_s: Optional[float]) -> list:
+        return [self._handler(*wire.parse_frame(frame)) for frame in frames]
 
 
 def _recv(sock: socket.socket, n: int) -> bytes:
@@ -314,19 +338,19 @@ def _timeval(seconds: float) -> bytes:
     return struct.pack("@ll", *divmod(max(1, round(seconds * 1e6)), 1_000_000))
 
 
-class TcpAgent:
+class TcpAgent(_Carrier):
     """Carrier that frames requests over TCP, reconnecting with backoff."""
 
     def __init__(self, host: str, port: int, retry_base_ms: float = RETRY_BASE_MS, tries: int = RETRY_TRIES):
+        super().__init__()
         self.host = host
         self.port = port
         self.retry_base_ms = retry_base_ms
         self.tries = tries
         self._sock: Optional[socket.socket] = None
         self._timeout: Optional[float] = None  # the socket's, set only when a request needs another
-        self._owed: list = []  # posted frames, sent with the next exchange
-        self._owed_bytes = 0
-        self._lock = threading.Lock()
+
+    request = _Carrier.request  # this class's own, so that a tracer can wrap TCP requests alone
 
     def _connect(self) -> socket.socket:
         sock = socket.create_connection((self.host, self.port), timeout=10.0)
@@ -334,55 +358,9 @@ class TcpAgent:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return sock
 
-    def request(self, msg_type: MsgType, payload: bytes, timeout_s: Optional[float] = None):
-        return self.request_many(msg_type, (payload,), timeout_s)[0]
-
-    def request_many(self, msg_type: MsgType, payloads, timeout_s: Optional[float] = None) -> list:
-        """Send a request per payload and give one reply per request, in order.
-
-        The frames go in writes that close once they pass ``RECV_BYTES``, and
-        the owed frames ride in the first.  Every reply of a write is read;
-        a write whose replies hold an ERR is the last one sent, so the
-        replies end with it.  An owed ERR raises here.
-        """
-        frames = [wire.encode_frame(msg_type, p) for p in payloads]
-        with self._lock:
-            owed = len(self._owed)
-            if not owed and len(frames) == 1:  # a lone request: one write, nothing to cut
-                return self._exchange(frames[0], 1, timeout_s)
-            frames[:0] = self._owed
-            self._owed, self._owed_bytes = [], 0
-            replies: list = []
-            for start, end in _writes(map(len, frames)):
-                written = self._exchange(b"".join(frames[start:end]), end - start, timeout_s)
-                replies += written
-                if _holds_err(written):
-                    break  # no later write
-        _settle(replies[:owed])
-        return replies[owed:]
-
-    def post(self, msg_type: MsgType, payload: bytes) -> None:
-        frame = wire.encode_frame(msg_type, payload)
-        with self._lock:
-            self._owed.append(frame)
-            self._owed_bytes += len(frame)
-            if self._owed_bytes <= RECV_BYTES:
-                return
-        self.sync()
-
-    def sync(self) -> None:
-        if not self._owed:  # what another thread posts meanwhile is its own to settle
-            return
-        with self._lock:
-            owed = self._owed
-            if not owed:
-                return
-            self._owed, self._owed_bytes = [], 0
-            replies = self._exchange(b"".join(owed), len(owed), None)
-        _settle(replies)
-
-    def _exchange(self, frames: bytes, n: int, timeout_s: Optional[float]) -> list:
-        """Send ``frames`` in one write and read their ``n`` replies, retrying on a dropped connection."""
+    def _exchange(self, frames: list, timeout_s: Optional[float]) -> list:
+        """Send ``frames`` in one write and read a reply to each, retrying on a dropped connection."""
+        data = b"".join(frames)
         last_error: Optional[Exception] = None
         for attempt in range(self.tries):
             if attempt:
@@ -396,9 +374,9 @@ class TcpAgent:
                     self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, tv)
                     self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, tv)
                     self._timeout = timeout
-                self._sock.sendall(frames)
+                self._sock.sendall(data)
                 replies, rest = [], b""
-                for _ in range(n):
+                for _ in frames:
                     msg_type, reply, rest = read_frame(self._sock, rest)
                     replies.append((msg_type, reply))
                 if rest:
@@ -420,11 +398,6 @@ class TcpAgent:
                 pass
             self._sock = None
             self._timeout = None
-
-    def close(self):
-        with self._lock:
-            self._drop()
-            self._owed, self._owed_bytes = [], 0
 
 
 class TcpServer:
@@ -571,7 +544,11 @@ class StoreClient:
         self.fulfill_key(sig.key(), value, worker_id, sig.kind is not DemandKind.INTENSIONAL)
 
     def fulfill_key(self, key: bytes, value: Value, worker_id: str, procedural: bool) -> None:
-        """Store ``value`` under the signature key ``key``; an intensional fulfil is written behind."""
+        """Store ``value`` under the signature key ``key``; an intensional fulfil is written behind.
+
+        A posted fulfil takes effect when it is settled, by this client's
+        next exchange or ``sync``, not when this call returns.
+        """
         payload = key + wire.encode_value(value) + wire.encode_value(worker_id)
         if procedural:
             _reply(self.agent, MsgType.FULFILL, payload, MsgType.OK)

@@ -36,7 +36,6 @@ from eduction.model import (
     IDENTIFIER,
     DemandKind,
     DemandSignature,
-    MalformedDemand,
     MalformedValue,
     make_context,
     pending_demand,
@@ -227,6 +226,13 @@ class TestDepth:
 
     def test_oracle_raises_the_limit_itself(self, low_recursion_limit):
         assert reference_eval(CHAIN, "c", ctx(d=500)) == 500
+
+    def test_oracle_puts_the_recursion_limit_back(self, low_recursion_limit):
+        assert reference_eval(CHAIN, "c", ctx(d=500)) == 500
+        assert sys.getrecursionlimit() == 1000
+        with pytest.raises(DepthExceeded):
+            reference_eval(CHAIN, "c", ctx(d=10001))
+        assert sys.getrecursionlimit() == 1000
 
     @pytest.mark.parametrize("path", ["engine", "oracle"])
     def test_nesting_past_the_stack_is_depth_exceeded(self, path, low_recursion_limit):
@@ -444,7 +450,7 @@ class TestKeyedStoreTraffic:
 
     @pytest.mark.parametrize("program_id, tag", [("p\ud800", 1)], ids=["lone-surrogate"])
     @pytest.mark.parametrize(
-        "path, error", [("none", None), ("direct", MalformedDemand), ("inproc", MalformedValue)]
+        "path, error", [("none", None), ("direct", MalformedValue), ("inproc", MalformedValue)]
     )
     def test_a_demand_the_wire_cannot_carry_raises_as_it_did(self, program_id, tag, path, error):
         backing = DemandStore()

@@ -20,6 +20,7 @@ BENCH_ROWS = {
     "inproc.deposit_us",
     "tcp.deposit_us",
     "store.fib30_query_us",
+    "inproc.fib30_query_us",
     "tcp.fib30_query_us",
     "tcp.gather160_deposit_us",
 }

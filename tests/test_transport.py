@@ -411,6 +411,38 @@ class TestBlockingClaim:
         assert all(out["at"] - deposited < 0.5 for out in outs)
 
 
+class TestOneRequestPath:
+    """Both carriers post, batch and cap frames alike."""
+
+    def test_a_posted_fulfil_reaches_the_store_with_the_posters_next_exchange(self, store, agent):
+        poster = StoreClient(agent)
+        reader = inproc_store_client(store) if isinstance(agent, InProcAgent) else connect_store(f"{agent.host}:{agent.port}")
+        try:
+            poster.fulfill(isig(0), 5, "g")
+            with pytest.raises(NotFound):
+                reader.fetch(isig(0))
+            assert poster.stats().computed == 1  # the next exchange carries the fulfil
+            assert reader.fetch(isig(0)) == (DemandState.COMPUTED, 5)
+            poster.fulfill(isig(1), 6, "g")
+            with pytest.raises(NotFound):
+                reader.fetch(isig(1))
+            poster.sync()
+            assert reader.fetch(isig(1)) == (DemandState.COMPUTED, 6)
+        finally:
+            reader.close()
+
+    def test_a_request_over_the_frame_cap_is_refused_before_the_store(self, store, agent):
+        client = StoreClient(agent)
+        huge = DemandSignature("p", "f", EMPTY_CONTEXT, DemandKind.PROCEDURAL, ("x" * wire.MAX_PAYLOAD,))
+        with pytest.raises(wire.MalformedEncoding):
+            client.deposit(pending_demand(huge))
+        with pytest.raises(wire.MalformedEncoding):
+            client.put_resource("big", bytes(wire.MAX_PAYLOAD))
+        assert client.stats() == StoreStats(0, 0, 0, 0, 0, 0, 0)
+        with pytest.raises(NotFound):
+            client.get_resource("big")
+
+
 class TestTypedFields:
     """Each Str or Int field of a request is read as that kind or answered MalformedEncoding."""
 

@@ -187,6 +187,39 @@ class TestWorkerLoop:
         assert sum(s.fulfills for s in summaries) == 50
         store.close()
 
+    def test_a_lease_lost_mid_procedure_is_a_failure_and_the_loop_serves_on(self):
+        store = DemandStore()
+        started, released = threading.Event(), threading.Event()
+
+        def who(n):
+            me = threading.current_thread().name
+            if me == "dwt-a" and n == 0:
+                started.set()
+                released.wait(10)  # outlives the lease
+            return me
+
+        reg = ProcedureRegistry()
+        reg.register("who", 1, who)
+        a = Worker(WorkerConfig(worker_id="a", lease_ms=50), store, reg).start()
+        b = Worker(WorkerConfig(worker_id="b"), store, reg)
+        try:
+            store.deposit(pending_demand(psig("who", 0)))
+            assert started.wait(5)
+            b.start()  # claims the demand once a's lease lapses
+            assert store.await_result(psig("who", 0), 5000) == "dwt-b"
+            b.stop()
+            released.set()  # a fulfils a different value: ConflictingResult
+            store.deposit(pending_demand(psig("who", 1)))
+            assert store.await_result(psig("who", 1), 5000) == "dwt-a"
+        finally:
+            released.set()
+            a.stop()
+            b.stop()
+        assert (a.summary.claims, a.summary.fulfills, a.summary.failures) == (2, 1, 1)
+        assert (b.summary.claims, b.summary.fulfills, b.summary.failures) == (1, 1, 0)
+        assert store.fetch(psig("who", 0)) == (DemandState.COMPUTED, "dwt-b")
+        store.close()
+
 
 class CountingStore(DemandStore):
     claims = 0
