@@ -33,8 +33,9 @@ def main() -> int:
     args = ap.parse_args()
 
     mgr = Manager(heartbeat_ms=60000)
-    n1 = mgr.register_node("demo-a:0", agent=LocalNodeAgent())
-    n2 = mgr.register_node("demo-b:0", agent=LocalNodeAgent())
+    agents = [LocalNodeAgent(), LocalNodeAgent()]
+    n1 = mgr.register_node("demo-a:0", agent=agents[0])
+    n2 = mgr.register_node("demo-b:0", agent=agents[1])
     dst = mgr.allocate(n1, "DST", {})
     addr = dst.details["address"]
     dwt = mgr.allocate(n1, "DWT", {"store": addr, "registry": "pipeline"})
@@ -72,6 +73,8 @@ def main() -> int:
 
     client.close()
     mgr.close()
+    for agent in reversed(agents):  # the worker's node first: it claims from the store on the other
+        agent.close()
     return 0 if hits == total else 1
 
 

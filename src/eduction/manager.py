@@ -1,28 +1,23 @@
 """Manager tier: node registry, tier lifecycle, liveness from heartbeats.
 
 The manager is the one coordination point of a running system.  Nodes
-register an address and then heartbeat; every other judgement about them
-is derived, never stored: a node is ALIVE while its last heartbeat is
-younger than two intervals, SUSPECT under five, DEAD from five on.
+register an address and then heartbeat; a node is ALIVE while its last
+heartbeat is younger than two intervals, SUSPECT under five, DEAD from five on.
 
-Tier instances are built from ``TIERS``, which maps the kind string
-("DST", "DWT", "DGT") to a wrapper that its node agent starts once and
-stops once.  Allocation talks to the owning node through a node agent:
-``LocalNodeAgent`` runs tiers as threads in this process,
-``TcpNodeAgent`` sends the same commands to a remote node's agent server.
-A move is stop-then-start with the config carried over and a fresh tier
-id, and the event log records it as that dealloc and that alloc; nothing
-migrates live state, redelivery of leased demands is the store's job.
+A node agent starts and stops the tiers of ``TIERS`` ("DST", "DWT", "DGT"):
+``LocalNodeAgent`` as threads in this process, ``TcpNodeAgent`` through a
+remote node's agent server.  A move is a dealloc and an alloc with the config
+carried over and a fresh tier id; redelivery of leased demands is the store's.
 
-Commands are serialized by one lock (a single logical command queue);
-heartbeats only touch timestamps and take a separate lock so a slow
-allocation cannot mask a live node.  When a path is given, every
-state-changing command is appended to an event log, a ``Journal`` of
-SYSTEM frames (the op byte, then the SYSTEM JSON body with a ``ts``), and
-replayed on construction, so a restarted manager still knows its
-topology.  Replay restores records, not processes: tiers on remote nodes
-keep running and stay RUNNING; whether they still answer is the next
-command's problem.
+Commands run one at a time under one lock; heartbeats only touch timestamps,
+under their own lock, so a slow allocation cannot mask a live node.  A command
+changes the node and tier records only through ``_record``: it appends the
+event to the journal, if there is one (a ``Journal`` of SYSTEM frames: the op
+byte, then a JSON body with a ``ts``), and then ``_apply`` makes the change,
+the same step that replays the journal on construction.  So a tier is
+journalled before it starts, and a closed journal refuses a command before it
+acts.  Replay restores records, not processes: a logged tier stays RUNNING
+whether or not its node still runs it.
 """
 from __future__ import annotations
 
@@ -140,9 +135,13 @@ class DstTier(_TierBase):
 
     def _start(self) -> dict:
         self.store = DemandStore(log_path=self.config.get("log_path"))
-        self._server = serve_store(
-            self.store, self.config.get("host", "127.0.0.1"), int(self.config.get("port", 0))
-        )
+        try:
+            self._server = serve_store(
+                self.store, self.config.get("host", "127.0.0.1"), int(self.config.get("port", 0))
+            )
+        except BaseException:
+            self.store.close()  # stop() is never called on a failed start
+            raise
         return {"address": f"tcp://{self._server.host}:{self._server.port}"}
 
     def stop(self) -> None:
@@ -391,9 +390,8 @@ class Manager:
                 if rec.address == address:
                     raise DuplicateAddress(address)
             node_id = self._next_node
-            self._next_node += 1
-            self._nodes[node_id] = NodeRecord(node_id, address, self._clock(), agent)
-            self._log_event(SystemOp.REGISTER_NODE, {"node_id": node_id, "address": address})
+            self._record(SystemOp.REGISTER_NODE, {"node_id": node_id, "address": address})
+            self._nodes[node_id].agent = agent
             return node_id
 
     def heartbeat(self, node_id: int) -> NodeStatus:
@@ -430,27 +428,25 @@ class Manager:
     # -- tier lifecycle -------------------------------------------------------
 
     def allocate(self, node_id: int, kind: str, config: dict) -> TierRecord:
+        """Journal a new tier, then start it; a start that raises is journalled stopped and re-raised."""
         with self._cmd:
             rec = self._node(node_id, must_be_alive=True)
             if kind not in TIERS:
                 raise UnknownTierKind(str(kind))
-            if kind == "DST" and any(
-                t.kind == "DST" and t.state is not TierState.STOPPED for t in self._tiers.values()
-            ):
+            if kind == "DST" and any(t.kind == "DST" and t.state is TierState.RUNNING for t in self._tiers.values()):
                 raise AlreadyAllocated("a DST is already allocated (single-DST rule)")
             tier_id = f"t{self._next_tier}"
-            self._next_tier += 1
-            # recorded STOPPED until its start returns: a failed start leaves it so
-            tier = TierRecord(tier_id, kind, node_id, dict(config), TierState.STOPPED)
-            self._tiers[tier_id] = tier
-            tier.details = self._agent_of(rec).start_tier(tier_id, kind, config)
-            tier.state = TierState.RUNNING
-            self._log_event(
-                SystemOp.ALLOCATE, {"tier_id": tier_id, "node_id": node_id, "kind": kind, "config": tier.config}
-            )
+            self._record(SystemOp.ALLOCATE, {"tier_id": tier_id, "node_id": node_id, "kind": kind, "config": config})
+            tier = self._tiers[tier_id]
+            try:
+                tier.details = self._agent_of(rec).start_tier(tier_id, kind, config)
+            except BaseException:
+                self._record(SystemOp.DEALLOCATE, {"tier_id": tier_id})
+                raise
             return tier
 
     def deallocate(self, tier_id: str) -> bool:
+        """Stop a tier on its node, then journal each tier the node reports stopped; False if stopped already."""
         with self._cmd:
             tier = self._tiers.get(tier_id)
             if tier is None:
@@ -462,11 +458,10 @@ class Manager:
                 stopped = self._agent_of(node).stop_tier(tier_id)
             except TransportUnreachable:
                 stopped = []  # node gone; the record is authoritative
-            for tid in dict.fromkeys(stopped + [tier_id]):  # the agent knows which workers left with their store
+            for tid in dict.fromkeys(stopped + [tier_id]):  # the node knows which workers left with their store
                 t = self._tiers.get(tid)
                 if t is not None and t.node_id == tier.node_id and t.state is TierState.RUNNING:
-                    t.state = TierState.STOPPED
-                    self._log_event(SystemOp.DEALLOCATE, {"tier_id": tid})
+                    self._record(SystemOp.DEALLOCATE, {"tier_id": tid})
             return True
 
     def move(self, tier_id: str, dest_node_id: int) -> TierRecord:
@@ -505,32 +500,36 @@ class Manager:
 
     # -- event log ---------------------------------------------------------------
 
+    def _record(self, op: SystemOp, ev: dict):
+        """Append one event to the journal, if there is one, then apply it."""
+        if self._log is not None:
+            self._log.append(wire.MsgType.SYSTEM, bytes([op]) + encode_system_reply(dict(ev, ts=time.time())))
+        self._apply(op, ev)
+
     def _replay(self, msg_type: wire.MsgType, payload: bytes):
         """Apply one logged event; a record that decodes but is not a whole event ends the log."""
         op, ev = decode_system_payload(payload) if msg_type is wire.MsgType.SYSTEM else (None, {})
         try:
-            if op == SystemOp.REGISTER_NODE:
-                node_id = int(ev["node_id"])
-                self._nodes[node_id] = NodeRecord(node_id, ev["address"], self._clock())
-                self._next_node = max(self._next_node, node_id + 1)
-            elif op == SystemOp.ALLOCATE:
-                tier_id = ev["tier_id"]
-                self._tiers[tier_id] = TierRecord(
-                    tier_id, ev["kind"], int(ev["node_id"]), dict(ev["config"]), TierState.RUNNING
-                )
-                self._next_tier = max(self._next_tier, int(tier_id[1:]) + 1)
-            elif op == SystemOp.DEALLOCATE:
-                tier = self._tiers.get(ev["tier_id"])
-                if tier is not None:
-                    tier.state = TierState.STOPPED
-            else:
-                raise ValueError(f"{msg_type.name} op {op} is no manager event")
+            self._apply(op, ev)
         except (KeyError, TypeError, ValueError) as e:
             raise wire.MalformedEncoding(f"manager log record: {e!r}") from None
 
-    def _log_event(self, op: SystemOp, ev: dict):
-        if self._log is not None:
-            self._log.append(wire.MsgType.SYSTEM, bytes([op]) + encode_system_reply(dict(ev, ts=time.time())))
+    def _apply(self, op, ev: dict):
+        """Change the node and tier records by one event: the only code that does, for commands and replay alike."""
+        if op == SystemOp.REGISTER_NODE:
+            node_id = int(ev["node_id"])
+            self._nodes[node_id] = NodeRecord(node_id, ev["address"], self._clock())
+            self._next_node = max(self._next_node, node_id + 1)
+        elif op == SystemOp.ALLOCATE:
+            tier_id = ev["tier_id"]
+            self._tiers[tier_id] = TierRecord(
+                tier_id, ev["kind"], int(ev["node_id"]), dict(ev["config"]), TierState.RUNNING
+            )
+            self._next_tier = max(self._next_tier, int(tier_id[1:]) + 1)
+        elif op == SystemOp.DEALLOCATE:
+            self._tiers[ev["tier_id"]].state = TierState.STOPPED  # a tier never allocated: KeyError
+        else:
+            raise ValueError(f"op {op} is no manager event")
 
     def close(self):
         """Close the event log (a command it would record raises ``StoreClosed`` after this) and the node agents."""

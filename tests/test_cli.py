@@ -1,4 +1,5 @@
 """The eduction executable, driven through main()."""
+import json
 import re
 import threading
 
@@ -7,7 +8,7 @@ import pytest
 from eduction import wire
 from eduction.cli import format_value, main
 from eduction.lang import compile_source
-from eduction.manager import SystemOp
+from eduction.manager import LocalNodeAgent, Manager, SystemOp, serve_manager, serve_node_agent
 from eduction.transport import decode_system_payload
 
 FACT_SRC = (
@@ -223,3 +224,40 @@ class TestNodeCommand:
 
     def test_unknown_tier_kind(self, capsys):
         assert main(["node", "start", "--tiers", "dst,xyz", "--run-ms", "10"]) == 1
+
+
+class TestMgrCommand:
+    def test_register_alloc_move_dealloc_status(self, capsys):
+        mgr = Manager(heartbeat_ms=60000)
+        gmt = serve_manager(mgr)
+        agents = [LocalNodeAgent(), LocalNodeAgent()]
+        nodes = [serve_node_agent(agent) for agent in agents]
+
+        def mgr_cmd(*args):
+            code = main(["mgr", "--gmt", f"127.0.0.1:{gmt.port}", *args])
+            return code, capsys.readouterr().out.strip()
+
+        try:
+            assert mgr_cmd("register", f"127.0.0.1:{nodes[0].port}") == (0, "1")
+            assert mgr_cmd("register", f"127.0.0.1:{nodes[1].port}") == (0, "2")
+            assert mgr_cmd("alloc", "1", "dgt", "seq=3", "note=x") == (0, "t1")
+            assert {tid: t["kind"] for tid, t in agents[0].list_tiers().items()} == {"t1": "DGT"}
+            assert mgr_cmd("move", "t1", "2") == (0, "t2")
+            assert (list(agents[0].list_tiers()), list(agents[1].list_tiers())) == ([], ["t2"])
+            assert mgr_cmd("dealloc", "t2") == (0, "true")
+            assert mgr_cmd("dealloc", "t2") == (0, "false")
+            assert mgr_cmd("dealloc", "t9")[0] == 2  # TierUnknown, a domain error
+            assert mgr_cmd("alloc", "1", "dgt", "novalue")[0] == 1  # a usage error
+            code, out = mgr_cmd("status")
+            assert code == 0
+            tiers = json.loads(out)["tiers"]
+            config = {"note": "x", "seq": 3}
+            assert {tid: (t["node_id"], t["state"], t["config"]) for tid, t in tiers.items()} == {
+                "t1": (1, "STOPPED", config), "t2": (2, "STOPPED", config)
+            }
+        finally:
+            gmt.stop()
+            mgr.close()
+            for node, agent in zip(nodes, agents):
+                node.stop()
+                agent.close()

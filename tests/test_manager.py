@@ -1,7 +1,11 @@
 """General manager tier: registration, liveness, allocation, movement."""
+import gc
 import json
+import random
+import socket
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -27,7 +31,7 @@ from eduction.manager import (
     serve_node_agent,
 )
 from eduction.model import DemandKind, DemandSignature, EMPTY_CONTEXT, pending_demand
-from eduction.store import NotAJournal, NotFound
+from eduction.store import NotAJournal, NotFound, StoreClosed
 from eduction.transport import (
     InProcAgent,
     StoreClient,
@@ -347,6 +351,20 @@ class TestEventLog:
         mgr.close()
         assert_every_cut_replays_its_whole_records(log, caplog)
 
+    def test_a_logged_op_that_is_no_event_ends_the_log(self, new_agent, tmp_path, caplog):
+        log = tmp_path / "gmt.log"
+        mgr, _ = make_mgr(log_path=str(log))
+        mgr.register_node("n:1", agent=new_agent())
+        mgr.close()
+        first = log.read_bytes()
+        beat = encode_frame(MsgType.SYSTEM, bytes([SystemOp.HEARTBEAT]) + encode_system_reply({"node_id": 1, "ts": 0.0}))
+        log.write_bytes(first + beat + first.replace(b"n:1", b"n:2"))
+        mgr2 = Manager(heartbeat_ms=1000, clock=FakeClock(), log_path=str(log))
+        assert [n["address"] for n in mgr2.status_report()["nodes"].values()] == ["n:1"]
+        mgr2.close()
+        assert log.read_bytes() == first
+        assert [r.levelname for r in caplog.records if "dropping" in r.getMessage()] == ["WARNING"]
+
     def test_a_json_lines_log_is_refused_untouched(self, tmp_path):
         log = tmp_path / "gmt.jsonl"
         old = b'{"address": "n:1", "ev": "register", "node_id": 1, "ts": 0.0}\n'
@@ -354,6 +372,120 @@ class TestEventLog:
         with pytest.raises(NotAJournal, match=str(log)):
             Manager(heartbeat_ms=1000, clock=FakeClock(), log_path=str(log))
         assert log.read_bytes() == old
+
+
+def records(mgr):
+    """The records a manager reports that its journal holds: its tiers, and its nodes' addresses."""
+    report = mgr.status_report()
+    return report["tiers"], {nid: n["address"] for nid, n in report["nodes"].items()}
+
+
+def replayed(log):
+    """The records of a manager reopened from ``log``."""
+    mgr = Manager(heartbeat_ms=1000, clock=FakeClock(), log_path=log)
+    try:
+        return records(mgr)
+    finally:
+        mgr.close()
+
+
+class TestWriteAhead:
+    """A command journals its event, then applies it with the step replay runs: live and replayed records agree."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("over", ["in-process", "tcp"])
+    def test_seeded_commands_replay_to_the_live_records(self, new_agent, tmp_path, over, seed):
+        rng = random.Random(seed)
+        log = str(tmp_path / "gmt.log")
+        mgr, _ = make_mgr(log_path=log)
+        server = serve_node_agent(new_agent()) if over == "tcp" else None
+        try:
+            if server is None:
+                nodes = [mgr.register_node(f"n:{i}", agent=new_agent()) for i in (1, 2)]
+            else:
+                nodes = [mgr.register_node(f"127.0.0.1:{server.port}")]
+            tiers, dst, refused = [], None, 0
+            for step in range(30):
+                op = rng.choice(["dst", "dwt", "dwt-no-store", "dwt-bad-registry", "dgt", "dealloc", "move"])
+                node = rng.choice(nodes)
+                try:
+                    if op == "dst":
+                        dst = mgr.allocate(node, "DST", {})
+                        tiers.append(dst)
+                    elif op == "dwt" and dst is not None and dst.state is TierState.RUNNING:  # stops with its store
+                        tiers.append(mgr.allocate(dst.node_id, "DWT", {"store": dst.details["address"]}))
+                    elif op == "dwt-no-store":
+                        mgr.allocate(node, "DWT", {})
+                    elif op == "dwt-bad-registry":
+                        mgr.allocate(node, "DWT", {"store": "127.0.0.1:1", "registry": "nope"})
+                    elif op == "dgt":
+                        tiers.append(mgr.allocate(node, "DGT", {"step": step}))
+                    elif op == "dealloc" and tiers:
+                        mgr.deallocate(rng.choice(tiers).tier_id)
+                    elif op == "move" and any(t.kind != "DWT" for t in tiers):  # a worker stays next to its store
+                        tier = rng.choice([t for t in tiers if t.kind != "DWT"])
+                        moved = mgr.move(tier.tier_id, node)
+                        tiers.append(moved)
+                        dst = moved if tier is dst else dst
+                except (BadTierConfig, AlreadyAllocated, TierUnknown):
+                    refused += 1
+                assert replayed(log) == records(mgr), (step, op)
+            assert refused and any(t["state"] == "STOPPED" for t in records(mgr)[0].values())
+            live_tiers, live_nodes = records(mgr)
+        finally:
+            mgr.close()
+            if server is not None:
+                server.stop()
+        reopened = Manager(heartbeat_ms=1000, clock=FakeClock(), log_path=log)
+        try:
+            nid = reopened.register_node("n:new", agent=new_agent())
+            assert str(nid) not in live_nodes
+            assert reopened.allocate(nid, "DGT", {}).tier_id not in live_tiers
+        finally:
+            reopened.close()
+
+    @pytest.mark.parametrize("over", ["in-process", "tcp"])
+    def test_a_failed_start_is_journalled_stopped_and_keeps_its_id(self, new_agent, tmp_path, over):
+        log = str(tmp_path / "gmt.log")
+        mgr, _ = make_mgr(log_path=log)
+        agent = new_agent()
+        server = serve_node_agent(agent) if over == "tcp" else None
+        try:
+            nid = mgr.register_node("n:1", agent=agent) if server is None else mgr.register_node(f"127.0.0.1:{server.port}")
+            with pytest.raises(BadTierConfig):
+                mgr.allocate(nid, "DWT", {})
+            assert replayed(log) == records(mgr)
+            assert mgr.allocate(nid, "DGT", {}).tier_id == "t2"
+            assert {tid: t["state"] for tid, t in replayed(log)[0].items()} == {"t1": "STOPPED", "t2": "RUNNING"}
+        finally:
+            mgr.close()
+            if server is not None:
+                server.stop()
+
+    @pytest.mark.parametrize("over", ["in-process", "tcp"])
+    def test_a_closed_manager_starts_no_tier(self, new_agent, tmp_path, over):
+        mgr, _ = make_mgr(log_path=str(tmp_path / "gmt.log"))
+        agent = new_agent()
+        server = serve_node_agent(agent) if over == "tcp" else None
+        try:
+            nid = mgr.register_node("n:1", agent=agent) if server is None else mgr.register_node(f"127.0.0.1:{server.port}")
+            mgr.close()
+            with pytest.raises(StoreClosed):
+                mgr.allocate(nid, "DGT", {})
+            assert agent.list_tiers() == {}
+            assert mgr.status_report()["tiers"] == {}
+        finally:
+            mgr.close()
+            if server is not None:
+                server.stop()
+
+    def test_a_closed_manager_registers_no_node(self, new_agent, tmp_path):
+        mgr, _ = make_mgr(log_path=str(tmp_path / "gmt.log"))
+        mgr.register_node("n:1", agent=new_agent())
+        mgr.close()
+        with pytest.raises(StoreClosed):
+            mgr.register_node("n:2", agent=new_agent())
+        assert [n["address"] for n in mgr.status_report()["nodes"].values()] == ["n:1"]
 
 
 class TestRemoteSurface:
@@ -512,6 +644,22 @@ class TestHeartbeater:
         cl.close()
         mgr.close()
 
+    def test_keeps_beating_after_a_beat_fails(self):
+        beats = []
+
+        class Flaky:
+            def heartbeat(self, node_id):
+                beats.append(node_id)
+                if len(beats) == 1:
+                    raise TransportUnreachable("manager away")
+
+        hb = Heartbeater(Flaky(), 7, interval_ms=5).start()
+        deadline = time.monotonic() + 5
+        while len(beats) < 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        hb.stop()
+        assert beats[:3] == [7, 7, 7]
+
 
 class TestLocalNodeAgent:
     def test_start_tier_dispatches_on_kind(self):
@@ -522,6 +670,22 @@ class TestLocalNodeAgent:
             agent.start_tier("t2", "XYZ", {})
         assert agent.tier("t2") is None
         agent.close()
+
+    def test_a_dst_that_cannot_bind_closes_its_log(self, tmp_path):
+        taken = socket.create_server(("127.0.0.1", 0))
+        config = {"port": taken.getsockname()[1], "log_path": str(tmp_path / "store.log")}
+        agent = LocalNodeAgent()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                with pytest.raises(OSError):
+                    agent.start_tier("dst-1", "DST", config)
+                gc.collect()  # an unclosed log warns when it is collected
+            assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+            assert agent.list_tiers() == {}
+        finally:
+            agent.close()
+            taken.close()
 
     def test_close_stops_worker_before_store(self):
         agent = LocalNodeAgent()

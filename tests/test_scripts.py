@@ -2,6 +2,8 @@
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -39,3 +41,24 @@ def test_bench_writes_every_row(tmp_path, monkeypatch):
     rows = result["median_us_per_call"]
     assert set(rows) == BENCH_ROWS
     assert all(us > 0 for us in rows.values()), rows
+
+
+def run_script(name: str) -> subprocess.CompletedProcess:
+    """Run ``scripts/<name>`` from the repository root, as its ``sys.path`` line expects."""
+    return subprocess.run(
+        [sys.executable, os.path.join("scripts", name)], cwd=ROOT, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_demo_cluster_classifies_every_sample_across_a_move():
+    done = run_script("demo_cluster.py")
+    assert done.returncode == 0, done.stderr
+    assert "recognition accuracy with mid-run move: 20/20" in done.stdout.splitlines()
+
+
+def test_window_sweep_reports_every_window():
+    done = run_script("window_sweep.py")
+    assert done.returncode == 0, done.stderr
+    rows = {int(w): accuracy for w, accuracy, _ in (line.split() for line in done.stdout.splitlines()[1:])}
+    assert sorted(rows) == [2, 4, 8, 16, 32, 64]
+    assert rows[16] == "20/20"
