@@ -24,15 +24,19 @@ carrying a 512-float FloatArray, the largest value the pipeline moves.
     inproc.deposit   one deposit round trip through the in-process carrier
     tcp.deposit      one deposit round trip over TCP to a ``serve_store``
                      running in this process
+    none.fib30_query one cold ``fib@30`` query through ``Evaluator`` with no
+                     store, per demand (31 a query): the engine alone
     store.fib30_query
-                     one cold ``fib@30`` query through ``Evaluator`` on a
-                     ``DemandStore``, per demand (31 a query): the engine
-                     and its keyed deposit and fulfil, with no carrier
+                     the same query on a ``DemandStore``, per demand: the
+                     engine and its keyed deposit and fulfil, with no carrier
     inproc.fib30_query
                      the same query through the in-process carrier on
                      that store, per demand: the carrier's own cost
     tcp.fib30_query  the same query over that TCP store, per demand: a
                      deposit, and a fulfil written behind, each
+    engine.compile_fib
+                     compiling ``fib``'s body into its generator function,
+                     which each program does once, on its first cold demand
     tcp.gather160_deposit
                      one ``store.gather`` of 160 ``cls.classify`` signatures
                      over that TCP store, per demand; each is a warehouse
@@ -56,7 +60,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from eduction import wire  # noqa: E402
-from eduction.evaluator import Evaluator  # noqa: E402
+from eduction.evaluator import Evaluator, _compile_body  # noqa: E402
 from eduction.lang import compile_source  # noqa: E402
 from eduction.model import DemandKind, DemandSignature, make_context, pending_demand  # noqa: E402
 from eduction.pipeline import CLASSIFY_PROC, DEFAULT_WINDOWS, PROGRAM_ID  # noqa: E402
@@ -73,6 +77,7 @@ FIB = compile_source(
 FIB30_DEMANDS = 31
 GATHER_DEMANDS = 160
 GATHERS = 20  # a batch of gathers, 3200 deposits
+COMPILES = 200  # a batch of body compilations
 
 
 def fib_sig(n: int) -> DemandSignature:
@@ -173,12 +178,15 @@ def rows() -> dict:
             "dispatch.fulfill_us": dispatch_fulfills,
             "inproc.deposit_us": same(inproc.deposit, demand),
             "tcp.deposit_us": same(tcp.deposit, demand),
+            "none.fib30_query_us": fib30_queries(None),
             "store.fib30_query_us": fib30_queries(store),
             "inproc.fib30_query_us": fib30_queries(inproc),
             "tcp.fib30_query_us": fib30_queries(tcp),
+            "engine.compile_fib_us": lambda: [lambda: _compile_body("fib", FIB.dictionary["fib"])] * COMPILES,
             "tcp.gather160_deposit_us": lambda: [lambda: gather(tcp, classify_sigs, 10000)] * GATHERS,
         }
         out = timed(batches)
+        out["none.fib30_query_us"] /= FIB30_DEMANDS
         out["store.fib30_query_us"] /= FIB30_DEMANDS
         out["inproc.fib30_query_us"] /= FIB30_DEMANDS
         out["tcp.fib30_query_us"] /= FIB30_DEMANDS

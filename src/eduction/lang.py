@@ -46,7 +46,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence, Tuple, Union
 
 from .errors import EductionError
@@ -326,6 +326,9 @@ class Geer:
     dictionary: dict  # name -> AstNode; treat as read-only
     root_expr: AstNode
     source_digest: bytes
+    # name -> (body AST, compiled body), filled by the evaluator on a body's
+    # first start; a replace() copy shares it, so each body compiles once
+    compiled: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _walk(node: AstNode):

@@ -7,7 +7,8 @@ heartbeat is younger than two intervals, SUSPECT under five, DEAD from five on.
 A node agent starts and stops the tiers of ``TIERS`` ("DST", "DWT", "DGT"):
 ``LocalNodeAgent`` as threads in this process, ``TcpNodeAgent`` through a
 remote node's agent server.  A move is a dealloc and an alloc with the config
-carried over and a fresh tier id; redelivery of leased demands is the store's.
+carried over and a fresh tier id; a move whose alloc fails starts the tier again
+where it was.  Redelivery of leased demands is the store's.
 
 Commands run one at a time under one lock; heartbeats only touch timestamps,
 under their own lock, so a slow allocation cannot mask a live node.  A command
@@ -430,20 +431,23 @@ class Manager:
     def allocate(self, node_id: int, kind: str, config: dict) -> TierRecord:
         """Journal a new tier, then start it; a start that raises is journalled stopped and re-raised."""
         with self._cmd:
-            rec = self._node(node_id, must_be_alive=True)
+            self._node(node_id, must_be_alive=True)
             if kind not in TIERS:
                 raise UnknownTierKind(str(kind))
             if kind == "DST" and any(t.kind == "DST" and t.state is TierState.RUNNING for t in self._tiers.values()):
                 raise AlreadyAllocated("a DST is already allocated (single-DST rule)")
-            tier_id = f"t{self._next_tier}"
-            self._record(SystemOp.ALLOCATE, {"tier_id": tier_id, "node_id": node_id, "kind": kind, "config": config})
-            tier = self._tiers[tier_id]
-            try:
-                tier.details = self._agent_of(rec).start_tier(tier_id, kind, config)
-            except BaseException:
-                self._record(SystemOp.DEALLOCATE, {"tier_id": tier_id})
-                raise
-            return tier
+            return self._start(f"t{self._next_tier}", node_id, kind, config)
+
+    def _start(self, tier_id: str, node_id: int, kind: str, config: dict) -> TierRecord:
+        """Journal ``tier_id`` RUNNING on ``node_id``, then start it; a start that raises is journalled stopped and re-raised."""
+        self._record(SystemOp.ALLOCATE, {"tier_id": tier_id, "node_id": node_id, "kind": kind, "config": config})
+        tier = self._tiers[tier_id]
+        try:
+            tier.details = self._agent_of(self._nodes[node_id]).start_tier(tier_id, kind, config)
+        except BaseException:
+            self._record(SystemOp.DEALLOCATE, {"tier_id": tier_id})
+            raise
+        return tier
 
     def deallocate(self, tier_id: str) -> bool:
         """Stop a tier on its node, then journal each tier the node reports stopped; False if stopped already."""
@@ -465,14 +469,25 @@ class Manager:
             return True
 
     def move(self, tier_id: str, dest_node_id: int) -> TierRecord:
-        """Stop on the old node, start with the same config on the new one."""
+        """Stop on the old node, start with the same config on the new one.
+
+        A start that fails on the new node starts the tier again, under its
+        own id, on the old one, and then re-raises: a failed move leaves the
+        tier where it was, not stopped everywhere.  Stopping comes first
+        because starting first is not always possible: a DST with a fixed
+        port cannot run twice on one host.
+        """
         with self._cmd:
             tier = self._tiers.get(tier_id)
             if tier is None or tier.state is TierState.STOPPED:
                 raise TierUnknown(str(tier_id))
             self._node(dest_node_id, must_be_alive=True)
             self.deallocate(tier_id)
-            return self.allocate(dest_node_id, tier.kind, tier.config)
+            try:
+                return self.allocate(dest_node_id, tier.kind, tier.config)
+            except BaseException:
+                self._start(tier_id, tier.node_id, tier.kind, tier.config)
+                raise
 
     # -- reporting -----------------------------------------------------------
 

@@ -102,13 +102,20 @@ class NotAJournal(EductionError):
     pass
 
 
+class UnreadableJournalVersion(NotAJournal):
+    """A journal holds a whole frame header of a version this code does not read."""
+
+
 class Journal:
     """An append-only file of wire frames: the store's log, and the manager's.
 
     Opening replays each whole frame through ``replay(msg_type, payload)``
     and cuts the file, with one WARNING, at the first frame that is torn or
     corrupt or that ``replay`` refuses with an ``EductionError``.  A non-empty
-    file that does not begin as a frame does is refused and left as it is.
+    file that does not begin as a frame does is refused and left as it is,
+    and so is one with a whole frame header, magic and all, of another
+    version than ``wire.VERSION`` (``UnreadableJournalVersion``): a format
+    change must not erase the logs written before it.
     ``append`` writes and flushes one frame; after ``close`` it raises
     ``StoreClosed``.
     """
@@ -126,6 +133,10 @@ class Journal:
                     good_end = end
             except EductionError:
                 pass  # the first torn or corrupt record ends the log
+            header = data[good_end : good_end + wire.HEADER_SIZE]
+            if len(header) == wire.HEADER_SIZE and header.startswith(wire.MAGIC) and header[4] != wire.VERSION:
+                found = f"{path} holds a frame of version {header[4]} at byte {good_end}"
+                raise UnreadableJournalVersion(f"{found}; this code reads version {wire.VERSION}")
             if good_end != len(data):
                 import logging  # only a damaged log needs it; a node start would pay for it
 

@@ -109,10 +109,11 @@ def gen_context(rng: random.Random, geer: lang.Geer, max_tag: int = 3) -> Contex
     return make_context((d, rng.randint(0, max_tag)) for d in sorted(geer.dimensions))
 
 
-def outcome_engine(geer: lang.Geer, name: str, ctx: Context, max_depth: int) -> Tuple[str, object]:
+def outcome_engine(geer: lang.Geer, name: str, ctx: Context, max_depth: int, store: bool = True) -> Tuple[str, object]:
+    """The engine's value or error class, on a fresh ``DemandStore`` or, with ``store`` false, on none."""
     from eduction.evaluator import EvalConfig
 
-    ev = Evaluator(geer, DemandStore(), EvalConfig(max_depth=max_depth))
+    ev = Evaluator(geer, DemandStore() if store else None, EvalConfig(max_depth=max_depth))
     try:
         return ("value", ev.eval_demand(name, ctx))
     except EductionError as e:

@@ -1,7 +1,7 @@
 """A McCabe ceiling on every function of ``src/eduction``, counted by ``scripts/mccabe.py``.
 
-No function may pass a count of 15, except the three that passed it when
-the ceiling was set; none of those may grow past its count.
+No function may pass a count of 15, except the one that still passes it of
+the three that did when the ceiling was set; it may not grow past its count.
 """
 import ast
 import importlib.util
@@ -11,7 +11,7 @@ from helpers import package_sources
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CEILING = 15
-GRANDFATHERED = {"evaluator.apply_binop": 33, "evaluator.Evaluator._expr": 16, "lang._Parser.primary": 16}
+GRANDFATHERED = {"lang._Parser.primary": 16}
 
 
 def _mccabe():

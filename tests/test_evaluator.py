@@ -1,4 +1,5 @@
 """Eductive engine vs. the recursive reference interpreter."""
+import enum
 import gc
 import inspect
 import math
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eduction
-from eduction import lang, pipeline as P, wire
+import helpers
+from eduction import evaluator, lang, pipeline as P, wire
 from eduction.evaluator import (
     GENERATOR_ID,
     CircularDemand,
@@ -266,16 +268,22 @@ class TestDepth:
 
 
 class BodyLog(Evaluator):
-    """An Evaluator that keeps every expression generator it starts."""
+    """An Evaluator that keeps every body generator it starts."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.bodies = []
 
-    def _expr(self, node, ctx):
-        gen = super()._expr(node, ctx)
-        self.bodies.append(gen)
-        return gen
+    def _body(self, name):
+        compiled = super()._body(name)
+
+        def logged(ev, ctx):
+            gen = compiled(ev, ctx)
+            self.bodies.append(gen)
+            return gen
+
+        self._bodies[name] = logged
+        return logged
 
 
 class TestFailureLeavesNothingBehind:
@@ -288,9 +296,9 @@ class TestFailureLeavesNothingBehind:
             (
                 "c where dimension d, e; c = if #.d <= 0 then 1 / #.e else 1 + (c @.d (#.d - 1)); end",
                 {},
-                {"d": 49, "e": 0},
-                {"d": 49, "e": 1},
-                50,
+                {"d": 50, "e": 0},
+                {"d": 50, "e": 1},
+                51,
                 DivisionByZero,
             ),
             (
@@ -789,3 +797,222 @@ class TestReference:
                 if not helpers.outcomes_match(a, b):
                     mismatches.append((geer.program_id, c, a, b))
         assert mismatches == []
+
+
+def exact(outcome):
+    """An outcome with its value's type and repr: 1 and 1.0, or 0.0 and -0.0, differ."""
+    kind, value = outcome
+    return (kind, value) if kind == "error" else (kind, type(value).__name__, repr(value))
+
+
+def agreed(geer, name, context, max_depth=10000):
+    """The oracle's outcome, after checking that the engine gives it with no store and on a ``DemandStore``."""
+    oracle = exact(helpers.outcome_oracle(geer, name, context, max_depth))
+    for store in (False, True):
+        assert exact(helpers.outcome_engine(geer, name, context, max_depth, store)) == oracle, store
+    return oracle
+
+
+INT_MIN = "(-9223372036854775808)"
+
+
+class Seven(enum.IntEnum):
+    """An Int that is not a plain ``int``: ``apply_binop`` takes its typed path."""
+
+    SEVEN = 7
+
+
+def wrap(n):
+    return (n + 2**63) % 2**64 - 2**63
+
+
+class TestCompiledBodies:
+    """Each identifier body is compiled once into one generator function: it
+    must give the oracle's value or error class, with no store and on one."""
+
+    @pytest.mark.parametrize("store", [False, True], ids=["none", "direct"])
+    def test_random_programs_match_the_oracle(self, store):
+        rng = random.Random(31)
+        seen, mismatches = set(), []
+        for i in range(300):
+            geer = helpers.gen_program(rng, i)
+            for _ in range(2):
+                c = helpers.gen_context(rng, geer)
+                a = helpers.outcome_engine(geer, "x", c, 256, store)
+                b = helpers.outcome_oracle(geer, "x", c, 256)
+                seen.add(a[1] if a[0] == "error" else a[0])
+                if not helpers.outcomes_match(a, b):
+                    mismatches.append((geer.program_id, c, a, b))
+        assert mismatches == []
+        assert {"value", "TypeMismatch", "DivisionByZero", "CircularDemand"} <= seen
+
+    @pytest.mark.parametrize(
+        "expr, tags, outcome",
+        [
+            # Ints wrap at 64 bits
+            ("9223372036854775807 + 1", {}, INT64_MIN),
+            (f"{INT_MIN} - 1", {}, INT64_MAX),
+            (f"{INT_MIN} * -1", {}, INT64_MIN),
+            (f"{INT_MIN} / -1", {}, INT64_MIN),
+            (f"{INT_MIN} % -1", {}, 0),
+            ("#.d + 1", {"d": INT64_MAX}, INT64_MIN),
+            ("9223372036854775807 * 2", {}, -2),
+            # Int, Float and Bool mixed
+            ("1 + 0.5", {}, 1.5),
+            ("#.d * 0.5", {"d": 3}, 1.5),
+            ("7 / 2.0", {}, 3.5),
+            ("-7 % 2.0", {}, -1.0),
+            ("0.0 * -1", {}, -0.0),
+            ("1 == 1.0", {}, True),
+            ("2 < 2.5", {}, True),
+            ("(1 < 2) == (2 < 3)", {}, True),
+            ("(1 < 2) != (2 < 1)", {}, True),
+            ("(1 < 2) && (2 < 1) || (1 < 2)", {}, True),
+            ("(1 < 2) == 1", {}, TypeMismatch),
+            ("(1 < 2) + 1", {}, TypeMismatch),
+            ("1.5 < (1 < 2)", {}, TypeMismatch),
+            ("(1 < 2) && 1", {}, TypeMismatch),
+            ("(1 < 2) || 1 / 0 == 1", {}, DivisionByZero),
+            # division and modulo by zero
+            ("1 / 0", {}, DivisionByZero),
+            ("1 % 0", {}, DivisionByZero),
+            ("1.0 / 0", {}, DivisionByZero),
+            ("1 % 0.0", {}, DivisionByZero),
+            ("1 / -0.0", {}, DivisionByZero),
+            ("#.d / #.e", {"d": 1, "e": 0}, DivisionByZero),
+            # an `if` takes a Bool, and evaluates only the branch it takes
+            ("if 1 then 2 else 3", {}, TypeMismatch),
+            ("if #.d then 2 else 3", {"d": 1}, TypeMismatch),
+            ("if 1.5 then 2 else 3", {}, TypeMismatch),
+            ("if 1 < 2 then 1 else 1 / 0", {}, 1),
+            ("if 1 > 2 then 1 / 0 else 2", {}, 2),
+            # a tag is an Int
+            ("#.d @.d 1.5", {}, TypeMismatch),
+            ("#.d @.d (1 < 2)", {}, TypeMismatch),
+            (f"#.d @.d {INT_MIN}", {}, INT64_MIN),
+            ("(#.d + #.e) @.e (#.e + 1)", {"d": 2, "e": 3}, 6),
+        ],
+    )
+    def test_edge_cases_match_the_oracle(self, expr, tags, outcome):
+        geer = compile_source(f"x where dimension d, e; x = {expr}; end", "edge")
+        want = ("error", outcome.__name__) if isinstance(outcome, type) else exact(("value", outcome))
+        assert agreed(geer, "x", ctx(**tags)) == want
+
+    @pytest.mark.parametrize(
+        "body, outcome",
+        [
+            (lang.If(lang.Literal(True), lang.Literal(1), "not a node"), ("value", "int", "1")),
+            (lang.If(lang.Literal(False), lang.Literal(1), "not a node"), ("error", "TypeMismatch")),
+            (lang.Binary("==", lang.Literal(math.nan), lang.Literal(math.nan)), ("value", "bool", "False")),
+            (lang.Binary("<", lang.Literal("1"), lang.Literal(1)), ("error", "TypeMismatch")),
+            (lang.Binary("*", lang.Literal(Seven.SEVEN), lang.Literal(INT64_MAX)), ("value", "int", str(wrap(7 * INT64_MAX)))),
+            (lang.Binary("^", lang.Literal(1), lang.Literal(2)), ("error", "TypeMismatch")),
+            (lang.Binary("+", lang.Ident("it's \\ \"x\""), lang.HashDim("d')")), ("value", "int", "2")),
+        ],
+        ids=["junk-not-taken", "junk-taken", "nan", "str", "int-subclass", "unknown-operator", "quoted-names"],
+    )
+    def test_hand_built_bodies_match_the_oracle(self, body, outcome):
+        # literals with no literal syntax, names that need quoting, and a node of no known kind
+        dictionary = {"x": body, "it's \\ \"x\"": lang.Literal(2)}
+        assert agreed(lang.Geer("hand", frozenset({"d"}), dictionary, lang.Ident("x"), b""), "x", ctx(d=5)) == outcome
+
+    @pytest.mark.parametrize("store", [False, True], ids=["none", "direct"])
+    def test_a_cycle_reads_as_it_always_has(self, store):
+        src = "x where dimension d, e; x = if #.d > 0 then 1 + (x @.d (#.d - 1)) else y @.e 7; y = x @.d (0 - 0); end"
+        ev = Evaluator(compile_source(src, "p"), DemandStore() if store else None)
+        with pytest.raises(CircularDemand) as cycle:
+            ev.eval_demand("x", ctx(d=2, e=-3))
+        assert str(cycle.value) == (
+            "x@{d=2,e=-3} -> x@{d=1,e=-3} -> x@{d=0,e=-3} -> y@{d=0,e=7} -> x@{d=0,e=7} -> y@{d=0,e=7}"
+        )
+
+    def test_calls_in_a_body_match_the_oracle(self):
+        src = (
+            "x where dimension d; "
+            "x = if #.d <= 0 then call add2(#.d, 1) else call mul2(x @.d (#.d - 1), call add2(#.d, #.d)); end"
+        )
+        geer = compile_source(src, "calls")
+        oracle = reference_eval(geer, "x", ctx(d=3), build_demo_registry())
+        store = DemandStore()
+        w = Worker(WorkerConfig(worker_id="w0"), store, build_demo_registry()).start()
+        try:
+            assert Evaluator(geer, store, EvalConfig(proc_timeout_ms=10000)).eval_demand("x", ctx(d=3)) == oracle == 48
+        finally:
+            w.stop()
+            store.close()
+        with pytest.raises(StoreUnreachable):
+            Evaluator(geer).eval_demand("x", ctx(d=3))
+
+    @staticmethod
+    def deepest(builds, hi):
+        """The largest ``n`` below ``hi`` for which ``builds(n)`` gives a program, not ``None``."""
+        lo = 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if builds(mid) is None:
+                hi = mid - 1
+            else:
+                lo = mid
+        return lo
+
+    @staticmethod
+    def check_nest(geer, n):
+        """``geer`` nests ``n`` ifs, which give ``i`` at ``d = i`` and -1 past the last."""
+        for d in (0, 1, n // 2, n - 1, n):
+            assert agreed(geer, "x", ctx(d=d)) == exact(("value", d if d < n else -1)), d
+
+    @staticmethod
+    def nest(n):
+        """``n`` nested ifs, each in the then branch or the else branch of the one around it, in turn."""
+        node = lang.Literal(-1)
+        for i in reversed(range(n)):
+            hit = lang.Literal(i)
+            if i % 2:
+                node = lang.If(lang.Binary("!=", lang.HashDim("d"), lang.Literal(i)), node, hit)
+            else:
+                node = lang.If(lang.Binary("==", lang.HashDim("d"), lang.Literal(i)), hit, node)
+        return node
+
+    def test_an_if_past_the_indentation_limit_gets_a_function_of_its_own(self):
+        self.check_nest(lang.Geer("nest", frozenset({"d"}), {"x": self.nest(45)}, lang.Ident("x"), b""), 45)
+
+    def test_the_deepest_if_that_compiles(self):
+        def builds(n):
+            try:
+                return compile_source(f"x where dimension d; x = {lang.pretty(self.nest(n))}; end", "deep")
+            except RecursionError:
+                return None
+
+        n = self.deepest(builds, 1000)
+        assert n > 40  # past the 38 nested ifs that one generated function holds
+        self.check_nest(builds(n), n)
+
+    def test_the_deepest_if_that_decodes(self):
+        base = compile_source("x where dimension d; x = 0; end", "deep")
+
+        def builds(n):
+            try:
+                return wire.decode_geer(wire.encode_geer(replace(base, dictionary={"x": self.nest(n)})))
+            except (RecursionError, lang.MalformedGeer):
+                return None
+
+        n = self.deepest(builds, sys.getrecursionlimit())
+        assert n > 500
+        self.check_nest(builds(n), n)
+
+    def test_a_copy_of_a_program_compiles_nothing(self, monkeypatch):
+        compiled = []
+        real = evaluator._compile_body
+        monkeypatch.setattr(evaluator, "_compile_body", lambda name, node: compiled.append(name) or real(name, node))
+        src = "fib where dimension d; fib = if #.d <= 1 then #.d else (fib @.d (#.d - 1)) + (fib @.d (#.d - 2)); end"
+        geer, store = compile_source(src, "once"), DemandStore()
+        first = Evaluator(geer, store)
+        assert first.eval_demand("fib", ctx(d=20)) == 6765 and compiled == ["fib"]
+        copy = Evaluator(replace(geer, program_id="once-more"), store)  # a fresh program id: every demand computed
+        assert copy.eval_demand("fib", ctx(d=20)) == 6765 and copy.computation_counter() == 21
+        warm = Evaluator(compile_source(src, "once"), store)  # a new Geer, but every demand a warehouse hit
+        assert warm.eval_demand("fib", ctx(d=20)) == 6765 and warm.computation_counter() == 0
+        assert compiled == ["fib"]
+        other = Evaluator(replace(geer, dictionary={"fib": lang.Literal(7)}))
+        assert other.eval_demand("fib", ctx(d=20)) == 7 and compiled == ["fib", "fib"]
+        store.close()

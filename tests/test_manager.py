@@ -2,6 +2,7 @@
 import gc
 import json
 import random
+import re
 import socket
 import threading
 import time
@@ -31,7 +32,7 @@ from eduction.manager import (
     serve_node_agent,
 )
 from eduction.model import DemandKind, DemandSignature, EMPTY_CONTEXT, pending_demand
-from eduction.store import NotAJournal, NotFound, StoreClosed
+from eduction.store import NotAJournal, NotFound, StoreClosed, UnreadableJournalVersion
 from eduction.transport import (
     InProcAgent,
     StoreClient,
@@ -44,6 +45,7 @@ from eduction.transport import (
     encode_system_reply,
     system_request,
 )
+from eduction import wire
 from eduction.wire import MalformedEncoding, MsgType, encode_frame, iter_frames
 
 from helpers import assert_every_cut_replays_its_whole_records
@@ -365,6 +367,20 @@ class TestEventLog:
         assert log.read_bytes() == first
         assert [r.levelname for r in caplog.records if "dropping" in r.getMessage()] == ["WARNING"]
 
+    def test_a_log_of_another_version_is_refused_untouched(self, new_agent, tmp_path, monkeypatch):
+        log = tmp_path / "gmt.log"
+        mgr, _ = make_mgr(log_path=str(log))
+        mgr.register_node("n:1", agent=new_agent())
+        mgr.register_node("n:2", agent=new_agent())
+        mgr.close()
+        old = log.read_bytes()
+        assert len(list(iter_frames(old))) == 2
+        monkeypatch.setattr(wire, "VERSION", 2)
+        message = f"{log} holds a frame of version 1 at byte 0; this code reads version 2"
+        with pytest.raises(UnreadableJournalVersion, match=f"^{re.escape(message)}$"):
+            Manager(heartbeat_ms=1000, clock=FakeClock(), log_path=str(log))
+        assert log.read_bytes() == old
+
     def test_a_json_lines_log_is_refused_untouched(self, tmp_path):
         log = tmp_path / "gmt.jsonl"
         old = b'{"address": "n:1", "ev": "register", "node_id": 1, "ts": 0.0}\n'
@@ -474,6 +490,31 @@ class TestWriteAhead:
                 mgr.allocate(nid, "DGT", {})
             assert agent.list_tiers() == {}
             assert mgr.status_report()["tiers"] == {}
+        finally:
+            mgr.close()
+            if server is not None:
+                server.stop()
+
+    @pytest.mark.parametrize("over", ["in-process", "tcp"])
+    def test_a_move_that_cannot_start_leaves_the_tier_on_its_source(self, new_agent, tmp_path, over):
+        log = str(tmp_path / "gmt.log")
+        mgr, _ = make_mgr(log_path=log)
+        agent = new_agent()
+        server = serve_node_agent(agent) if over == "tcp" else None
+        with socket.socket() as s:  # a port that nothing serves once it is closed
+            s.bind(("127.0.0.1", 0))
+            nowhere = f"127.0.0.1:{s.getsockname()[1]}"
+        try:
+            source = mgr.register_node("n:1", agent=agent) if server is None else mgr.register_node(f"127.0.0.1:{server.port}")
+            dest = mgr.register_node(nowhere)
+            tier = mgr.allocate(source, "DST", {})
+            with pytest.raises(TransportUnreachable):
+                mgr.move(tier.tier_id, dest)  # after the carrier's retries: about 1.5 s
+            tiers = records(mgr)[0]
+            assert (tiers[tier.tier_id]["state"], tiers[tier.tier_id]["node_id"]) == ("RUNNING", source)
+            assert [t["state"] for tid, t in tiers.items() if tid != tier.tier_id] == ["STOPPED"]
+            assert list(agent.list_tiers()) == [tier.tier_id]
+            assert replayed(log) == records(mgr)
         finally:
             mgr.close()
             if server is not None:

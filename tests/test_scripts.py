@@ -25,6 +25,8 @@ BENCH_ROWS = {
     "inproc.fib30_query_us",
     "tcp.fib30_query_us",
     "tcp.gather160_deposit_us",
+    "none.fib30_query_us",
+    "engine.compile_fib_us",
 }
 
 
@@ -32,7 +34,7 @@ def test_bench_writes_every_row(tmp_path, monkeypatch):
     spec = importlib.util.spec_from_file_location("bench", os.path.join(ROOT, "scripts", "bench.py"))
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    for name, tiny in (("BATCH", 4), ("REPEAT", 1), ("FIB_QUERIES", 1)):
+    for name, tiny in (("BATCH", 4), ("REPEAT", 1), ("FIB_QUERIES", 1), ("COMPILES", 1)):
         monkeypatch.setattr(bench, name, tiny)
     out = tmp_path / "bench.json"
     assert bench.main([str(out)]) == 0

@@ -1,6 +1,7 @@
 """Demand store: queue discipline, leases, persistence."""
 import logging
 import os
+import re
 import random
 import sys
 import threading
@@ -34,6 +35,7 @@ from eduction.store import (
     NotFound,
     ProcedureFault,
     Timeout,
+    UnreadableJournalVersion,
 )
 
 from helpers import assert_every_cut_replays_its_whole_records
@@ -863,6 +865,26 @@ class TestJournal:
         with pytest.raises(NotAJournal, match=str(log)):
             DemandStore(log_path=str(log), clock=clock)
         assert log.read_bytes() == junk
+
+    @pytest.mark.parametrize("at", ["first", "second"])
+    def test_a_log_of_another_version_is_refused_untouched(self, tmp_path, clock, monkeypatch, at):
+        log = tmp_path / "store.log"
+        s = DemandStore(log_path=str(log), clock=clock)
+        s.deposit(pending_demand(qsig(1)))
+        second = os.path.getsize(log)
+        if at == "second":  # a log that a later version went on writing
+            monkeypatch.setattr(wire, "VERSION", 2)
+        s.deposit(pending_demand(qsig(2)))
+        s.close()
+        old = log.read_bytes()
+        # a reader of version 2 meets version 1 at byte 0; one of version 1 meets version 2 at the second frame
+        found, expected, start = (1, 2, 0) if at == "first" else (2, 1, second)
+        monkeypatch.setattr(wire, "VERSION", expected)
+        message = f"{log} holds a frame of version {found} at byte {start}; this code reads version {expected}"
+        with pytest.raises(UnreadableJournalVersion, match=f"^{re.escape(message)}$") as refused:
+            DemandStore(log_path=str(log), clock=clock)
+        assert isinstance(refused.value, NotAJournal)
+        assert log.read_bytes() == old
 
     def test_a_tear_inside_the_first_header_is_a_torn_tail(self, tmp_path, clock, caplog):
         log = tmp_path / "store.log"
